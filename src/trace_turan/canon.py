@@ -11,9 +11,21 @@ leaves a canonical sequence).
 The minimization is a branch and bound over partial label assignments.
 Edges completed at label depth k have indices in [C(k,3), C(k+1,3)), so the
 final sorted sequence grows in per-depth blocks and prefix pruning against
-the incumbent is exact.  Interchangeable vertices (swapping them is an
-automorphism) are tried once per depth, which collapses the blowup on highly
-symmetric inputs such as complete or empty hypergraphs.
+the incumbent is exact.
+
+Two things make a branch cheap.  Twin classes -- vertices any two of which
+are swapped by an automorphism transposing just them -- do not depend on
+the partial assignment, so they are computed once per call; each depth tries only the
+smallest unassigned member of each class, which collapses the blowup on
+highly symmetric inputs such as complete or empty hypergraphs.  And every
+unassigned vertex u keeps the pair keys C(j,2)+i of the edges it would
+complete, one per assigned pair labeled i < j: giving v label d appends
+C(d,2)+pos(w) for each assigned w with {u,v,w} an edge.  The new keys exceed
+all older ones, so the list stays sorted without a sort, backtracking pops
+what was appended, and u's block at depth d is C(d,3) plus each key.
+
+``CANON_VERSION`` names this definition of the canonical form; anything
+that stores verdicts across runs keys them on it.
 """
 
 from __future__ import annotations
@@ -23,16 +35,33 @@ from math import comb
 from .hypergraph import Hypergraph3
 from .indexing import Triple, edge_indices
 
+CANON_VERSION = 1
+
 _BIG = 1 << 60
 
 
-def _twin(v: int, w: int, incident: dict[int, list[frozenset[int]]], edge_set: set[frozenset[int]]) -> bool:
-    """True if transposing v and w maps the edge set to itself."""
-    for e in incident[v] + incident[w]:
-        swapped = frozenset(w if u == v else v if u == w else u for u in e)
-        if swapped not in edge_set:
-            return False
-    return True
+def _twin_classes(n: int, edges: list[Triple]) -> list[list[int]]:
+    """Vertices grouped by mutual twinship, each class in ascending order.
+
+    v and w are twins when transposing them maps the edge set to itself,
+    i.e. when their links agree once pairs containing the other are dropped.
+    Twinship is an equivalence, so one comparison per class suffices.
+    """
+    links: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    for a, b, c in edges:
+        links[a].add((b, c))
+        links[b].add((a, c))
+        links[c].add((a, b))
+    classes: list[list[int]] = []
+    for v in range(n):
+        for cls in classes:
+            w = cls[0]
+            if {p for p in links[v] if w not in p} == {p for p in links[w] if v not in p}:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
 def _min_index_sequence(
@@ -47,61 +76,68 @@ def _min_index_sequence(
     says whether some relabeling beats it strictly.  Otherwise ``best`` ends
     up holding the canonical sequence and the return value is meaningless.
     """
-    edge_fs = [frozenset(e) for e in edges]
-    edge_set = set(edge_fs)
-    incident: dict[int, list[frozenset[int]]] = {v: [] for v in range(n)}
-    for e in edge_fs:
-        for v in e:
-            incident[v].append(e)
+    classes = _twin_classes(n, edges)
+    thirds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for a, b, c in edges:
+        thirds[a][b].append(c)
+        thirds[b][a].append(c)
+        thirds[a][c].append(b)
+        thirds[c][a].append(b)
+        thirds[b][c].append(a)
+        thirds[c][b].append(a)
 
-    pos: dict[int, int] = {}
+    c3 = [comb(d, 3) for d in range(n)]
+    c2 = [comb(d, 2) for d in range(n)]
+    pos = [-1] * n
+    order: list[int] = []  # assigned vertices by label
+    keys: list[list[int]] = [[] for _ in range(n)]
     found_smaller = False
-
-    def block_for(v: int, depth: int) -> list[int]:
-        blk = []
-        for e in incident[v]:
-            others = [u for u in e if u != v]
-            if others[0] in pos and others[1] in pos:
-                i, j = sorted((pos[others[0]], pos[others[1]]))
-                blk.append(comb(depth, 3) + comb(j, 2) + i)
-        blk.sort()
-        return blk
 
     def rec(depth: int, emitted: int) -> None:
         nonlocal found_smaller
-        if found_smaller and decide_only:
-            return
         if depth == n:
             return
-        unassigned = [v for v in range(n) if v not in pos]
         scored = []
-        for v in unassigned:
-            blk = block_for(v, depth)
-            scored.append((tuple(blk) + (_BIG,), v, blk))
-        scored.sort()
-        tried: list[int] = []
-        for _, v, blk in scored:
-            if any(_twin(v, w, incident, edge_set) for w in tried):
-                continue
-            tried.append(v)
-            # compare blk against the incumbent at offset ``emitted``
-            verdict = 0  # 0 equal, -1 smaller, +1 larger
-            for i, idx in enumerate(blk):
-                incumbent = best[emitted + i] if emitted + i < len(best) else _BIG
-                if idx != incumbent:
-                    verdict = -1 if idx < incumbent else 1
+        for cls in classes:
+            for v in cls:
+                if pos[v] < 0:
+                    # the sentinel sorts a block before its own prefixes,
+                    # as the longer block gives the smaller sequence
+                    scored.append((keys[v] + [_BIG], v))
                     break
-            if verdict > 0:
-                continue
-            if verdict < 0:
+        scored.sort()
+        base = c3[depth]
+        pair_base = c2[depth]
+        for _, v in scored:
+            blk = [base + k for k in keys[v]]
+            # compare blk against the incumbent at offset ``emitted``; past
+            # its end the incumbent reads as _BIG
+            end = emitted + len(blk)
+            incumbent = best[emitted:end]
+            if len(incumbent) < len(blk):
+                incumbent += [_BIG] * (len(blk) - len(incumbent))
+            if blk != incumbent:
+                if blk > incumbent:
+                    continue
                 if decide_only:
                     found_smaller = True
                     return
                 del best[emitted:]
                 best.extend(blk)
             pos[v] = depth
-            rec(depth + 1, emitted + len(blk))
-            del pos[v]
+            touched = []
+            row = thirds[v]
+            for i, w in enumerate(order):  # ascending labels keep keys sorted
+                for u in row[w]:
+                    if pos[u] < 0:
+                        keys[u].append(pair_base + i)
+                        touched.append(u)
+            order.append(v)
+            rec(depth + 1, end)
+            order.pop()
+            for u in touched:
+                keys[u].pop()
+            pos[v] = -1
             if found_smaller and decide_only:
                 return
 

@@ -17,7 +17,7 @@ from .bounds import derivation_check, log_grid
 from .constructions import dumps_graph, greedy_lower_bound, lift_to_trace_free, polarity_graph
 from .hypergraph import FormatError, dumps_hypergraph, read_hypergraph
 from .lemma_checks import lemma_status_report
-from .search import CapExceeded, SearchConfig, turan_oracle, turan_search
+from .search import SearchConfig, turan_oracle, turan_search
 from .traces import SearchTimeout, contains_trace
 
 DEFAULT_SEED = 20240901
@@ -47,18 +47,14 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
-    try:
-        if args.oracle:
-            result = turan_oracle(cfg.n, cfg.t)
-        else:
-            result = turan_search(
-                cfg.n,
-                cfg.t,
-                SearchConfig(max_n=args.cap, witness_cap=args.witness_cap, threads=cfg.threads),
-            )
-    except CapExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
+    if args.oracle:
+        result = turan_oracle(cfg.n, cfg.t)
+    else:
+        result = turan_search(
+            cfg.n,
+            cfg.t,
+            SearchConfig(max_n=args.cap, witness_cap=args.witness_cap, threads=cfg.threads),
+        )
     if cfg.fmt == "json-lines":
         payload = {
             "n": result.n,
@@ -79,11 +75,7 @@ def _cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    try:
-        h = read_hypergraph(cfg.input_path)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
+    h = read_hypergraph(cfg.input_path)
     try:
         cert = contains_trace(h, cfg.t, time_budget=cfg.time_budget)
     except SearchTimeout:
@@ -95,11 +87,7 @@ def _cmd_check(cfg: RunConfig) -> int:
 
 def _cmd_construct(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.kind == "polarity":
-        try:
-            g = polarity_graph(cfg.q)
-        except ValueError as exc:
-            print(f"refused: {exc}", file=sys.stderr)
-            return 2
+        g = polarity_graph(cfg.q)
         text = dumps_hypergraph(lift_to_trace_free(g)) if args.lift else dumps_graph(g)
     else:
         h = greedy_lower_bound(cfg.n, cfg.t, seed=cfg.seed, restarts=args.restarts)
@@ -109,11 +97,7 @@ def _cmd_construct(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    try:
-        h = read_hypergraph(cfg.input_path)
-    except FormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
+    h = read_hypergraph(cfg.input_path)
     report = lemma_status_report(h, cfg.t, cfg.delta, seed=cfg.seed)
     lines = []
     violated = False
@@ -201,7 +185,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; its errors become one stderr line and an exit code.
+
+    ValueError (CapExceeded among them) exits 2, FormatError and OSError
+    exit 3; nothing else is caught, so a genuine bug still shows its
+    traceback.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except FormatError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     cfg = RunConfig(
         subcommand=args.subcommand,
         n=getattr(args, "n", None),

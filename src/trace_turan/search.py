@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import itertools
 import os
-import pickle
+import re
+import tempfile
 import time
 from dataclasses import dataclass
 
-from .canon import canonical_form, is_canonical_labeling
+from .canon import CANON_VERSION, canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
 from .indexing import Triple, all_triples, triple_index
 from .traces import TraceCertificate, TracePattern, _DetectorBudget, _search_pair, _t_of
@@ -190,26 +191,60 @@ def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate |
     return None
 
 
-def _load_cache(path: str | None) -> dict[bytes, bool]:
+def _cache_file(path: str) -> str:
+    return os.path.join(path, f"canonical_cache.v{CANON_VERSION}.txt")
+
+
+_CACHE_HEADER = "trace-turan canonical cache"
+_CACHE_LINE = re.compile(r"\d+:(\d+(,\d+)*)? [01]")
+
+
+def _load_cache(path: str | None) -> dict[str, bool]:
+    """Verdicts saved by an earlier run, or {} unless the file is whole.
+
+    The file is a header ``trace-turan canonical cache <version> <count>``
+    followed by exactly count lines ``<key> <0|1>``; a missing, malformed,
+    truncated or other-version file reads as empty.
+    """
     if not path:
         return {}
-    fname = os.path.join(path, "canonical_cache.pickle")
     try:
-        with open(fname, "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.PickleError, EOFError):
+        with open(_cache_file(path), encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, ValueError):
         return {}
+    head = lines[0].rsplit(" ", 2)
+    body = lines[1:-1]
+    if (
+        len(head) != 3
+        or head[:2] != [_CACHE_HEADER, str(CANON_VERSION)]
+        or head[2] != str(len(body))
+        or lines[-1] != ""
+        or not all(_CACHE_LINE.fullmatch(line) for line in body)
+    ):
+        return {}
+    return {key: verdict == "1" for key, verdict in (line.split(" ") for line in body)}
 
 
-def _save_cache(path: str | None, cache: dict[bytes, bool]) -> None:
+def _save_cache(path: str | None, cache: dict[str, bool]) -> None:
+    """Write the cache atomically: a temp file in the same directory, then os.replace."""
     if not path or not cache:
         return
+    lines = [f"{_CACHE_HEADER} {CANON_VERSION} {len(cache)}"]
+    lines += [f"{key} {int(verdict)}" for key, verdict in cache.items()]
+    tmp = None
     try:
         os.makedirs(path, exist_ok=True)
-        with open(os.path.join(path, "canonical_cache.pickle"), "wb") as fh:
-            pickle.dump(cache, fh)
+        fd, tmp = tempfile.mkstemp(dir=path, prefix=".canonical_cache.", suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, _cache_file(path))
     except OSError:
-        pass
+        if tmp is not None:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
 
 def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchResult:
@@ -247,7 +282,7 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
     h = Hypergraph3(n)
 
     def cached_is_canonical(H: Hypergraph3) -> bool:
-        key = b"%d:" % H.n + b",".join(b"%d" % triple_index(*e) for e in H.edges)
+        key = f"{H.n}:" + ",".join(str(triple_index(*e)) for e in H.edges)
         hit = cache.get(key)
         if hit is None:
             hit = is_canonical_labeling(H)

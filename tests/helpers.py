@@ -1,17 +1,20 @@
 """Independent reference implementations used only as test oracles.
 
 Nothing here shares code with the library paths it checks: canonical forms
-are minimized over all n! permutations, 4-cycles are found by scanning
-4-subsets, dominated sets by scanning all subsets, and the DIMACS formulas
-are decided by a tiny DPLL with unit propagation.
+are minimized over all n! permutations or by a frozen copy of the earlier
+branch-and-bound minimizer, 4-cycles are found by scanning 4-subsets,
+dominated sets by scanning all subsets, and the DIMACS formulas are decided
+by a tiny DPLL with unit propagation.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 from trace_turan import Graph, Hypergraph3, LoopGraph
+from trace_turan.indexing import Triple, edge_indices
 
 
 def random_hypergraph(n: int, p: float, rng: random.Random) -> Hypergraph3:
@@ -47,6 +50,110 @@ def brute_force_min_index_sequence(h: Hypergraph3) -> tuple[int, ...]:
         if best is None or seq < best:
             best = seq
     return best if best is not None else ()
+
+
+# -- canonical labelling reference (pre-incremental minimizer) ------------------
+
+_BIG = 1 << 60
+
+
+def _reference_twin(v: int, w: int, incident: dict[int, list[frozenset[int]]], edge_set: set[frozenset[int]]) -> bool:
+    """True if transposing v and w maps the edge set to itself."""
+    for e in incident[v] + incident[w]:
+        swapped = frozenset(w if u == v else v if u == w else u for u in e)
+        if swapped not in edge_set:
+            return False
+    return True
+
+
+def reference_min_index_sequence(
+    n: int,
+    edges: list[Triple],
+    best: list[int],
+    decide_only: bool,
+) -> bool:
+    """Minimize the index sequence over relabelings, in place on ``best``.
+
+    The library's minimizer as it stood before twin classes and block keys
+    were hoisted out of the recursion, kept for A/B comparison: it rebuilds
+    every block and re-tests twinship at every frame.
+
+    With decide_only=True, ``best`` is left untouched and the return value
+    says whether some relabeling beats it strictly.  Otherwise ``best`` ends
+    up holding the canonical sequence and the return value is meaningless.
+    """
+    edge_fs = [frozenset(e) for e in edges]
+    edge_set = set(edge_fs)
+    incident: dict[int, list[frozenset[int]]] = {v: [] for v in range(n)}
+    for e in edge_fs:
+        for v in e:
+            incident[v].append(e)
+
+    pos: dict[int, int] = {}
+    found_smaller = False
+
+    def block_for(v: int, depth: int) -> list[int]:
+        blk = []
+        for e in incident[v]:
+            others = [u for u in e if u != v]
+            if others[0] in pos and others[1] in pos:
+                i, j = sorted((pos[others[0]], pos[others[1]]))
+                blk.append(comb(depth, 3) + comb(j, 2) + i)
+        blk.sort()
+        return blk
+
+    def rec(depth: int, emitted: int) -> None:
+        nonlocal found_smaller
+        if found_smaller and decide_only:
+            return
+        if depth == n:
+            return
+        unassigned = [v for v in range(n) if v not in pos]
+        scored = []
+        for v in unassigned:
+            blk = block_for(v, depth)
+            scored.append((tuple(blk) + (_BIG,), v, blk))
+        scored.sort()
+        tried: list[int] = []
+        for _, v, blk in scored:
+            if any(_reference_twin(v, w, incident, edge_set) for w in tried):
+                continue
+            tried.append(v)
+            # compare blk against the incumbent at offset ``emitted``
+            verdict = 0  # 0 equal, -1 smaller, +1 larger
+            for i, idx in enumerate(blk):
+                incumbent = best[emitted + i] if emitted + i < len(best) else _BIG
+                if idx != incumbent:
+                    verdict = -1 if idx < incumbent else 1
+                    break
+            if verdict > 0:
+                continue
+            if verdict < 0:
+                if decide_only:
+                    found_smaller = True
+                    return
+                del best[emitted:]
+                best.extend(blk)
+            pos[v] = depth
+            rec(depth + 1, emitted + len(blk))
+            del pos[v]
+            if found_smaller and decide_only:
+                return
+
+    rec(0, 0)
+    return found_smaller
+
+
+
+def reference_index_sequence(h: Hypergraph3) -> tuple[int, ...]:
+    best = list(edge_indices(h.edges))
+    reference_min_index_sequence(h.n, list(h.edges), best, decide_only=False)
+    return tuple(best)
+
+
+def reference_is_canonical(h: Hypergraph3) -> bool:
+    best = list(edge_indices(h.edges))
+    return not reference_min_index_sequence(h.n, list(h.edges), best, decide_only=True)
 
 
 def four_subset_has_c4(g: Graph) -> bool:

@@ -4,9 +4,14 @@ import itertools
 import random
 
 from trace_turan import Hypergraph3, canonical_form, canonical_index_sequence, is_canonical_labeling
-from trace_turan.indexing import edge_indices
+from trace_turan.indexing import all_triples, edge_indices
 
-from helpers import brute_force_min_index_sequence, random_hypergraph
+from helpers import (
+    brute_force_min_index_sequence,
+    random_hypergraph,
+    reference_index_sequence,
+    reference_is_canonical,
+)
 
 
 def test_relabelled_single_edges_agree():
@@ -93,3 +98,53 @@ def test_canonical_parent_property():
         assert is_canonical_labeling(canon)
         parent = Hypergraph3(6, [by_index[i] for i in seq[:-1]])
         assert is_canonical_labeling(parent)
+
+
+# -- A/B against the earlier minimizer kept in tests/helpers -----------------------
+
+
+def _from_sequence(n, seq):
+    triples = all_triples(n)
+    return Hypergraph3(n, [triples[i] for i in seq])
+
+
+def _relabel(h, perm):
+    return Hypergraph3(h.n, [tuple(sorted(perm[v] for v in e)) for e in h.edges])
+
+
+def test_matches_reference_on_random_instances_n7_to_n9():
+    rng = random.Random(2718)
+    for n in (7, 8, 9):
+        for density in (0.1, 0.2, 0.3, 0.5, 0.8):
+            h = random_hypergraph(n, density, rng)
+            assert canonical_index_sequence(h) == reference_index_sequence(h)
+            assert is_canonical_labeling(h) == reference_is_canonical(h)
+
+
+def test_matches_reference_on_canonical_inputs():
+    # random inputs are almost never canonical, so relabel each to its
+    # canonical sequence; a relabelling that changes the sequence must fail
+    rng = random.Random(1618)
+    for _ in range(20):
+        n = rng.randint(7, 9)
+        h = random_hypergraph(n, rng.choice([0.15, 0.3, 0.5]), rng)
+        seq = canonical_index_sequence(h)
+        assert seq == reference_index_sequence(h)
+        canon = _from_sequence(n, seq)
+        assert is_canonical_labeling(canon) and reference_is_canonical(canon)
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = _relabel(canon, perm)
+            if edge_indices(moved.edges) != seq:
+                assert not is_canonical_labeling(moved)
+                assert not reference_is_canonical(moved)
+                break
+        else:
+            raise AssertionError("no relabelling changed the sequence")
+
+
+def test_matches_reference_on_empty_and_complete_n9():
+    for h in (Hypergraph3(9), Hypergraph3(9, itertools.combinations(range(9), 3))):
+        assert canonical_index_sequence(h) == reference_index_sequence(h)
+        assert is_canonical_labeling(h) and reference_is_canonical(h)

@@ -135,3 +135,23 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "4"])  # missing --t
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (("search", "--n", "5", "--t", "1"), 2, "refused: "),
+        (("construct", "greedy", "--n", "6", "--t", "1"), 2, "refused: "),
+        (("bounds", "--t-range", "foo"), 2, "refused: "),
+        (("bounds", "--t-range", "2:100", "--points", "5"), 2, "refused: "),
+        (("check", "--file", "{missing}", "--t", "2"), 3, "file error: "),
+        (("verify", "--file", "{missing}", "--t", "2"), 3, "file error: "),
+    ],
+)
+def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):
+    missing = str(tmp_path / "missing.hg")
+    got, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
