@@ -1,14 +1,14 @@
 """Batch command line front end.
 
-Exit codes: 0 success, 2 usage error or size refusal, 3 parse error,
-4 internal contract violation (a structural check fired on an input the
-exact detector confirms trace-free -- should never happen).
+Exit codes: 0 success, 2 usage error or size refusal, 3 unreadable or
+malformed input file, 4 internal contract violation (a structural check
+fired on an input the exact detector confirms trace-free -- should never
+happen).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -23,21 +23,6 @@ from .traces import SearchTimeout, contains_trace
 DEFAULT_SEED = 20240901
 
 
-@dataclasses.dataclass
-class RunConfig:
-    subcommand: str
-    n: int | None = None
-    t: int | None = None
-    delta: int | None = None
-    q: int | None = None
-    seed: int = DEFAULT_SEED
-    threads: int = 0
-    time_budget: float | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "csv"
-
-
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="ascii") as fh:
@@ -46,16 +31,14 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> int:
     if args.oracle:
-        result = turan_oracle(cfg.n, cfg.t)
+        result = turan_oracle(args.n, args.t)
     else:
         result = turan_search(
-            cfg.n,
-            cfg.t,
-            SearchConfig(max_n=args.cap, witness_cap=args.witness_cap, threads=cfg.threads),
+            args.n, args.t, SearchConfig(max_n=args.cap, witness_cap=args.witness_cap)
         )
-    if cfg.fmt == "json-lines":
+    if args.format == "json-lines":
         payload = {
             "n": result.n,
             "t": result.t,
@@ -64,41 +47,47 @@ def _cmd_search(cfg: RunConfig, args: argparse.Namespace) -> int:
             "nodes": result.nodes_explored,
             "seconds": round(result.elapsed, 3),
         }
-        _emit(json.dumps(payload) + "\n", cfg.output_path)
-    elif cfg.fmt == "text":
+        _emit(json.dumps(payload) + "\n", args.output)
+    elif args.format == "text":
         lines = [f"maximum edges for n={result.n}, t={result.t}: {result.value}"]
         lines += [dumps_hypergraph(w) for w in result.witnesses]
-        _emit("\n".join(lines), cfg.output_path)
+        _emit("\n".join(lines), args.output)
     else:
-        _emit("n,t,value,witness_count,nodes,seconds\n" + result.csv_row() + "\n", cfg.output_path)
+        _emit("n,t,value,witness_count,nodes,seconds\n" + result.csv_row() + "\n", args.output)
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    h = read_hypergraph(cfg.input_path)
+def _cmd_check(args: argparse.Namespace) -> int:
+    h = read_hypergraph(args.file)
     try:
-        cert = contains_trace(h, cfg.t, time_budget=cfg.time_budget)
+        cert = contains_trace(h, args.t, time_budget=args.time_budget)
     except SearchTimeout:
         print("unknown: time budget exhausted", file=sys.stderr)
         return 2
-    _emit(cert.to_text() if cert is not None else "trace-free\n", cfg.output_path)
+    _emit(cert.to_text() if cert is not None else "trace-free\n", args.output)
     return 0
 
 
-def _cmd_construct(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "polarity":
-        g = polarity_graph(cfg.q)
+        if args.q is None:
+            print("construct polarity needs --q", file=sys.stderr)
+            return 2
+        g = polarity_graph(args.q)
         text = dumps_hypergraph(lift_to_trace_free(g)) if args.lift else dumps_graph(g)
     else:
-        h = greedy_lower_bound(cfg.n, cfg.t, seed=cfg.seed, restarts=args.restarts)
+        if args.n is None or args.t is None:
+            print("construct greedy needs --n and --t", file=sys.stderr)
+            return 2
+        h = greedy_lower_bound(args.n, args.t, seed=args.seed, restarts=args.restarts)
         text = dumps_hypergraph(h)
-    _emit(text, cfg.output_path)
+    _emit(text, args.output)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    h = read_hypergraph(cfg.input_path)
-    report = lemma_status_report(h, cfg.t, cfg.delta, seed=cfg.seed)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    h = read_hypergraph(args.file)
+    report = lemma_status_report(h, args.t, args.delta, seed=args.seed)
     lines = []
     violated = False
     for status in report:
@@ -116,14 +105,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
                 for v in status.violations
             ]
         lines.append(json.dumps(entry))
-    _emit("\n".join(lines) + "\n", cfg.output_path)
-    if violated and contains_trace(h, cfg.t) is None:
+    _emit("\n".join(lines) + "\n", args.output)
+    if violated and contains_trace(h, args.t) is None:
         print("internal contract violation: check fired on a trace-free input", file=sys.stderr)
         return 4
     return 0
 
 
-def _cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> int:
     lo, _, hi = args.t_range.partition(":")
     grid = log_grid(float(lo), float(hi), args.points)
     rows = ["t,lhs_hi,rhs_lo,certified"]
@@ -132,7 +121,7 @@ def _cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"{point.t},{point.lhs_hi!r},{point.rhs_lo!r},{str(point.certified).lower()}"
         )
     rows.append("")
-    _emit("\n".join(rows), cfg.output_path)
+    _emit("\n".join(rows), args.output)
     return 0
 
 
@@ -152,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "text", "json-lines"), default="csv")
     p.add_argument("--output")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=0)
 
     p = sub.add_parser("check", help="trace detection with certificate output")
     p.add_argument("--file", required=True)
@@ -184,6 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "search": _cmd_search,
+    "check": _cmd_check,
+    "construct": _cmd_construct,
+    "verify": _cmd_verify,
+    "bounds": _cmd_bounds,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; its errors become one stderr line and an exit code.
 
@@ -193,7 +190,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.subcommand](args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
@@ -203,37 +200,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        t=getattr(args, "t", None),
-        delta=getattr(args, "delta", None),
-        q=getattr(args, "q", None),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        threads=getattr(args, "threads", 0),
-        time_budget=getattr(args, "time_budget", None),
-        input_path=getattr(args, "file", None),
-        output_path=getattr(args, "output", None),
-        fmt=getattr(args, "format", "csv"),
-    )
-    if cfg.subcommand == "search":
-        return _cmd_search(cfg, args)
-    if cfg.subcommand == "check":
-        return _cmd_check(cfg)
-    if cfg.subcommand == "construct":
-        if args.kind == "polarity" and cfg.q is None:
-            print("construct polarity needs --q", file=sys.stderr)
-            return 2
-        if args.kind == "greedy" and (cfg.n is None or cfg.t is None):
-            print("construct greedy needs --n and --t", file=sys.stderr)
-            return 2
-        return _cmd_construct(cfg, args)
-    if cfg.subcommand == "verify":
-        return _cmd_verify(cfg)
-    return _cmd_bounds(cfg, args)
 
 
 if __name__ == "__main__":

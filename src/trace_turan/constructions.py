@@ -15,7 +15,7 @@ import itertools
 import random
 from typing import Iterable
 
-from .hypergraph import FormatError, Hypergraph3
+from .hypergraph import Hypergraph3, loads_edge_lines
 from .indexing import all_triples
 from .search import incremental_trace_check
 
@@ -147,30 +147,14 @@ def dumps_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
+    if g.has_edge(*edge):
+        raise ValueError(f"duplicate edge {edge}")
+    g.add_edge(*edge)
+
+
 def loads_graph(text: str) -> Graph:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise FormatError("missing header", 1)
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"header must be 'n m', got {lines[0]!r}", 1)
-    n, m = int(head[0]), int(head[1])
-    g = Graph(n)
-    seen = 0
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"edge line must have 2 vertices, got {line!r}", i)
-        try:
-            g.add_edge(int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise FormatError(str(exc), i) from None
-        seen += 1
-    if seen != m:
-        raise FormatError(f"header promised {m} edges, found {seen}")
-    return g
+    return loads_edge_lines(text, 2, Graph, _add_new_edge)
 
 
 def write_graph(g: Graph, path: str) -> None:

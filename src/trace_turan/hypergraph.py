@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
+T = TypeVar("T")
 Triple = tuple[int, int, int]
 Pair = tuple[int, int]
 
 
 class FormatError(ValueError):
-    """Malformed hypergraph/graph text input; carries a 1-based line number."""
+    """Malformed hypergraph, graph or certificate text; carries a 1-based
+    line number when one line is at fault."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -394,7 +396,23 @@ def dumps_hypergraph(h: Hypergraph3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_hypergraph(text: str) -> Hypergraph3:
+def int_tokens(parts: list[str], line: str, lineno: int) -> tuple[int, ...]:
+    """The integers of one text line; FormatError names the line otherwise."""
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise FormatError(f"non-integer vertex in {line!r}", lineno) from None
+
+
+def loads_edge_lines(
+    text: str, arity: int, new: Callable[[int], T], add: Callable[[T, tuple[int, ...]], object]
+) -> T:
+    """Read the ``n m`` format with `arity` vertices per edge line into new(n).
+
+    Blank lines are skipped.  Every defect -- a missing, non-integer or
+    negative header, a wrong token count, an edge that add() refuses, or an
+    edge count other than m -- raises FormatError.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise FormatError("missing header", 1)
@@ -405,26 +423,29 @@ def loads_hypergraph(text: str) -> Hypergraph3:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError(f"non-integer header {lines[0]!r}", 1) from None
-    h = Hypergraph3(n)
+    if n < 0 or m < 0:
+        raise FormatError(f"negative count in header {lines[0]!r}", 1)
+    obj = new(n)
     seen = 0
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
-        if len(parts) != 3:
-            raise FormatError(f"edge line must have 3 vertices, got {line!r}", i)
+        if len(parts) != arity:
+            raise FormatError(f"edge line must have {arity} vertices, got {line!r}", i)
+        edge = int_tokens(parts, line, i)
         try:
-            edge = tuple(int(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"non-integer vertex in {line!r}", i) from None
-        try:
-            h.add_edge(edge)
+            add(obj, edge)
         except ValueError as exc:
             raise FormatError(str(exc), i) from None
         seen += 1
     if seen != m:
         raise FormatError(f"header promised {m} edges, found {seen}")
-    return h
+    return obj
+
+
+def loads_hypergraph(text: str) -> Hypergraph3:
+    return loads_edge_lines(text, 3, Hypergraph3, Hypergraph3.add_edge)
 
 
 def write_hypergraph(h: Hypergraph3, path: str) -> None:
@@ -434,4 +455,8 @@ def write_hypergraph(h: Hypergraph3, path: str) -> None:
 
 def read_hypergraph(path: str) -> Hypergraph3:
     with open(path, encoding="ascii") as fh:
-        return loads_hypergraph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not ASCII text ({exc.reason} at byte {exc.start})") from None
+    return loads_hypergraph(text)

@@ -8,9 +8,20 @@ converted into a verified TraceCertificate.  On a genuinely trace-free
 input, therefore, every check must pass; a violation without certificate is
 reported as "certificate search exhausted", never dropped.
 
-Checks whose premise object is empty (no residual edges, no dense core,
-wrong t) report "vacuous" rather than "pass" so dashboards do not overstate
-coverage.
+The checks form one table, ``_CHECKS``, in report order.  A row gives the
+check's name, its premise hypergraph (the residual edges B | C of the
+co-degree partition, or the dense core C), an optional extra premise
+(delta >= 14 for the core checks, t = 2 for the 4-cycle checks) and a
+function that only finds violations: it returns its detail string and a
+list of (subject, observed, bound, certificate or None).
+
+One runner, ``lemma_status_report``, does the rest for every row.  A check
+is "vacuous", not "pass", so dashboards do not overstate coverage: first
+when its extra premise fails ("needs delta >= 14", "4-cycle checks need
+t = 2"), otherwise when its premise hypergraph is empty ("no residual
+edges", "dense core empty").  A check that runs becomes "violated" when it
+finds anything and "pass" when not; each finding becomes a LemmaViolation,
+and one without a constructive certificate falls back to the exact detector.
 """
 
 from __future__ import annotations
@@ -222,62 +233,40 @@ def _attach_certificate(h: Hypergraph3, t: int, viol: LemmaViolation, cert: Trac
     return viol
 
 
-# -- individual checks -------------------------------------------------------
+# -- the checks ----------------------------------------------------------------
+#
+# Each takes (h, g, t, delta, seed), g being the premise hypergraph of its
+# row, and returns (detail, [(subject, observed, bound, certificate), ...]).
 
 
-def _check_residual_codegree(h: Hypergraph3, t: int, hma: Hypergraph3) -> CheckStatus:
+def _residual_codegree(h: Hypergraph3, hma: Hypergraph3, t: int, delta: int, seed: int):
     bound = 2 if t == 2 else 3 * t - 3
-    status = CheckStatus("residual-codegree-cap", "pass", f"bound {bound}")
-    if hma.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "no residual edges"
-        return status
+    found = []
     for x, y, d in hma.codegree_pairs():
         if d > bound:
             s = hma.codegree_thirds(x, y)
-            viol = LemmaViolation(status.check, (x, y), d, bound)
-            cert = _try_build(_cert_via_pair_min1, h, x, y, s, t)
-            status.violations.append(_attach_certificate(h, t, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+            found.append(((x, y), d, bound, _try_build(_cert_via_pair_min1, h, x, y, s, t)))
+    return f"bound {bound}", found
 
 
-def _check_core_codegree(
-    h: Hypergraph3, t: int, delta: int, core: Hypergraph3, seed: int
-) -> CheckStatus:
+def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
     eps = epsilon(delta)
     k_ceiling = math.ceil((1 + 4 * eps) * t)
     bound = (1 + 4 * eps) * t - 1
-    status = CheckStatus("core-codegree-cap", "pass", f"bound {bound:.4f}")
-    if core.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "dense core empty"
-        return status
+    found = []
     for x, y, d in core.codegree_pairs():
         if d >= k_ceiling:  # the integer reading the construction supports
             s = core.codegree_thirds(x, y)
-            viol = LemmaViolation(status.check, (x, y), d, bound)
             cert = _try_build(_cert_via_simultaneous, h, x, y, s, t, delta, seed)
-            status.violations.append(_attach_certificate(h, t, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+            found.append(((x, y), d, bound, cert))
+    return f"bound {bound:.4f}", found
 
 
-def _check_shell_expansion(
-    h: Hypergraph3, t: int, delta: int, core: Hypergraph3, seed: int
-) -> CheckStatus:
+def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
     k = core.max_codegree()
-    status = CheckStatus("shell-expansion-cap", "pass", f"k={k}")
-    if core.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "dense core empty"
-        return status
     bound = k + 0.5 * k * 50 * t
-    status.detail = f"bound {bound:.1f}"
-    support = core.support()
-    for x in support:
+    found = []
+    for x in core.support():
         n1x, _ = neighborhoods(core, x)
         for y in sorted(n1x):
             hits = [
@@ -287,25 +276,16 @@ def _check_shell_expansion(
             ]
             if len(hits) >= bound:
                 s = frozenset(w for e in hits for w in e if w != y)
-                viol = LemmaViolation(status.check, (x, y), len(hits), bound)
                 cert = _try_build(_cert_via_simultaneous, h, x, y, s, t, delta, seed)
-                status.violations.append(_attach_certificate(h, t, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+                found.append(((x, y), len(hits), bound, cert))
+    return f"bound {bound:.1f}", found
 
 
-def _check_shell_cover_sum(
-    h: Hypergraph3, t: int, delta: int, core: Hypergraph3, seed: int
-) -> CheckStatus:
+def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
     eps = epsilon(delta)
     k_ceiling = math.ceil((1 + 4 * eps) * t)
     bound = (k_ceiling - 1) * h.n
-    status = CheckStatus("shell-cover-sum-cap", "pass", f"bound {bound}")
-    if core.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "dense core empty"
-        return status
+    found = []
     for v in core.support():
         n1, _ = neighborhoods(core, v)
         vu = {u: eu_vu(core, v, u)[1] for u in sorted(n1)}
@@ -317,40 +297,25 @@ def _check_shell_cover_sum(
                     counts.setdefault(x, []).append(u)
             x_best = max(sorted(counts), key=lambda x: len(counts[x]))
             s = frozenset(counts[x_best])
-            viol = LemmaViolation(status.check, (v,), total, bound)
             cert = None
             if len(s) >= k_ceiling:
                 cert = _try_build(_cert_via_simultaneous, h, v, x_best, s, t, delta, seed)
-            status.violations.append(_attach_certificate(h, t, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+            found.append(((v,), total, bound, cert))
+    return f"bound {bound}", found
 
 
-def _check_common_neighborhood(h: Hypergraph3, hb: Hypergraph3) -> CheckStatus:
-    status = CheckStatus("common-neighborhood-cap", "pass", "bound 7")
-    if hb.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "no residual edges"
-        return status
+def _common_neighborhood(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
     n1 = {v: neighborhoods(hb, v)[0] for v in hb.support()}
+    found = []
     for x, y in itertools.combinations(sorted(n1), 2):
         common = n1[x] & n1[y]
         if len(common) > 7:
-            viol = LemmaViolation(status.check, (x, y), len(common), 7)
-            cert = _try_build(_cert_common_neighborhood, hb, h, x, y)
-            status.violations.append(_attach_certificate(h, 2, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+            found.append(((x, y), len(common), 7, _try_build(_cert_common_neighborhood, hb, h, x, y)))
+    return "bound 7", found
 
 
-def _check_shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3) -> CheckStatus:
-    status = CheckStatus("shell-pair-overlap-cap", "pass", "bound 7")
-    if hb.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "no residual edges"
-        return status
+def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
+    found = []
     for e in hb.edges:
         for v in e:
             u, w = (a for a in e if a != v)
@@ -361,87 +326,81 @@ def _check_shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3) -> CheckStatus:
             _, vw = eu_vu(hb, v, w)
             overlap = vu & vw
             if len(overlap) > 7:
-                viol = LemmaViolation(status.check, (v, u, w), len(overlap), 7)
                 cert = _try_build(_cert_common_neighborhood, hb, h, min(u, w), max(u, w))
                 if cert is None:
                     cert = _try_build(_cert_shell_overlap, hb, h, v)
-                status.violations.append(_attach_certificate(h, 2, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+                found.append(((v, u, w), len(overlap), 7, cert))
+    return "bound 7", found
 
 
-def _check_shell_size_floor(h: Hypergraph3, hb: Hypergraph3) -> CheckStatus:
-    status = CheckStatus("shell-size-floor", "pass", "slack 16")
-    if hb.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "no residual edges"
-        return status
+def _shell_size_floor(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
+    found = []
     for v in hb.support():
         n1, _ = neighborhoods(hb, v)
         for u in sorted(n1):
             _, vu = eu_vu(hb, v, u)
             du = hb.degree(u)
             if len(vu) < du - 16:
-                viol = LemmaViolation(status.check, (v, u), len(vu), du - 16)
                 cert = _try_build(_cert_common_neighborhood, hb, h, min(u, v), max(u, v))
-                status.violations.append(_attach_certificate(h, 2, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+                found.append(((v, u), len(vu), du - 16, cert))
+    return "slack 16", found
 
 
-def _check_shell_sum(h: Hypergraph3, hb: Hypergraph3) -> CheckStatus:
-    status = CheckStatus("shell-sum-cap", "pass", "n + 14 d(v)")
-    if hb.edge_count == 0:
-        status.status = "vacuous"
-        status.detail = "no residual edges"
-        return status
+def _shell_sum(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
+    found = []
     for v in hb.support():
         n1, _ = neighborhoods(hb, v)
         total = sum(len(eu_vu(hb, v, u)[1]) for u in sorted(n1))
         bound = h.n + 14 * hb.degree(v)
         if total > bound:
-            viol = LemmaViolation(status.check, (v,), total, bound)
-            cert = _try_build(_cert_shell_overlap, hb, h, v)
-            status.violations.append(_attach_certificate(h, 2, viol, cert))
-    if status.violations:
-        status.status = "violated"
-    return status
+            found.append(((v,), total, bound, _try_build(_cert_shell_overlap, hb, h, v)))
+    return "n + 14 d(v)", found
+
+
+_EMPTY_PREMISE = {"residual": "no residual edges", "core": "dense core empty"}
+_NEEDS_DELTA_14 = "needs delta >= 14"
+_NEEDS_T_2 = "4-cycle checks need t = 2"
+
+_CHECKS = (
+    ("residual-codegree-cap", "residual", None, _residual_codegree),
+    ("core-codegree-cap", "core", _NEEDS_DELTA_14, _core_codegree),
+    ("shell-expansion-cap", "core", _NEEDS_DELTA_14, _shell_expansion),
+    ("shell-cover-sum-cap", "core", _NEEDS_DELTA_14, _shell_cover_sum),
+    ("common-neighborhood-cap", "residual", _NEEDS_T_2, _common_neighborhood),
+    ("shell-pair-overlap-cap", "residual", _NEEDS_T_2, _shell_pair_overlap),
+    ("shell-size-floor", "residual", _NEEDS_T_2, _shell_size_floor),
+    ("shell-sum-cap", "residual", _NEEDS_T_2, _shell_sum),
+)
 
 
 def lemma_status_report(
     h: Hypergraph3, t: int, delta: int = 14, seed: int = 0
 ) -> list[CheckStatus]:
-    """Run every applicable structural check; one status entry per check."""
+    """Run every structural check; one status entry per check, in table order."""
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
     if delta < 2:
         raise ValueError(f"delta must be >= 2, got {delta}")
-    part = partition_edges(h, max(delta, 2))
-    hma = Hypergraph3(h.n, sorted(part.B | part.C))
-    core = Hypergraph3(h.n, sorted(part.C))
-    report = [_check_residual_codegree(h, t, hma)]
-    if delta >= 14:
-        report.append(_check_core_codegree(h, t, delta, core, seed))
-        report.append(_check_shell_expansion(h, t, delta, core, seed))
-        report.append(_check_shell_cover_sum(h, t, delta, core, seed))
-    else:
-        for name in ("core-codegree-cap", "shell-expansion-cap", "shell-cover-sum-cap"):
-            report.append(CheckStatus(name, "vacuous", "needs delta >= 14"))
-    if t == 2:
-        report.append(_check_common_neighborhood(h, hma))
-        report.append(_check_shell_pair_overlap(h, hma))
-        report.append(_check_shell_size_floor(h, hma))
-        report.append(_check_shell_sum(h, hma))
-    else:
-        for name in (
-            "common-neighborhood-cap",
-            "shell-pair-overlap-cap",
-            "shell-size-floor",
-            "shell-sum-cap",
-        ):
-            report.append(CheckStatus(name, "vacuous", "4-cycle checks need t = 2"))
+    part = partition_edges(h, delta)
+    premises = {
+        "residual": Hypergraph3(h.n, sorted(part.B | part.C)),
+        "core": Hypergraph3(h.n, sorted(part.C)),
+    }
+    unmet = {_NEEDS_DELTA_14: delta < 14, _NEEDS_T_2: t != 2}
+    report = []
+    for name, premise, extra, check in _CHECKS:
+        g = premises[premise]
+        if unmet.get(extra):
+            report.append(CheckStatus(name, "vacuous", extra))
+        elif g.edge_count == 0:
+            report.append(CheckStatus(name, "vacuous", _EMPTY_PREMISE[premise]))
+        else:
+            detail, found = check(h, g, t, delta, seed)
+            violations = [
+                _attach_certificate(h, t, LemmaViolation(name, subject, observed, bound), cert)
+                for subject, observed, bound, cert in found
+            ]
+            report.append(CheckStatus(name, "violated" if violations else "pass", detail, violations))
     return report
 
 

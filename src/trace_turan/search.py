@@ -56,7 +56,6 @@ class SearchConfig:
     witness_cap: int = 100
     initial_lower_bound: Hypergraph3 | int | None = None
     cache_dir: str | None = None  # falls back to the TRACE_TURAN_CACHE env var
-    threads: int = 0  # accepted for interface parity; execution is sequential
 
 
 def trace_templates(n: int, t: int) -> list[frozenset[int]]:
@@ -282,6 +281,10 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
     h = Hypergraph3(n)
 
     def cached_is_canonical(H: Hypergraph3) -> bool:
+        # orderly generation makes each labelled child once, so only a saved
+        # cache can ever hit; without one, keys would be built and never read
+        if not cache_dir:
+            return is_canonical_labeling(H)
         key = f"{H.n}:" + ",".join(str(triple_index(*e)) for e in H.edges)
         hit = cache.get(key)
         if hit is None:

@@ -14,7 +14,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph3
+from .hypergraph import FormatError, Hypergraph3, int_tokens
 from .indexing import Triple
 
 PatternEdge = tuple[str, int]  # ("x" | "y", leaf vertex)
@@ -63,20 +63,26 @@ class TraceCertificate:
 
 
 def certificate_from_text(text: str) -> TraceCertificate:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head, bar, tail = lines[0].partition("|")
-    if not bar:
-        raise ValueError(f"bad certificate header {lines[0]!r}")
-    x, y = map(int, head.split())
-    d = tuple(int(v) for v in tail.replace("|", "").split())
+    """Read ``TraceCertificate.to_text`` output; malformed text raises FormatError."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise FormatError("missing certificate header", 1)
+    i, first = lines[0]
+    head, bar, tail = first.partition("|")
+    pair = head.split()
+    if not bar or len(pair) != 2:
+        raise FormatError(f"bad certificate header {first!r}", i)
+    x, y = int_tokens(pair, first, i)
+    d = int_tokens(tail.replace("|", "").split(), first, i)
     assignment: dict[PatternEdge, Triple] = {}
-    for line in lines[1:]:
+    for i, line in lines[1:]:
         lhs, arrow, rhs = line.partition("->")
-        if not arrow:
-            raise ValueError(f"bad certificate line {line!r}")
-        side, u = lhs.split()
-        a, b, c = sorted(int(v) for v in rhs.split())
-        assignment[(side, int(u))] = (a, b, c)
+        side_u, edge = lhs.split(), rhs.split()
+        if not arrow or len(side_u) != 2 or side_u[0] not in ("x", "y") or len(edge) != 3:
+            raise FormatError(f"bad certificate line {line!r}", i)
+        (u,) = int_tokens(side_u[1:], line, i)
+        a, b, c = sorted(int_tokens(edge, line, i))
+        assignment[(side_u[0], u)] = (a, b, c)
     return TraceCertificate(x, y, d, assignment)
 
 

@@ -61,6 +61,15 @@ def test_check_parse_error_exit_3(tmp_path, capsys):
     assert code == 3 and "parse error" in err
 
 
+@pytest.mark.parametrize("data", [b"-1 0\n", b"4 1\n0 1 \xe9\n"], ids=["negative-n", "non-ascii"])
+def test_malformed_file_exits_3(tmp_path, capsys, data):
+    bad = tmp_path / "bad.hg"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "check", "--file", str(bad), "--t", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_construct_polarity_lift_round_trip(tmp_path, capsys):
     out_path = tmp_path / "lift.hg"
     code, _, _ = run(

@@ -2,6 +2,7 @@
 violations on purpose-built ones."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +14,12 @@ from trace_turan import (
     lift_to_trace_free,
     polarity_graph,
     verify_certificate,
+    write_hypergraph,
 )
+from trace_turan.cli import main
 from trace_turan.lemma_checks import CERTIFIED
+
+GOLDEN_VERIFY = Path(__file__).with_name("verify_golden.txt")
 
 
 def residual_codegree_instance():
@@ -115,3 +120,21 @@ def test_input_validation():
         lemma_status_report(Hypergraph3(4), 1, 14)
     with pytest.raises(ValueError):
         lemma_status_report(Hypergraph3(4), 2, 1)
+
+
+def test_verify_output_matches_golden(tmp_path, capsys):
+    """The full verify bytes: check order, detail strings, which vacuous
+    reason wins, violation order and certificates."""
+    chunks = []
+    for name, h in (
+        ("hubs12", common_neighborhood_instance()),
+        ("residual7", residual_codegree_instance()),
+        ("empty5", Hypergraph3(5)),
+    ):
+        path = tmp_path / f"{name}.hg"
+        write_hypergraph(h, str(path))
+        for t, delta in ((2, 14), (3, 14), (2, 5)):
+            code = main(["verify", "--file", str(path), "--t", str(t), "--delta", str(delta)])
+            chunks.append(f"=== {name} t={t} delta={delta} exit {code}\n")
+            chunks.append(capsys.readouterr().out)
+    assert "".join(chunks) == GOLDEN_VERIFY.read_text(encoding="ascii")
