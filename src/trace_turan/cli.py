@@ -106,7 +106,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ]
         lines.append(json.dumps(entry))
     _emit("\n".join(lines) + "\n", args.output)
-    if violated and contains_trace(h, args.t) is None:
+    # An attached certificate has passed verify_certificate against h, so one
+    # with t leaves already shows that h is not trace-free.
+    certified = any(
+        v.certificate is not None and len(v.certificate.D) >= args.t
+        for status in report
+        for v in status.violations
+    )
+    if violated and not certified and contains_trace(h, args.t) is None:
         print("internal contract violation: check fired on a trace-free input", file=sys.stderr)
         return 4
     return 0
@@ -140,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-cap", type=int, default=100)
     p.add_argument("--format", choices=("csv", "text", "json-lines"), default="csv")
     p.add_argument("--output")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("check", help="trace detection with certificate output")
     p.add_argument("--file", required=True)

@@ -30,7 +30,7 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         self._edges: set[tuple[int, int]] = set()
-        self._adj: dict[int, set[int]] = {v: set() for v in range(n)}
+        self._adj: dict[int, set[int]] = {}  # only vertices that have edges
         for e in edges:
             self.add_edge(*tuple(e))
 
@@ -40,8 +40,8 @@ class Graph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u}, {v}) out of range")
         self._edges.add((min(u, v), max(u, v)))
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        self._adj.setdefault(u, set()).add(v)
+        self._adj.setdefault(v, set()).add(u)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -52,7 +52,9 @@ class Graph:
         return len(self._edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._adj[v])
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return frozenset(self._adj.get(v, ()))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edges

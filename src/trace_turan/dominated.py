@@ -4,7 +4,10 @@ A set D is dominated when every member has a loop or a neighbor outside D.
 Three constructions live here:
 
 * a greedy spanning decomposition into loop-vertices and stars,
-* a set dominated in two graphs at once of size >= |S|/3 (min degree 1),
+* a set dominated in two graphs at once of size >= |S|/3 (min degree 1):
+  the vertices that are a center in neither decomposition when there are
+  enough of them, else the largest class of a 3-colouring of the union of
+  the two star forests,
 * a randomized set of size >= (1 - eps_delta) n (min degree delta), with a
   deterministic conditional-expectation fallback so the size contract holds
   on every call.
@@ -174,130 +177,59 @@ def _center_set(decomp: StarDecomposition) -> set[int]:
     return out
 
 
-def _forced_and_choice(decomp: StarDecomposition) -> tuple[set[int], list[tuple[int, int]]]:
-    forced = set()
-    choice = []
-    for comp in decomp.components:
-        if isinstance(comp, Star):
-            if len(comp.leaves) == 1:
-                choice.append((comp.center, next(iter(comp.leaves))))
-            else:
-                forced.add(comp.center)
-    return forced, choice
+def _star_union_colouring(verts: list[int], decomps: Iterable[StarDecomposition]) -> dict[int, int]:
+    """Greedy colouring with 0/1/2 of the union H of the star edges.
 
-
-def _orient_for_max_survivors(s: list[int], forced: set[int], edges: list[tuple[int, int]]) -> set[int]:
-    """Pick one endpoint per edge, minimizing hits outside ``forced``.
-
-    Each vertex lies in at most one 2-vertex star per source graph, so the
-    edge multigraph splits into paths and even cycles; a two-state scan per
-    component is exact.  Returns the full dead set (forced plus hits).
+    Peels a vertex of least remaining degree (ties to the lowest id), then
+    colours in reverse peeling order with the least colour its coloured
+    neighbors leave free.  dominated_pair_min1 shows why 3 colours suffice.
     """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in s}
-    for i, (a, b) in enumerate(edges):
-        adj[a].append((i, b))
-        adj[b].append((i, a))
-    cost = {v: 0 if v in forced else 1 for v in s}
-    hit: set[int] = set()
-    done_edges: set[int] = set()
-
-    def walk(start: int) -> tuple[list[int], list[int], bool]:
-        """Ordered vertices and edge ids of the component holding ``start``."""
-        verts = [start]
-        eids: list[int] = []
-        cur = start
-        while True:
-            step = [(i, w) for i, w in adj[cur] if i not in done_edges]
-            if not step:
-                return verts, eids, False
-            i, w = step[0]
-            eids.append(i)
-            done_edges.add(i)
-            if w == start:
-                return verts, eids, True
-            verts.append(w)
-            cur = w
-
-    def dp(verts: list[int], k: int, init_hit: bool, prepaid: int) -> dict[bool, tuple[int, list[bool]]]:
-        """Orient edges 0..k-1 along ``verts``; True = point at the right end.
-
-        Maps the hit-status of verts[k] to (cost, orientation).  Edge i sits
-        between verts[i] and verts[i+1]; the status of verts[i] is final
-        once edge i is decided, which is when its cost gets paid.
-        """
-        states: dict[bool, tuple[int, list[bool]]] = {init_hit: (prepaid, [])}
-        for i in range(k):
-            left, right = verts[i], verts[i + 1]
-            nxt: dict[bool, tuple[int, list[bool]]] = {}
-            for left_hit, (c, choices) in states.items():
-                c_left = c + (0 if left_hit else cost[left])
-                if False not in nxt or nxt[False][0] > c_left:
-                    nxt[False] = (c_left, choices + [False])
-                c_right = c + cost[right]
-                if True not in nxt or nxt[True][0] > c_right:
-                    nxt[True] = (c_right, choices + [True])
-            states = nxt
-        return states
-
-    seen: set[int] = set()
-    for v in sorted(s):
-        if v in seen or not adj[v]:
-            seen.add(v)
-            continue
-        comp_verts = {v}
-        stack = [v]
-        while stack:
-            cur = stack.pop()
-            for _i, w in adj[cur]:
-                if w not in comp_verts:
-                    comp_verts.add(w)
-                    stack.append(w)
-        seen |= comp_verts
-        endpoints = sorted(u for u in comp_verts if len(adj[u]) == 1)
-        if endpoints:
-            verts, eids, closed = walk(endpoints[0])
-            assert not closed and len(eids) == len(verts) - 1
-            states = dp(verts, len(eids), init_hit=False, prepaid=0)
-            _, orient = min(states.values(), key=lambda x: x[0])
-        else:
-            verts, eids, closed = walk(min(comp_verts))
-            assert closed and len(eids) == len(verts)
-            # closing edge joins verts[-1] back to verts[0]; try both ends
-            candidates = []
-            inner = dp(verts, len(eids) - 1, init_hit=False, prepaid=0)
-            for end_hit, (c, choices) in inner.items():
-                candidates.append((c + (0 if end_hit else cost[verts[-1]]), choices + [False]))
-            inner = dp(verts, len(eids) - 1, init_hit=True, prepaid=cost[verts[0]])
-            for _end_hit, (c, choices) in inner.items():
-                candidates.append((c, choices + [True]))
-            _, orient = min(candidates, key=lambda x: x[0])
-        for i, to_right in enumerate(orient):
-            hit.add(verts[(i + 1) % len(verts)] if to_right else verts[i])
-    return forced | hit
-
-
-def _exhaustive_pair_search(gx: LoopGraph, gy: LoopGraph, target: int) -> set[int] | None:
-    verts = sorted(gx.vertices)
-    if len(verts) > 20:
-        return None
-    for mask in range(1 << len(verts)):
-        if bin(mask).count("1") < target:
-            continue
-        d = {verts[i] for i in range(len(verts)) if mask >> i & 1}
-        if is_dominated(gx, d) and is_dominated(gy, d):
-            return d
-    return None
+    adj: dict[int, set[int]] = {v: set() for v in verts}
+    for decomp in decomps:
+        for comp in decomp.components:
+            if isinstance(comp, Star):
+                for leaf in comp.leaves:
+                    adj[comp.center].add(leaf)
+                    adj[leaf].add(comp.center)
+    remaining = {v: len(adj[v]) for v in verts}
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (remaining[u], u))
+        del remaining[v]
+        order.append(v)
+        for u in adj[v]:
+            if u in remaining:
+                remaining[u] -= 1
+    colour: dict[int, int] = {}
+    for v in reversed(order):
+        used = {colour[u] for u in adj[v] if u in colour}
+        colour[v] = min(c for c in range(3) if c not in used)
+    return colour
 
 
 def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> DominatedSetResult:
     """A set dominated in both graphs of size >= ceil(|S|/3).
 
-    Built from the star decompositions: survivors after removing star
-    centers (2-vertex star centers default to the lower id).  When that
-    undershoots the bound, the 2-vertex-star center choices are re-optimized
-    exactly over the path/cycle structure they form.  |S| = 3 is special:
-    a non-adjacent pair when the simple-edge union is not a triangle, a
-    singleton when it is.
+    |S| = 3 is special: a non-adjacent pair when the simple-edge union is
+    not a triangle, a singleton when it is.  Otherwise the first try is the
+    set of survivors after removing the star centers of both decompositions
+    (2-vertex star centers default to the lower id).  When that undershoots
+    the bound, the answer is the largest class of a 3-colouring of the
+    union H of the star edges of both decompositions (the lowest colour
+    wins ties).
+
+    Why that works.  Every edge of a star forest, or of a subgraph of one,
+    has an end of degree 1 in it, and distinct edges have distinct such
+    ends.  In a subgraph of H with minimum degree >= 3 no vertex has degree
+    1 in both forests (it would have degree <= 2), so charging each edge to
+    such an end charges each vertex at most once: the subgraph would have
+    no more edges than vertices, against its minimum degree.  So every
+    subgraph of H has a vertex of degree <= 2, and greedy colouring in
+    reverse peeling order needs 3 colours (Szekeres-Wilf 1968).  A colour
+    class misses each member's star partners in both decompositions (its
+    center, or all of its leaves), which are neighbors in that graph;
+    looped singletons are their own witness.  The largest class is
+    dominated in both graphs and has >= ceil(|S|/3) members.
     """
     if gx.vertices != gy.vertices:
         raise ValueError("graphs must share a vertex set")
@@ -324,24 +256,13 @@ def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> DominatedSetResult:
                 return finish({u, v})
         raise AssertionError("unreachable: fewer than 3 union edges")
 
-    target = -(-len(verts) // 3)
     dx = star_loop_decomposition(gx)
     dy = star_loop_decomposition(gy)
     d = set(verts) - (_center_set(dx) | _center_set(dy))
-    if len(d) >= target:
-        return finish(d)
-
-    fx, cx = _forced_and_choice(dx)
-    fy, cy = _forced_and_choice(dy)
-    dead = _orient_for_max_survivors(verts, fx | fy, cx + cy)
-    d = set(verts) - dead
-    if len(d) >= target:
-        return finish(d)
-
-    found = _exhaustive_pair_search(gx, gy, target)  # defensive; not expected
-    if found is not None:
-        return finish(found)
-    raise AssertionError(f"pair domination bound {target} unmet on |S|={len(verts)}")
+    if len(d) < -(-len(verts) // 3):
+        colour = _star_union_colouring(verts, (dx, dy))
+        d = max(({v for v in verts if colour[v] == c} for c in range(3)), key=len)
+    return finish(d)
 
 
 def _sample_round(g: LoopGraph, p: float, rng: random.Random) -> set[int]:

@@ -146,6 +146,12 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_search_takes_no_seed():
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "4", "--t", "2", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [

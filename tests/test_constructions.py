@@ -1,5 +1,7 @@
 """Construction tests: polarity graphs, lifts, greedy packings."""
 
+import tracemalloc
+
 import pytest
 
 from trace_turan import (
@@ -30,6 +32,19 @@ def test_polarity_counts_and_c4_freeness(q):
 def test_polarity_rejects_non_primes(q):
     with pytest.raises(ValueError):
         polarity_graph(q)
+
+
+def test_graph_header_allocates_nothing_per_vertex():
+    tracemalloc.start()
+    try:
+        g = loads_graph("100000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert g.neighbors(0) == g.neighbors(99999) == frozenset()
+    with pytest.raises(ValueError):
+        g.neighbors(100000)
 
 
 def test_lift_single_edge():

@@ -17,6 +17,7 @@ from trace_turan import (
     simultaneous_dominated_min_degree,
     star_loop_decomposition,
 )
+from trace_turan.dominated import _star_union_colouring
 
 from helpers import max_dominated_subset, random_loop_graph
 
@@ -154,12 +155,37 @@ def test_matching_vs_matching_meets_bound():
     assert is_dominated(gx, r.D) and is_dominated(gy, r.D)
 
 
+def shifted_copies(edges, size, copies):
+    return [(u + size * k, v + size * k) for k in range(copies) for u, v in edges]
+
+
+def test_pair_bound_on_three_copies_of_a_seven_vertex_pair():
+    # only 6 vertices are a star center in neither graph, under the bound 7;
+    # {0, 1, 2} + 7k is dominated in both graphs and has 9
+    ex = [(0, 2), (0, 6), (1, 2), (1, 3), (1, 6), (2, 5), (4, 6)]
+    ey = [(0, 1), (0, 3), (0, 6), (1, 3), (2, 5), (4, 5)]
+    gx = LoopGraph(range(21), shifted_copies(ex, 7, 3))
+    gy = LoopGraph(range(21), shifted_copies(ey, 7, 3))
+    r = dominated_pair_min1(gx, gy)
+    assert len(r.D) >= 7
+    assert is_dominated(gx, r.D) and is_dominated(gy, r.D)
+
+
+def random_pair_corpus(rng, count, max_n, densities):
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        gx = random_loop_graph(n, rng.choice(densities), rng, min_degree=1)
+        gy = random_loop_graph(n, rng.choice(densities), rng, min_degree=1)
+        yield n, gx, gy
+
+
 def test_pair_bound_on_random_corpus():
     rng = random.Random(1717)
-    for _ in range(400):
-        n = rng.randint(1, 14)
-        gx = random_loop_graph(n, rng.choice([0.15, 0.3, 0.5]), rng, min_degree=1)
-        gy = random_loop_graph(n, rng.choice([0.15, 0.3, 0.5]), rng, min_degree=1)
+    corpus = itertools.chain(
+        random_pair_corpus(rng, 400, 14, [0.15, 0.3, 0.5]),
+        random_pair_corpus(rng, 400, 40, [0.05, 0.1, 0.15]),
+    )
+    for n, gx, gy in corpus:
         r = dominated_pair_min1(gx, gy)
         assert len(r.D) >= math.ceil(n / 3)
         assert is_dominated(gx, r.D) and is_dominated(gy, r.D)
@@ -168,6 +194,19 @@ def test_pair_bound_on_random_corpus():
                 assert w.neighbor not in r.D and gx.has_edge(v, w.neighbor)
             else:
                 assert gx.loops_at(v) >= 1
+
+
+def test_star_union_colouring_is_proper_with_three_colours():
+    rng = random.Random(1718)
+    for n, gx, gy in random_pair_corpus(rng, 300, 40, [0.03, 0.05, 0.1, 0.3]):
+        decomps = (star_loop_decomposition(gx), star_loop_decomposition(gy))
+        colour = _star_union_colouring(sorted(gx.vertices), decomps)
+        assert set(colour) == gx.vertices
+        assert set(colour.values()) <= {0, 1, 2}
+        for decomp in decomps:
+            for comp in decomp.components:
+                if isinstance(comp, Star):
+                    assert all(colour[leaf] != colour[comp.center] for leaf in comp.leaves)
 
 
 def test_pair_rejects_mismatched_vertex_sets():

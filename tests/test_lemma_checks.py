@@ -16,6 +16,7 @@ from trace_turan import (
     verify_certificate,
     write_hypergraph,
 )
+from trace_turan import cli
 from trace_turan.cli import main
 from trace_turan.lemma_checks import CERTIFIED
 
@@ -138,3 +139,18 @@ def test_verify_output_matches_golden(tmp_path, capsys):
             chunks.append(f"=== {name} t={t} delta={delta} exit {code}\n")
             chunks.append(capsys.readouterr().out)
     assert "".join(chunks) == GOLDEN_VERIFY.read_text(encoding="ascii")
+
+
+def test_verify_skips_detector_when_a_violation_is_certified(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return contains_trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "contains_trace", counted)
+    path = tmp_path / "hubs12.hg"
+    write_hypergraph(common_neighborhood_instance(), str(path))
+    assert main(["verify", "--file", str(path), "--t", "2"]) == 0
+    assert '"note": "certified"' in capsys.readouterr().out
+    assert calls == []
