@@ -4,14 +4,16 @@ small/medium/large co-degree edge partition.
 Vertices are dense integers 0..n-1.  Edges are stored as sorted triples and
 indexed by vertex pair, so co-degree queries are O(1) and the index survives
 incremental edge insertion/removal (the extremal search mutates a hypergraph
-in place as the single owner).
+in place as the single owner).  A shadow adjacency rides along with the pair
+index, so the trace detectors visit only pairs and leaves that share an edge.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import AbstractSet, Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 Triple = tuple[int, int, int]
@@ -28,6 +30,9 @@ class FormatError(ValueError):
         super().__init__(prefix + message)
 
 
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
+
 def _as_triple(edge: Iterable[int]) -> Triple:
     t = tuple(sorted(edge))
     if len(t) != 3 or len(set(t)) != 3:
@@ -40,10 +45,12 @@ class Hypergraph3:
 
     The index maps each unordered pair to the set of "third" vertices that
     complete it to an edge, so both co-degree counts and the edges through a
-    pair are O(1) away.
+    pair are O(1) away.  Its keys, read as graph edges, form the shadow
+    graph; ``_nbrs`` holds the shadow neighbours of each vertex that has an
+    edge (and no entry for any other vertex).
     """
 
-    __slots__ = ("n", "_thirds", "_edges")
+    __slots__ = ("n", "_thirds", "_edges", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if n < 0:
@@ -51,6 +58,7 @@ class Hypergraph3:
         self.n = n
         self._thirds: dict[Pair, set[int]] = {}
         self._edges: set[Triple] = set()
+        self._nbrs: dict[int, set[int]] = {}
         for e in edges:
             self.add_edge(e)
 
@@ -63,9 +71,28 @@ class Hypergraph3:
         if t in self._edges:
             raise ValueError(f"duplicate edge {t}")
         self._edges.add(t)
-        self._thirds.setdefault((a, b), set()).add(c)
-        self._thirds.setdefault((a, c), set()).add(b)
-        self._thirds.setdefault((b, c), set()).add(a)
+        thirds, nbrs = self._thirds, self._nbrs
+        s = thirds.get((a, b))
+        if s is None:
+            thirds[a, b] = {c}
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
+        else:
+            s.add(c)
+        s = thirds.get((a, c))
+        if s is None:
+            thirds[a, c] = {b}
+            nbrs.setdefault(a, set()).add(c)
+            nbrs.setdefault(c, set()).add(a)
+        else:
+            s.add(b)
+        s = thirds.get((b, c))
+        if s is None:
+            thirds[b, c] = {a}
+            nbrs.setdefault(b, set()).add(c)
+            nbrs.setdefault(c, set()).add(b)
+        else:
+            s.add(a)
         return t
 
     def remove_edge(self, edge: Iterable[int]) -> None:
@@ -73,11 +100,17 @@ class Hypergraph3:
         if t not in self._edges:
             raise ValueError(f"no such edge {t}")
         self._edges.discard(t)
+        thirds, nbrs = self._thirds, self._nbrs
         for pair, w in (((a, b), c), ((a, c), b), ((b, c), a)):
-            s = self._thirds[pair]
+            s = thirds[pair]
             s.discard(w)
             if not s:
-                del self._thirds[pair]
+                del thirds[pair]
+                for u, v in (pair, pair[::-1]):
+                    nu = nbrs[u]
+                    nu.discard(v)
+                    if not nu:
+                        del nbrs[u]
 
     # -- queries ----------------------------------------------------------
 
@@ -130,6 +163,12 @@ class Hypergraph3:
         pair = (x, y) if x < y else (y, x)
         return frozenset(self._thirds.get(pair, ()))
 
+    def shadow_neighbors(self, v: int) -> AbstractSet[int]:
+        """The vertices sharing an edge with v: a live view, not a copy."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return self._nbrs.get(v, _NO_NEIGHBORS)
+
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
@@ -147,7 +186,7 @@ class Hypergraph3:
 
     def support(self) -> list[int]:
         """Vertices incident to at least one edge."""
-        return sorted({v for e in self._edges for v in e})
+        return sorted(self._nbrs)
 
 
 class LoopGraph:
@@ -396,12 +435,20 @@ def dumps_hypergraph(h: Hypergraph3) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _all_ints(parts: list[str]) -> bool:
+    # int() alone would also take 1_0, +2 and non-ASCII digits, which no writer emits
+    return all(_INT_TOKEN.fullmatch(p) for p in parts)
+
+
 def int_tokens(parts: list[str], line: str, lineno: int) -> tuple[int, ...]:
-    """The integers of one text line; FormatError names the line otherwise."""
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise FormatError(f"non-integer vertex in {line!r}", lineno) from None
+    """The integers (ASCII ``-?[0-9]+``) of one text line; FormatError names
+    the line otherwise."""
+    if not _all_ints(parts):
+        raise FormatError(f"non-integer vertex in {line!r}", lineno)
+    return tuple(int(p) for p in parts)
 
 
 def loads_edge_lines(
@@ -419,10 +466,9 @@ def loads_edge_lines(
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError(f"header must be 'n m', got {lines[0]!r}", 1)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"non-integer header {lines[0]!r}", 1) from None
+    if not _all_ints(head):
+        raise FormatError(f"non-integer header {lines[0]!r}", 1)
+    n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise FormatError(f"negative count in header {lines[0]!r}", 1)
     obj = new(n)

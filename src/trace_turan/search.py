@@ -168,22 +168,21 @@ def incremental_trace_check(
 
 
 def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate | None:
-    """Search for a trace certificate assuming every trace must involve e."""
+    """Search for a trace certificate assuming every trace must involve e.
+
+    e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
+    some q outside e, and u is a leaf adjacent to q in the shadow graph; q
+    ranges, ascending, over the shadow neighbours of e's other two vertices.
+    """
     if h.n < t + 2:
         return None
     budget = _DetectorBudget(None)
-    seen_pairs = set()
+    nbrs = h.shadow_neighbors
     for p in e:
-        for q in range(h.n):
-            if q in e:
-                continue
+        others = [u for u in e if u != p]
+        for q in sorted((nbrs(others[0]) | nbrs(others[1])).difference(e)):
             x, y = (p, q) if p < q else (q, p)
-            if (x, y) in seen_pairs:
-                continue
-            seen_pairs.add((x, y))
-            for u in e:
-                if u == p:
-                    continue
+            for u in others:
                 cert = _search_pair(h, x, y, t, budget, forced=u)
                 if cert is not None:
                     return cert

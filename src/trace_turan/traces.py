@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .hypergraph import FormatError, Hypergraph3, int_tokens
 from .indexing import Triple
@@ -148,13 +149,18 @@ def _search_pair(
     budget: _DetectorBudget,
     forced: int | None = None,
 ) -> TraceCertificate | None:
-    """Find a trace with pair vertices (x, y); optionally force one leaf."""
+    """Find a trace with pair vertices (x, y); optionally force one leaf.
+
+    Leaf candidates come from the common shadow neighbourhood of x and y:
+    every other vertex has no edge with x or no edge with y.
+    """
+    common = h.shadow_neighbors(x) & h.shadow_neighbors(y)
+    if len(common) < t or (forced is not None and forced not in common):
+        return None
     wx: dict[int, frozenset[int]] = {}
     wy: dict[int, frozenset[int]] = {}
     pool = []
-    for u in range(h.n):
-        if u == x or u == y:
-            continue
+    for u in common:
         cx = h.codegree_thirds(x, u) - {y}
         cy = h.codegree_thirds(y, u) - {x}
         if cx and cy:
@@ -199,20 +205,31 @@ def contains_trace(
     """Exact K_{2,t}-trace detection with a certificate, or None if absent.
 
     Deterministic: pairs (x, y) are scanned in ascending order and leaf
-    candidates in descending co-degree order.  Raises SearchTimeout when the
-    optional wall-clock budget runs out, so a timeout is never mistaken for
-    trace-freeness.
+    candidates in descending co-degree order.  Only pairs with a common
+    shadow neighbour are scanned; no other pair has a leaf.  Raises
+    SearchTimeout when the optional wall-clock budget runs out, so a timeout
+    is never mistaken for trace-freeness.
     """
     t = _t_of(pattern)
     if h.n < t + 2:
         return None
     budget = _DetectorBudget(time_budget)
-    for x in range(h.n):
-        for y in range(x + 1, h.n):
-            cert = _search_pair(h, x, y, t, budget)
-            if cert is not None:
-                return cert
+    for x, y in _pairs_with_common_neighbor(h):
+        cert = _search_pair(h, x, y, t, budget)
+        if cert is not None:
+            return cert
     return None
+
+
+def _pairs_with_common_neighbor(h: Hypergraph3) -> Iterator[tuple[int, int]]:
+    """The pairs x < y with a common shadow neighbour, in ascending order."""
+    nbrs = h.shadow_neighbors
+    for x in range(h.n):
+        reach: set[int] = set()
+        for u in nbrs(x):
+            reach |= nbrs(u)
+        for y in sorted(y for y in reach if y > x):
+            yield x, y
 
 
 def contains_trace_naive(h: Hypergraph3, pattern: TracePattern | int) -> TraceCertificate | None:
@@ -308,9 +325,7 @@ def _berge_pair(h: Hypergraph3, x: int, y: int, t: int, budget: _DetectorBudget)
     ex: dict[int, list[Triple]] = {}
     ey: dict[int, list[Triple]] = {}
     pool = []
-    for u in range(h.n):
-        if u == x or u == y:
-            continue
+    for u in h.shadow_neighbors(x) & h.shadow_neighbors(y):
         lx = [tuple(sorted((x, u, w))) for w in h.codegree_thirds(x, u)]
         ly = [tuple(sorted((y, u, w))) for w in h.codegree_thirds(y, u)]
         if lx and ly:
@@ -373,8 +388,4 @@ def contains_berge(
     if h.n < t + 2 or h.edge_count < 2 * t:
         return False
     budget = _DetectorBudget(time_budget)
-    for x in range(h.n):
-        for y in range(x + 1, h.n):
-            if _berge_pair(h, x, y, t, budget):
-                return True
-    return False
+    return any(_berge_pair(h, x, y, t, budget) for x, y in _pairs_with_common_neighbor(h))

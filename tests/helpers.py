@@ -2,7 +2,8 @@
 
 Nothing here shares code with the library paths it checks: canonical forms
 are minimized over all n! permutations or by a frozen copy of the earlier
-branch-and-bound minimizer, 4-cycles are found by scanning 4-subsets,
+branch-and-bound minimizer, traces by a frozen copy of the earlier detector
+that scans every pair and every leaf, 4-cycles are found by scanning 4-subsets,
 dominated sets by scanning all subsets, and the DIMACS formulas are decided
 by a tiny DPLL with unit propagation.
 """
@@ -13,7 +14,7 @@ import itertools
 import random
 from math import comb
 
-from trace_turan import Graph, Hypergraph3, LoopGraph
+from trace_turan import Graph, Hypergraph3, LoopGraph, TraceCertificate
 from trace_turan.indexing import Triple, edge_indices
 
 
@@ -154,6 +155,169 @@ def reference_index_sequence(h: Hypergraph3) -> tuple[int, ...]:
 def reference_is_canonical(h: Hypergraph3) -> bool:
     best = list(edge_indices(h.edges))
     return not reference_min_index_sequence(h.n, list(h.edges), best, decide_only=True)
+
+
+# -- trace detector reference (full pair and leaf scan) ----------------------------
+
+
+def _reference_search_pair(
+    h: Hypergraph3, x: int, y: int, t: int, forced: int | None = None
+) -> TraceCertificate | None:
+    """The library's ``_search_pair`` as it stood before the shadow index:
+    every vertex is tried as a leaf, and there is no time budget."""
+    wx: dict[int, frozenset[int]] = {}
+    wy: dict[int, frozenset[int]] = {}
+    pool = []
+    for u in range(h.n):
+        if u == x or u == y:
+            continue
+        cx = h.codegree_thirds(x, u) - {y}
+        cy = h.codegree_thirds(y, u) - {x}
+        if cx and cy:
+            wx[u] = cx
+            wy[u] = cy
+            pool.append(u)
+    if len(pool) < t or (forced is not None and forced not in wx):
+        return None
+    pool.sort(key=lambda u: (-min(len(wx[u]), len(wy[u])), u))
+    if forced is not None:
+        pool.remove(forced)
+    chosen: list[int] = [forced] if forced is not None else []
+
+    def feasible(d_set: set[int]) -> bool:
+        return all(wx[u] - d_set and wy[u] - d_set for u in chosen)
+
+    def extend(start: int) -> tuple[int, ...] | None:
+        if len(chosen) == t:
+            return tuple(sorted(chosen))
+        if t - len(chosen) > len(pool) - start:
+            return None
+        for i in range(start, len(pool)):
+            u = pool[i]
+            chosen.append(u)
+            if feasible(set(chosen)):
+                hit = extend(i + 1)
+                if hit is not None:
+                    return hit
+            chosen.pop()
+        return None
+
+    d = extend(0)
+    if d is None:
+        return None
+    d_set = set(d)
+    assignment = {}
+    for u in d:
+        assignment[("x", u)] = tuple(sorted((x, u, min(wx[u] - d_set))))
+        assignment[("y", u)] = tuple(sorted((y, u, min(wy[u] - d_set))))
+    return TraceCertificate(x, y, d, assignment)
+
+
+def reference_contains_trace(h: Hypergraph3, t: int) -> TraceCertificate | None:
+    """``contains_trace`` before the shadow index: every pair, ascending."""
+    if h.n < t + 2:
+        return None
+    for x in range(h.n):
+        for y in range(x + 1, h.n):
+            cert = _reference_search_pair(h, x, y, t)
+            if cert is not None:
+                return cert
+    return None
+
+
+def reference_incremental_trace_check(
+    h: Hypergraph3, new_edge: Triple, t: int
+) -> TraceCertificate | None:
+    """``incremental_trace_check`` before the shadow index: every q outside
+    the new edge is tried as the second pair vertex."""
+    e = tuple(sorted(new_edge))
+    h.add_edge(e)
+    try:
+        if h.n < t + 2:
+            return None
+        seen_pairs = set()
+        for p in e:
+            for q in range(h.n):
+                if q in e:
+                    continue
+                x, y = (p, q) if p < q else (q, p)
+                if (x, y) in seen_pairs:
+                    continue
+                seen_pairs.add((x, y))
+                for u in e:
+                    if u == p:
+                        continue
+                    cert = _reference_search_pair(h, x, y, t, forced=u)
+                    if cert is not None:
+                        return cert
+        return None
+    finally:
+        h.remove_edge(e)
+
+
+def _reference_berge_pair(h: Hypergraph3, x: int, y: int, t: int) -> bool:
+    """The library's ``_berge_pair`` before the shadow index: every vertex is
+    tried as a leaf, and there is no time budget."""
+    ex: dict[int, list[Triple]] = {}
+    ey: dict[int, list[Triple]] = {}
+    pool = []
+    for u in range(h.n):
+        if u == x or u == y:
+            continue
+        lx = [tuple(sorted((x, u, w))) for w in h.codegree_thirds(x, u)]
+        ly = [tuple(sorted((y, u, w))) for w in h.codegree_thirds(y, u)]
+        if lx and ly:
+            ex[u] = sorted(lx)
+            ey[u] = sorted(ly)
+            pool.append(u)
+    if len(pool) < t:
+        return False
+    pool.sort(key=lambda u: (-min(len(ex[u]), len(ey[u])), u))
+    matched: dict[tuple[str, int], Triple] = {}
+    owner: dict[Triple, tuple[str, int]] = {}
+
+    def augment(pe, cands, seen) -> bool:
+        for e in cands:
+            if e in seen:
+                continue
+            seen.add(e)
+            holder = owner.get(e)
+            if holder is None or augment(
+                holder, ex[holder[1]] if holder[0] == "x" else ey[holder[1]], seen
+            ):
+                owner[e] = pe
+                matched[pe] = e
+                return True
+        return False
+
+    def extend(start: int, size: int) -> bool:
+        if size == t:
+            return True
+        if t - size > len(pool) - start:
+            return False
+        for i in range(start, len(pool)):
+            u = pool[i]
+            saved_matched = dict(matched)
+            saved_owner = dict(owner)
+            if augment(("x", u), ex[u], set()) and augment(("y", u), ey[u], set()):
+                if extend(i + 1, size + 1):
+                    return True
+            matched.clear()
+            matched.update(saved_matched)
+            owner.clear()
+            owner.update(saved_owner)
+        return False
+
+    return extend(0, 0)
+
+
+def reference_contains_berge(h: Hypergraph3, t: int) -> bool:
+    """``contains_berge`` before the shadow index: every pair, ascending."""
+    if h.n < t + 2 or h.edge_count < 2 * t:
+        return False
+    return any(
+        _reference_berge_pair(h, x, y, t) for x, y in itertools.combinations(range(h.n), 2)
+    )
 
 
 def four_subset_has_c4(g: Graph) -> bool:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,53 @@ def test_codegree_index_matches_brute_force(mask, _salt):
     for x, y in itertools.combinations(range(6), 2):
         brute = sum(1 for e in edges if x in e and y in e)
         assert h.codegree(x, y) == brute
+
+
+def _assert_shadow_index(h):
+    """_nbrs holds exactly the pair-index keys as graph edges, with no empty entries."""
+    expected: dict[int, set[int]] = {}
+    for a, b in h._thirds:
+        expected.setdefault(a, set()).add(b)
+        expected.setdefault(b, set()).add(a)
+    assert h._nbrs == expected
+    for v in range(h.n):
+        assert set(h.shadow_neighbors(v)) == expected.get(v, set())
+
+
+def test_shadow_index_matches_pair_keys_under_random_mutation():
+    rng = random.Random(5150)
+    for _ in range(40):
+        n = rng.randint(3, 10)
+        triples = list(itertools.combinations(range(n), 3))
+        h = Hypergraph3(n)
+        for _ in range(80):
+            if h.edge_count and rng.random() < 0.45:
+                h.remove_edge(rng.choice(h.edges))
+            else:
+                e = rng.choice(triples)
+                if e not in h:
+                    h.add_edge(e)
+            _assert_shadow_index(h)
+        c = h.copy()
+        _assert_shadow_index(c)
+        before = {v: set(s) for v, s in h._nbrs.items()}
+        for e in c.edges:
+            c.remove_edge(e)
+        assert c._nbrs == {} and h._nbrs == before
+        assert h.support() == sorted({v for e in h.edges for v in e})
+
+
+def test_hypergraph_header_allocates_nothing_per_vertex():
+    tracemalloc.start()
+    try:
+        h = loads_hypergraph("100000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert h.shadow_neighbors(0) == h.shadow_neighbors(99999) == frozenset()
+    with pytest.raises(ValueError):
+        h.shadow_neighbors(100000)
 
 
 # -- LoopGraph ---------------------------------------------------------------

@@ -34,6 +34,9 @@ FREE_TEXT = st.text(max_size=30)
         (loads_graph, "3 2\n0 1\n1 0\n"),
         (loads_hypergraph, "-1 0\n"),
         (loads_hypergraph, "3 -1\n"),
+        (loads_hypergraph, "1_0 1\n0 1 2\n"),
+        (loads_hypergraph, "10 1\n0 1 +2\n"),
+        (loads_hypergraph, "10 1\n0 \u0663 2\n"),
         (certificate_from_text, ""),
         (certificate_from_text, "0 1 | 2 3 |\nx 2 -> 0 2\n"),
         (certificate_from_text, "0 1 | 2 3 |\nz 2 -> 0 2 4\n"),

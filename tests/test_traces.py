@@ -14,12 +14,21 @@ from trace_turan import (
     contains_berge,
     contains_trace,
     contains_trace_naive,
+    greedy_lower_bound,
+    incremental_trace_check,
+    lift_to_trace_free,
+    polarity_graph,
     trace_from_dominated,
     verify_certificate,
 )
 from trace_turan.dominated import LOOP, Witness
 
-from helpers import random_hypergraph
+from helpers import (
+    random_hypergraph,
+    reference_contains_berge,
+    reference_contains_trace,
+    reference_incremental_trace_check,
+)
 
 
 def full_hypergraph(n):
@@ -141,6 +150,57 @@ def test_trace_monotone_under_edge_addition():
         if missing:
             h.add_edge(missing[0])
             assert contains_trace(h, 2) is not None
+
+
+# -- shadow-index detectors against the full-scan reference ----------------------
+
+
+def _text(cert):
+    return None if cert is None else cert.to_text()
+
+
+def test_detectors_match_full_scan_reference_on_random_corpus():
+    rng = random.Random(4242)
+    for case in range(160):
+        n = rng.randint(4, 13)
+        h = random_hypergraph(n, rng.choice([0.03, 0.08, 0.15, 0.3]), rng)
+        t = rng.choice([2, 3])
+        assert _text(contains_trace(h, t)) == _text(reference_contains_trace(h, t)), f"case {case}"
+        assert contains_berge(h, t) == reference_contains_berge(h, t), f"case {case}"
+        missing = [e for e in itertools.combinations(range(n), 3) if e not in h]
+        for e in rng.sample(missing, min(4, len(missing))):
+            assert _text(incremental_trace_check(h, e, t)) == _text(
+                reference_incremental_trace_check(h, e, t)
+            ), f"case {case}, edge {e}"
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_detectors_match_full_scan_reference_on_planted_lifts(q):
+    h = lift_to_trace_free(polarity_graph(q))
+    assert contains_trace(h, 2) is None and reference_contains_trace(h, 2) is None
+    rng = random.Random(q)
+    while True:
+        x, y, u1, u2, w, w2 = rng.sample(range(h.n), 6)
+        planted = [(x, u1, w), (x, u2, w), (y, u1, w2), (y, u2, w2)]
+        if not any(e in h for e in planted):
+            break
+    for e in planted[:-1]:
+        h.add_edge(e)
+    last = planted[-1]
+    cert = incremental_trace_check(h, last, 2)
+    assert cert is not None and _text(cert) == _text(reference_incremental_trace_check(h, last, 2))
+    h.add_edge(last)
+    cert = contains_trace(h, 2)
+    assert cert is not None and verify_certificate(h, cert)
+    assert _text(cert) == _text(reference_contains_trace(h, 2))
+
+
+def test_greedy_edges_match_full_scan_reference(monkeypatch):
+    import trace_turan.constructions as constructions
+
+    fast = [greedy_lower_bound(9, 2, seed).edges for seed in range(3)]
+    monkeypatch.setattr(constructions, "incremental_trace_check", reference_incremental_trace_check)
+    assert fast == [greedy_lower_bound(9, 2, seed).edges for seed in range(3)]
 
 
 # -- trace_from_dominated ----------------------------------------------------------
