@@ -11,7 +11,11 @@ leaves a canonical sequence).
 The minimization is a branch and bound over partial label assignments.
 Edges completed at label depth k have indices in [C(k,3), C(k+1,3)), so the
 final sorted sequence grows in per-depth blocks and prefix pruning against
-the incumbent is exact.
+the incumbent is exact.  That includes where a block ends: a branch whose
+block ties the incumbent's but stops short of it is pruned at once, since
+the incumbent's next entry is below C(k+1,3) and every completion of the
+branch puts an entry of at least C(k+1,3) there.  Candidates are tried in
+block order, so the first pruned candidate ends the depth.
 
 Two things make a branch cheap.  Twin classes -- vertices any two of which
 are swapped by an automorphism transposing just them -- do not depend on
@@ -23,9 +27,6 @@ complete, one per assigned pair labeled i < j: giving v label d appends
 C(d,2)+pos(w) for each assigned w with {u,v,w} an edge.  The new keys exceed
 all older ones, so the list stays sorted without a sort, backtracking pops
 what was appended, and u's block at depth d is C(d,3) plus each key.
-
-``CANON_VERSION`` names this definition of the canonical form; anything
-that stores verdicts across runs keys them on it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from math import comb
 
 from .hypergraph import Hypergraph3
 from .indexing import Triple, edge_indices
-
-CANON_VERSION = 1
 
 _BIG = 1 << 60
 
@@ -86,7 +85,7 @@ def _min_index_sequence(
         thirds[b][c].append(a)
         thirds[c][b].append(a)
 
-    c3 = [comb(d, 3) for d in range(n)]
+    c3 = [comb(d, 3) for d in range(n + 1)]
     c2 = [comb(d, 2) for d in range(n)]
     pos = [-1] * n
     order: list[int] = []  # assigned vertices by label
@@ -107,6 +106,7 @@ def _min_index_sequence(
                     break
         scored.sort()
         base = c3[depth]
+        next_base = c3[depth + 1]
         pair_base = c2[depth]
         for _, v in scored:
             blk = [base + k for k in keys[v]]
@@ -118,12 +118,16 @@ def _min_index_sequence(
                 incumbent += [_BIG] * (len(blk) - len(incumbent))
             if blk != incumbent:
                 if blk > incumbent:
-                    continue
+                    break  # and so is every later candidate, as scored is sorted
                 if decide_only:
                     found_smaller = True
                     return
                 del best[emitted:]
                 best.extend(blk)
+            elif end < len(best) and best[end] < next_base:
+                # a tie, but the incumbent completes one more edge at this
+                # depth; every completion puts at least next_base at ``end``
+                break
             pos[v] = depth
             touched = []
             row = thirds[v]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterable, TypeVar
+from typing import AbstractSet, Callable, Iterable, Mapping, TypeVar
 
 T = TypeVar("T")
 Triple = tuple[int, int, int]
@@ -162,6 +162,11 @@ class Hypergraph3:
         self._check_pair(x, y)
         pair = (x, y) if x < y else (y, x)
         return frozenset(self._thirds.get(pair, ()))
+
+    def pair_index(self) -> Mapping[Pair, AbstractSet[int]]:
+        """The pair index itself, live and read-only: each pair (x, y), x < y,
+        with positive co-degree maps to the vertices w with {x, y, w} an edge."""
+        return self._thirds
 
     def shadow_neighbors(self, v: int) -> AbstractSet[int]:
         """The vertices sharing an edge with v: a live view, not a copy."""

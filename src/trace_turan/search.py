@@ -19,18 +19,13 @@ of both routes.
 from __future__ import annotations
 
 import itertools
-import os
-import re
-import tempfile
 import time
 from dataclasses import dataclass
 
-from .canon import CANON_VERSION, canonical_form, is_canonical_labeling
+from .canon import canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
 from .indexing import Triple, all_triples, triple_index
 from .traces import TraceCertificate, TracePattern, _DetectorBudget, _search_pair, _t_of
-
-CACHE_ENV = "TRACE_TURAN_CACHE"
 
 
 class CapExceeded(ValueError):
@@ -55,7 +50,6 @@ class SearchConfig:
     max_n: int = 12
     witness_cap: int = 100
     initial_lower_bound: Hypergraph3 | int | None = None
-    cache_dir: str | None = None  # falls back to the TRACE_TURAN_CACHE env var
 
 
 def trace_templates(n: int, t: int) -> list[frozenset[int]]:
@@ -189,62 +183,6 @@ def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate |
     return None
 
 
-def _cache_file(path: str) -> str:
-    return os.path.join(path, f"canonical_cache.v{CANON_VERSION}.txt")
-
-
-_CACHE_HEADER = "trace-turan canonical cache"
-_CACHE_LINE = re.compile(r"\d+:(\d+(,\d+)*)? [01]")
-
-
-def _load_cache(path: str | None) -> dict[str, bool]:
-    """Verdicts saved by an earlier run, or {} unless the file is whole.
-
-    The file is a header ``trace-turan canonical cache <version> <count>``
-    followed by exactly count lines ``<key> <0|1>``; a missing, malformed,
-    truncated or other-version file reads as empty.
-    """
-    if not path:
-        return {}
-    try:
-        with open(_cache_file(path), encoding="ascii") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, ValueError):
-        return {}
-    head = lines[0].rsplit(" ", 2)
-    body = lines[1:-1]
-    if (
-        len(head) != 3
-        or head[:2] != [_CACHE_HEADER, str(CANON_VERSION)]
-        or head[2] != str(len(body))
-        or lines[-1] != ""
-        or not all(_CACHE_LINE.fullmatch(line) for line in body)
-    ):
-        return {}
-    return {key: verdict == "1" for key, verdict in (line.split(" ") for line in body)}
-
-
-def _save_cache(path: str | None, cache: dict[str, bool]) -> None:
-    """Write the cache atomically: a temp file in the same directory, then os.replace."""
-    if not path or not cache:
-        return
-    lines = [f"{_CACHE_HEADER} {CANON_VERSION} {len(cache)}"]
-    lines += [f"{key} {int(verdict)}" for key, verdict in cache.items()]
-    tmp = None
-    try:
-        os.makedirs(path, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path, prefix=".canonical_cache.", suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, _cache_file(path))
-    except OSError:
-        if tmp is not None:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-
-
 def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchResult:
     """Exact maximum by isomorph-free orderly generation.
 
@@ -262,8 +200,6 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
     start = time.perf_counter()
     triples = all_triples(n)
     total = len(triples)
-    cache_dir = cfg.cache_dir or os.environ.get(CACHE_ENV)
-    cache = _load_cache(cache_dir)
 
     best = -1
     witnesses: list[Hypergraph3] = []
@@ -278,18 +214,6 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
         best = lb - 1
     nodes = 0
     h = Hypergraph3(n)
-
-    def cached_is_canonical(H: Hypergraph3) -> bool:
-        # orderly generation makes each labelled child once, so only a saved
-        # cache can ever hit; without one, keys would be built and never read
-        if not cache_dir:
-            return is_canonical_labeling(H)
-        key = f"{H.n}:" + ",".join(str(triple_index(*e)) for e in H.edges)
-        hit = cache.get(key)
-        if hit is None:
-            hit = is_canonical_labeling(H)
-            cache[key] = hit
-        return hit
 
     def rec(last_idx: int) -> None:
         nonlocal best, nodes, witnesses
@@ -307,12 +231,11 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
                 break
             e = triples[idx]
             h.add_edge(e)
-            if _trace_through_edge(h, e, t) is None and cached_is_canonical(h):
+            if _trace_through_edge(h, e, t) is None and is_canonical_labeling(h):
                 rec(idx)
             h.remove_edge(e)
 
     rec(-1)
-    _save_cache(cache_dir, cache)
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
 

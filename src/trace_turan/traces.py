@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .hypergraph import FormatError, Hypergraph3, int_tokens
 from .indexing import Triple
@@ -129,13 +129,16 @@ class _DetectorBudget:
 
 
 def _build_certificate(
-    x: int, y: int, d: tuple[int, ...], wx: dict[int, frozenset[int]], wy: dict[int, frozenset[int]]
+    x: int, y: int, d: tuple[int, ...], wx: dict[int, AbstractSet[int]], wy: dict[int, AbstractSet[int]]
 ) -> TraceCertificate:
-    d_set = set(d)
+    """Each pattern edge takes the least third outside the core; wx[u] and
+    wy[u] are the thirds of {x, u} and {y, u}."""
+    skip_x = {y, *d}
+    skip_y = {x, *d}
     assignment: dict[PatternEdge, Triple] = {}
     for u in d:
-        axw = min(wx[u] - d_set)
-        ayw = min(wy[u] - d_set)
+        axw = min(wx[u] - skip_x)
+        ayw = min(wy[u] - skip_y)
         assignment[("x", u)] = tuple(sorted((x, u, axw)))  # type: ignore[assignment]
         assignment[("y", u)] = tuple(sorted((y, u, ayw)))  # type: ignore[assignment]
     return TraceCertificate(x, y, d, assignment)
@@ -157,25 +160,34 @@ def _search_pair(
     common = h.shadow_neighbors(x) & h.shadow_neighbors(y)
     if len(common) < t or (forced is not None and forced not in common):
         return None
-    wx: dict[int, frozenset[int]] = {}
-    wy: dict[int, frozenset[int]] = {}
-    pool = []
+    # live sets of the pair index, read without copies: wx[u] holds every
+    # third of {x, u}, y included, so each reader below skips y itself
+    thirds = h.pair_index()
+    wx: dict[int, AbstractSet[int]] = {}
+    wy: dict[int, AbstractSet[int]] = {}
+    rank: dict[int, int] = {}
     for u in common:
-        cx = h.codegree_thirds(x, u) - {y}
-        cy = h.codegree_thirds(y, u) - {x}
-        if cx and cy:
-            wx[u] = cx
-            wy[u] = cy
-            pool.append(u)
-    if len(pool) < t or (forced is not None and forced not in wx):
+        # u is a shadow neighbour of x and of y, so both pairs are indexed
+        sx = thirds[(x, u) if x < u else (u, x)]
+        sy = thirds[(y, u) if y < u else (u, y)]
+        nx = len(sx) - (y in sx)
+        ny = len(sy) - (x in sy)
+        if nx and ny:
+            wx[u] = sx
+            wy[u] = sy
+            rank[u] = -min(nx, ny)
+    if len(rank) < t or (forced is not None and forced not in rank):
         return None
-    pool.sort(key=lambda u: (-min(len(wx[u]), len(wy[u])), u))
+    pool = sorted(rank, key=lambda u: (rank[u], u))
     if forced is not None:
         pool.remove(forced)
     chosen: list[int] = [forced] if forced is not None else []
 
-    def feasible(d_set: set[int]) -> bool:
-        return all(wx[u] - d_set and wy[u] - d_set for u in chosen)
+    def feasible() -> bool:
+        # every chosen leaf keeps a third outside the leaves and the pair
+        bx = {y, *chosen}
+        by = {x, *chosen}
+        return all(not wx[u] <= bx and not wy[u] <= by for u in chosen)
 
     def extend(start: int) -> tuple[int, ...] | None:
         budget.tick()
@@ -186,7 +198,7 @@ def _search_pair(
         for i in range(start, len(pool)):
             u = pool[i]
             chosen.append(u)
-            if feasible(set(chosen)):
+            if feasible():
                 hit = extend(i + 1)
                 if hit is not None:
                     return hit

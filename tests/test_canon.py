@@ -148,3 +148,22 @@ def test_matches_reference_on_empty_and_complete_n9():
     for h in (Hypergraph3(9), Hypergraph3(9, itertools.combinations(range(9), 3))):
         assert canonical_index_sequence(h) == reference_index_sequence(h)
         assert is_canonical_labeling(h) and reference_is_canonical(h)
+
+
+def test_matches_reference_on_sparse_relabelled_inputs():
+    # sparse inputs with isolated vertices leave many tied blocks shorter
+    # than the incumbent's, which is where a branch is pruned at its end;
+    # a labelling is canonical iff its own sequence is the reference one
+    rng = random.Random(314)
+    for _ in range(24):
+        n = rng.randint(7, 9)
+        support = n - rng.randint(1, 3)  # the rest stay isolated
+        sparse = random_hypergraph(support, rng.uniform(0.03, 0.15), rng)
+        h = Hypergraph3(n, sparse.edges)
+        ref = reference_index_sequence(h)
+        canon = _from_sequence(n, ref)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for g in (h, canon, _relabel(canon, perm)):
+            assert canonical_index_sequence(g) == ref
+            assert is_canonical_labeling(g) == (edge_indices(g.edges) == ref)

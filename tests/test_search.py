@@ -1,5 +1,6 @@
 """Extremal search, oracle, incremental check, and CNF export tests."""
 
+import hashlib
 import itertools
 import random
 
@@ -19,9 +20,9 @@ from trace_turan import (
     turan_search,
     verify_certificate,
 )
-from trace_turan.canon import CANON_VERSION
+from trace_turan import search as search_module
+from trace_turan.canon import is_canonical_labeling
 from trace_turan.indexing import all_triples, triple_index
-from trace_turan.search import _load_cache
 
 from helpers import dpll_satisfiable, parse_dimacs, random_hypergraph
 
@@ -152,61 +153,40 @@ def test_search_deterministic(search_table):
     assert [w.edges for w in again.witnesses] == [w.edges for w in ref.witnesses]
 
 
-CACHE_NAME = f"canonical_cache.v{CANON_VERSION}.txt"
-
-
-def test_canonical_cache_round_trip(tmp_path, search_table):
-    cfg = SearchConfig(cache_dir=str(tmp_path))
-    first = turan_search(5, 2, cfg)
-    assert (tmp_path / CACHE_NAME).exists()
-    second = turan_search(5, 2, cfg)
-    assert first.value == second.value == search_table[(5, 2)].value
-    assert [w.edges for w in second.witnesses] == [w.edges for w in first.witnesses]
-
-
-def _poisoned_cache_text(tmp_path, version):
-    """A well-formed cache file for ``version`` with every verdict flipped."""
-    turan_search(5, 2, SearchConfig(cache_dir=str(tmp_path)))
-    lines = (tmp_path / CACHE_NAME).read_text().splitlines()
-    body = [line[:-1] + ("0" if line.endswith("1") else "1") for line in lines[1:]]
-    return "\n".join([f"trace-turan canonical cache {version} {len(body)}", *body]) + "\n"
-
-
-def _assert_search_ignores_cache(tmp_path, search_table):
-    assert _load_cache(str(tmp_path)) == {}
-    again = turan_search(5, 2, SearchConfig(cache_dir=str(tmp_path)))
-    ref = search_table[(5, 2)]
-    assert again.value == ref.value
-    assert [w.edges for w in again.witnesses] == [w.edges for w in ref.witnesses]
-
-
 @pytest.mark.parametrize(
-    "text",
-    [b"", b"\x80\x81 not ascii", b"garbage\n", b"trace-turan canonical cache\n"],
+    "n, t, calls, accepts, nodes",
+    [(7, 2, 1257, 393, 394), (6, 3, 359, 180, 181)],
 )
-def test_canonical_cache_garbage_file_reads_empty(tmp_path, search_table, text):
-    (tmp_path / CACHE_NAME).write_bytes(text)
-    _assert_search_ignores_cache(tmp_path, search_table)
+def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
+    # every child that passes the trace check is tested once, and each
+    # accept is one node below the empty root
+    counts = {"calls": 0, "accepts": 0}
+
+    def counting(h):
+        verdict = is_canonical_labeling(h)
+        counts["calls"] += 1
+        counts["accepts"] += verdict
+        return verdict
+
+    monkeypatch.setattr(search_module, "is_canonical_labeling", counting)
+    result = turan_search(n, t)
+    assert counts == {"calls": calls, "accepts": accepts}
+    assert result.nodes_explored == nodes == accepts + 1
 
 
-def test_canonical_cache_other_version_reads_empty(tmp_path, search_table):
-    poisoned = _poisoned_cache_text(tmp_path, CANON_VERSION + 1)
-    # under the current name, the header's version gives it away
-    (tmp_path / CACHE_NAME).write_text(poisoned)
-    _assert_search_ignores_cache(tmp_path, search_table)
-    # under its own name, the current version never opens it
-    (tmp_path / CACHE_NAME).unlink()
-    (tmp_path / f"canonical_cache.v{CANON_VERSION + 1}.txt").write_text(poisoned)
-    _assert_search_ignores_cache(tmp_path, search_table)
+# sha256 of the witnesses' edges, one witness per line as "a,b,c a,b,c ...",
+# as the orderly search printed them before the block-end prune in canon
+N8_WITNESS_SHA256 = "0234bb256325c1ed90fc7ef10aae17cd4dbf8557ec4d415080d51a169c3536ee"
 
 
-def test_canonical_cache_truncated_file_reads_empty(tmp_path, search_table):
-    path = tmp_path / CACHE_NAME
-    flipped = _poisoned_cache_text(tmp_path, CANON_VERSION)
-    assert _load_cache(str(tmp_path))  # the intact file is read
-    for cut in (len(flipped) - 1, flipped.rindex("\n", 0, -1) + 1, len(flipped) // 2):
-        path.write_text(flipped[:cut])
-        _assert_search_ignores_cache(tmp_path, search_table)
+def test_search_n8_regression():
+    result = turan_search(8, 2)
+    assert (result.value, result.nodes_explored, len(result.witnesses)) == (11, 2604, 16)
+    text = "\n".join(" ".join(f"{a},{b},{c}" for a, b, c in w.edges) for w in result.witnesses)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == N8_WITNESS_SHA256
+    assert len({canonical_form(w) for w in result.witnesses}) == 16
+    for w in result.witnesses:
+        assert contains_trace(w, 2) is None
 
 
 # -- incremental check -------------------------------------------------------------
