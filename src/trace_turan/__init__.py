@@ -77,7 +77,6 @@ from .search import (
 from .traces import (
     SearchTimeout,
     TraceCertificate,
-    TracePattern,
     certificate_from_text,
     contains_berge,
     contains_trace,

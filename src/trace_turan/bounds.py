@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 
@@ -42,7 +42,6 @@ class BoundReport:
     ratio_n32: float
     ratio_main_term: float
     excludes_lower_order: bool = True
-    flags: dict[str, bool] = field(default_factory=dict)
 
 
 def _n32(n: float) -> float:
@@ -160,9 +159,6 @@ class Interval:
         )
         return Interval(_down(min(quots)), _up(max(quots)))
 
-    def scale(self, k: float) -> "Interval":
-        return self * Interval.point(k)
-
     def sqrt(self) -> "Interval":
         if self.lo < 0:
             raise ValueError("sqrt of an interval reaching below zero")
@@ -198,8 +194,13 @@ def log_grid(lo: float = 14.0, hi: float = 1e6, points: int = 1000) -> list[int]
     """At least ``points`` distinct integer t values log-spread over [lo, hi].
 
     Oversamples until rounding collisions no longer shrink the grid below
-    the requested size (or the integer range is exhausted).
+    the requested size (or the integer range is exhausted).  Needs
+    0 < lo <= hi < inf and points >= 2; raises ValueError otherwise.
     """
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"t range needs 0 < lo <= hi < inf, got {lo}:{hi}")
+    if points < 2:
+        raise ValueError(f"a log grid needs at least 2 points, got {points}")
     floor_lo, ceil_hi = int(math.ceil(lo)), int(hi)
     available = ceil_hi - floor_lo + 1
     m = points

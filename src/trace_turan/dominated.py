@@ -55,16 +55,6 @@ class StarDecomposition:
 
     components: list[LoopVertex | Star]
 
-    def covered(self) -> set[int]:
-        out: set[int] = set()
-        for comp in self.components:
-            if isinstance(comp, LoopVertex):
-                out.add(comp.vertex)
-            else:
-                out.add(comp.center)
-                out.update(comp.leaves)
-        return out
-
 
 @dataclass
 class DominatedSetResult:

@@ -388,19 +388,11 @@ def verify_degree_inequality(h: Hypergraph3, x: int, s: Iterable[int], y: int) -
     return DegreeInequalityReport(not failures, failures)
 
 
-def neighborhoods(
-    h: Hypergraph3, v: int, restrict: Iterable[Triple] | None = None
-) -> tuple[set[int], set[int]]:
-    """Distance-1 and distance-2 vertex sets of v within an edge subset."""
+def neighborhoods(h: Hypergraph3, v: int) -> tuple[set[int], set[int]]:
+    """Distance-1 and distance-2 vertex sets of v."""
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} out of range")
-    if restrict is None:
-        edges = list(h.edges)
-    else:
-        edges = [_as_triple(e) for e in restrict]
-        for e in edges:
-            if e not in h._edges:
-                raise ValueError(f"restricted edge {e} not in hypergraph")
+    edges = h._edges
     n1: set[int] = set()
     for e in edges:
         if v in e:
@@ -415,15 +407,12 @@ def neighborhoods(
     return n1, n2
 
 
-def eu_vu(
-    h: Hypergraph3, v: int, u: int, restrict: Iterable[Triple] | None = None
-) -> tuple[set[Triple], set[int]]:
+def eu_vu(h: Hypergraph3, v: int, u: int) -> tuple[set[Triple], set[int]]:
     """Edges meeting N1(v) exactly in {u}, and the distance-2 vertices they cover."""
-    edges = list(h.edges) if restrict is None else [_as_triple(e) for e in restrict]
-    n1, n2 = neighborhoods(h, v, edges)
+    n1, n2 = neighborhoods(h, v)
     if u not in n1:
         raise ValueError(f"{u} is not a distance-1 neighbor of {v}")
-    eu = {e for e in edges if sum(1 for w in e if w in n1) == 1 and u in e}
+    eu = {e for e in h._edges if u in e and sum(1 for w in e if w in n1) == 1}
     vu = {w for e in eu for w in e if w in n2}
     return eu, vu
 

@@ -5,8 +5,8 @@ Each check mirrors a constructive argument: whenever the inequality fails,
 the same structure that witnesses the failure feeds the dominated-set
 machinery (or an explicit four-edge assembly in the 4-cycle cases) and is
 converted into a verified TraceCertificate.  On a genuinely trace-free
-input, therefore, every check must pass; a violation without certificate is
-reported as "certificate search exhausted", never dropped.
+input, therefore, every check must pass; a violation on one is reported as
+"certificate search exhausted", never dropped.
 
 The checks form one table, ``_CHECKS``, in report order.  A row gives the
 check's name, its premise hypergraph (the residual edges B | C of the
@@ -20,15 +20,20 @@ is "vacuous", not "pass", so dashboards do not overstate coverage: first
 when its extra premise fails ("needs delta >= 14", "4-cycle checks need
 t = 2"), otherwise when its premise hypergraph is empty ("no residual
 edges", "dense core empty").  A check that runs becomes "violated" when it
-finds anything and "pass" when not; each finding becomes a LemmaViolation,
-and one without a constructive certificate falls back to the exact detector.
+finds anything and "pass" when not; each finding becomes a LemmaViolation.
+One without a verified constructive certificate takes the exact detector's
+answer for the whole input, computed at most once per report: its
+certificate, or None and "certificate search exhausted" when the input is
+trace-free.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .bounds import epsilon
 from .dominated import (
@@ -38,7 +43,6 @@ from .dominated import (
 )
 from .hypergraph import Hypergraph3, link_graph, neighborhoods, eu_vu, partition_edges
 from .traces import (
-    SearchTimeout,
     TraceCertificate,
     contains_trace,
     trace_from_dominated,
@@ -218,18 +222,18 @@ def _cert_shell_overlap(hb: Hypergraph3, h: Hypergraph3, v: int) -> TraceCertifi
     return None
 
 
-def _attach_certificate(h: Hypergraph3, t: int, viol: LemmaViolation, cert: TraceCertificate | None) -> LemmaViolation:
-    if cert is None:
-        try:
-            cert = contains_trace(h, t, time_budget=10.0)
-        except SearchTimeout:
-            cert = None
-    if cert is not None and verify_certificate(h, cert):
-        viol.certificate = cert
-        viol.note = CERTIFIED
-    else:
-        viol.certificate = None
-        viol.note = EXHAUSTED
+def _attach_certificate(
+    h: Hypergraph3,
+    viol: LemmaViolation,
+    cert: TraceCertificate | None,
+    detected: Callable[[], TraceCertificate | None],
+) -> LemmaViolation:
+    """Attach the constructive certificate if it verifies, else the exact
+    detector's answer ``detected()``, which is None only on a trace-free h."""
+    if cert is None or not verify_certificate(h, cert):
+        cert = detected()
+    viol.certificate = cert
+    viol.note = EXHAUSTED if cert is None else CERTIFIED
     return viol
 
 
@@ -387,6 +391,9 @@ def lemma_status_report(
         "core": Hypergraph3(h.n, sorted(part.C)),
     }
     unmet = {_NEEDS_DELTA_14: delta < 14, _NEEDS_T_2: t != 2}
+    # the exact detector answers one question of h, so it runs at most once,
+    # and only when some violation lacks a verified constructive certificate
+    detected = functools.cache(lambda: contains_trace(h, t))
     report = []
     for name, premise, extra, check in _CHECKS:
         g = premises[premise]
@@ -397,7 +404,7 @@ def lemma_status_report(
         else:
             detail, found = check(h, g, t, delta, seed)
             violations = [
-                _attach_certificate(h, t, LemmaViolation(name, subject, observed, bound), cert)
+                _attach_certificate(h, LemmaViolation(name, subject, observed, bound), cert, detected)
                 for subject, observed, bound, cert in found
             ]
             report.append(CheckStatus(name, "violated" if violations else "pass", detail, violations))

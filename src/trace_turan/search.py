@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .canon import canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
 from .indexing import Triple, all_triples, triple_index
-from .traces import TraceCertificate, TracePattern, _DetectorBudget, _search_pair, _t_of
+from .traces import TraceCertificate, _DetectorBudget, _search_pair, _t_of
 
 
 class CapExceeded(ValueError):
@@ -45,10 +45,13 @@ class SearchResult:
         return f"{self.n},{self.t},{self.value},{len(self.witnesses)},{self.nodes_explored},{self.elapsed:.3f}"
 
 
+# both routes keep at most this many witness classes
+WITNESS_CAP = 100
+
+
 @dataclass
 class SearchConfig:
     max_n: int = 12
-    witness_cap: int = 100
     initial_lower_bound: Hypergraph3 | int | None = None
 
 
@@ -108,7 +111,6 @@ def turan_oracle(n: int, t: int) -> SearchResult:
     nodes = 0
     best = -1
     witness_forms: dict[bytes, int] = {}
-    cap = 100
     triples = all_triples(n)
 
     def record(mask: int, m: int) -> None:
@@ -116,7 +118,7 @@ def turan_oracle(n: int, t: int) -> SearchResult:
         if m > best:
             best = m
             witness_forms = {}
-        if m == best and len(witness_forms) < cap:
+        if m == best and len(witness_forms) < WITNESS_CAP:
             h = Hypergraph3(n, [triples[i] for i in range(total) if mask >> i & 1])
             witness_forms.setdefault(canonical_form(h), mask)
 
@@ -124,7 +126,7 @@ def turan_oracle(n: int, t: int) -> SearchResult:
         nonlocal nodes
         nodes += 1
         if m + (total - idx) < best or (
-            m + (total - idx) == best and len(witness_forms) >= cap
+            m + (total - idx) == best and len(witness_forms) >= WITNESS_CAP
         ):
             return
         if idx == total:
@@ -144,7 +146,7 @@ def turan_oracle(n: int, t: int) -> SearchResult:
 
 
 def incremental_trace_check(
-    h: Hypergraph3, new_edge: Triple, t: int | TracePattern
+    h: Hypergraph3, new_edge: Triple, t: int
 ) -> TraceCertificate | None:
     """Trace detection in h + new_edge for trace-free h.
 
@@ -222,11 +224,11 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
         if m > best:
             best = m
             witnesses = [h.copy()]
-        elif m == best and len(witnesses) < cfg.witness_cap:
+        elif m == best and len(witnesses) < WITNESS_CAP:
             witnesses.append(h.copy())
         for idx in range(last_idx + 1, total):
             if m + (total - idx) < best or (
-                m + (total - idx) == best and len(witnesses) >= cfg.witness_cap
+                m + (total - idx) == best and len(witnesses) >= WITNESS_CAP
             ):
                 break
             e = triples[idx]

@@ -25,19 +25,9 @@ class SearchTimeout(Exception):
     """Raised when a detector exceeds its time budget; distinct from absent."""
 
 
-@dataclass(frozen=True)
-class TracePattern:
-    """The complete bipartite pattern K_{2,t}; t = 2 is the 4-cycle."""
-
-    t: int
-
-    def __post_init__(self):
-        if self.t < 2:
-            raise ValueError(f"pattern requires t >= 2, got {self.t}")
-
-
-def _t_of(pattern: TracePattern | int) -> int:
-    t = pattern.t if isinstance(pattern, TracePattern) else int(pattern)
+def _t_of(t: int) -> int:
+    """The t of the pattern K_{2,t} (t = 2 is the 4-cycle), checked."""
+    t = int(t)
     if t < 2:
         raise ValueError(f"pattern requires t >= 2, got {t}")
     return t
@@ -212,7 +202,7 @@ def _search_pair(
 
 
 def contains_trace(
-    h: Hypergraph3, pattern: TracePattern | int, time_budget: float | None = None
+    h: Hypergraph3, t: int, time_budget: float | None = None
 ) -> TraceCertificate | None:
     """Exact K_{2,t}-trace detection with a certificate, or None if absent.
 
@@ -222,7 +212,7 @@ def contains_trace(
     SearchTimeout when the optional wall-clock budget runs out, so a timeout
     is never mistaken for trace-freeness.
     """
-    t = _t_of(pattern)
+    t = _t_of(t)
     if h.n < t + 2:
         return None
     budget = _DetectorBudget(time_budget)
@@ -244,12 +234,12 @@ def _pairs_with_common_neighbor(h: Hypergraph3) -> Iterator[tuple[int, int]]:
             yield x, y
 
 
-def contains_trace_naive(h: Hypergraph3, pattern: TracePattern | int) -> TraceCertificate | None:
+def contains_trace_naive(h: Hypergraph3, t: int) -> TraceCertificate | None:
     """Independent oracle: exhaust (x, y, D) choices and edge assignments.
 
     Cost grows fast; intended for n <= 10 with t <= 3.
     """
-    t = _t_of(pattern)
+    t = _t_of(t)
     if h.n < t + 2:
         return None
     edges = list(h.edges)
@@ -333,7 +323,7 @@ def trace_from_dominated(
     return cert
 
 
-def _berge_pair(h: Hypergraph3, x: int, y: int, t: int, budget: _DetectorBudget) -> bool:
+def _berge_pair(h: Hypergraph3, x: int, y: int, t: int) -> bool:
     ex: dict[int, list[Triple]] = {}
     ey: dict[int, list[Triple]] = {}
     pool = []
@@ -366,7 +356,6 @@ def _berge_pair(h: Hypergraph3, x: int, y: int, t: int, budget: _DetectorBudget)
         return False
 
     def extend(start: int, size: int) -> bool:
-        budget.tick()
         if size == t:
             return True
         if t - size > len(pool) - start:
@@ -387,17 +376,14 @@ def _berge_pair(h: Hypergraph3, x: int, y: int, t: int, budget: _DetectorBudget)
     return extend(0, 0)
 
 
-def contains_berge(
-    h: Hypergraph3, pattern: TracePattern | int, time_budget: float | None = None
-) -> bool:
+def contains_berge(h: Hypergraph3, t: int) -> bool:
     """True iff h contains a Berge K_{2,t}: distinct hyperedges each
     containing its pattern pair (supersets allowed, unlike traces).
 
     Injectivity is enforced with an augmenting-path matching between the 2t
     pattern edges and candidate hyperedges.
     """
-    t = _t_of(pattern)
+    t = _t_of(t)
     if h.n < t + 2 or h.edge_count < 2 * t:
         return False
-    budget = _DetectorBudget(time_budget)
-    return any(_berge_pair(h, x, y, t, budget) for x, y in _pairs_with_common_neighbor(h))
+    return any(_berge_pair(h, x, y, t) for x, y in _pairs_with_common_neighbor(h))

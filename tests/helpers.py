@@ -3,9 +3,10 @@
 Nothing here shares code with the library paths it checks: canonical forms
 are minimized over all n! permutations or by a frozen copy of the earlier
 branch-and-bound minimizer, traces by a frozen copy of the earlier detector
-that scans every pair and every leaf, 4-cycles are found by scanning 4-subsets,
-dominated sets by scanning all subsets, and the DIMACS formulas are decided
-by a tiny DPLL with unit propagation.
+that scans every pair and every leaf, shells N1/N2 and E_u/V_u by a frozen
+copy of the earlier scan over a sorted, re-validated edge list, 4-cycles are
+found by scanning 4-subsets, dominated sets by scanning all subsets, and the
+DIMACS formulas are decided by a tiny DPLL with unit propagation.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb
+from typing import Iterable
 
 from trace_turan import Graph, Hypergraph3, LoopGraph, TraceCertificate
+from trace_turan.hypergraph import _as_triple
 from trace_turan.indexing import Triple, edge_indices
 
 
@@ -318,6 +321,51 @@ def reference_contains_berge(h: Hypergraph3, t: int) -> bool:
     return any(
         _reference_berge_pair(h, x, y, t) for x, y in itertools.combinations(range(h.n), 2)
     )
+
+
+# -- shell reference (sorted copy of the edges, re-validated) ------------------
+
+
+def reference_neighborhoods(
+    h: Hypergraph3, v: int, restrict: Iterable[Triple] | None = None
+) -> tuple[set[int], set[int]]:
+    """The library's ``neighborhoods`` as it stood with its ``restrict``
+    parameter: every call copies and sorts the edges."""
+    if not 0 <= v < h.n:
+        raise ValueError(f"vertex {v} out of range")
+    if restrict is None:
+        edges = list(h.edges)
+    else:
+        edges = [_as_triple(e) for e in restrict]
+        for e in edges:
+            if e not in h._edges:
+                raise ValueError(f"restricted edge {e} not in hypergraph")
+    n1: set[int] = set()
+    for e in edges:
+        if v in e:
+            n1.update(e)
+    n1.discard(v)
+    n2: set[int] = set()
+    for e in edges:
+        if any(u in n1 for u in e):
+            n2.update(e)
+    n2 -= n1
+    n2.discard(v)
+    return n1, n2
+
+
+def reference_eu_vu(
+    h: Hypergraph3, v: int, u: int, restrict: Iterable[Triple] | None = None
+) -> tuple[set[Triple], set[int]]:
+    """The library's ``eu_vu`` as it stood with its ``restrict`` parameter:
+    the edges go through ``reference_neighborhoods`` as a restriction."""
+    edges = list(h.edges) if restrict is None else [_as_triple(e) for e in restrict]
+    n1, n2 = reference_neighborhoods(h, v, edges)
+    if u not in n1:
+        raise ValueError(f"{u} is not a distance-1 neighbor of {v}")
+    eu = {e for e in edges if sum(1 for w in e if w in n1) == 1 and u in e}
+    vu = {w for e in eu for w in e if w in n2}
+    return eu, vu
 
 
 def four_subset_has_c4(g: Graph) -> bool:

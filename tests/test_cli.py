@@ -1,10 +1,18 @@
 """Command line behaviors and exit codes."""
 
+import itertools
 import json
 
 import pytest
 
-from trace_turan import Hypergraph3, dumps_hypergraph, read_hypergraph, write_hypergraph
+from trace_turan import (
+    Hypergraph3,
+    contains_trace,
+    dumps_hypergraph,
+    lemma_checks,
+    read_hypergraph,
+    write_hypergraph,
+)
 from trace_turan.cli import main
 
 
@@ -131,6 +139,30 @@ def test_verify_violating_file_reports_and_exits_zero(tmp_path, capsys):
     )
 
 
+def test_verify_exits_4_when_a_check_fires_on_a_trace_free_input(tmp_path, capsys, monkeypatch):
+    # K^(3)_4 is trace-free and every pair has co-degree 2, so all its edges
+    # are residual (a polarity lift has none) and the first finder runs
+    h = Hypergraph3(4, itertools.combinations(range(4), 3))
+    assert contains_trace(h, 2) is None
+    name, premise, extra, _ = lemma_checks._CHECKS[0]
+
+    def fires(h, g, t, delta, seed):
+        return "bound 0", [((0, 1), 2, 0, None)]
+
+    monkeypatch.setattr(
+        lemma_checks, "_CHECKS", ((name, premise, extra, fires), *lemma_checks._CHECKS[1:])
+    )
+    path = tmp_path / "k4.hg"
+    write_hypergraph(h, str(path))
+    code, out, err = run(capsys, "verify", "--file", str(path), "--t", "2")
+    assert code == 4
+    first = json.loads(out.splitlines()[0])
+    assert (first["check"], first["status"]) == (name, "violated")
+    assert first["violations"][0]["note"] == "certificate search exhausted"
+    assert first["violations"][0]["certificate"] is None
+    assert err == "internal contract violation: check fired on a trace-free input\n"
+
+
 def test_bounds_grid(capsys):
     code, out, _ = run(capsys, "bounds", "--t-range", "14:1000", "--points", "8")
     assert code == 0
@@ -152,6 +184,12 @@ def test_search_takes_no_seed():
     assert exc.value.code == 2
 
 
+def test_search_takes_no_witness_cap():
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "4", "--t", "2", "--witness-cap", "5"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [
@@ -161,6 +199,12 @@ def test_search_takes_no_seed():
         (("bounds", "--t-range", "2:100", "--points", "5"), 2, "refused: "),
         (("check", "--file", "{missing}", "--t", "2"), 3, "file error: "),
         (("verify", "--file", "{missing}", "--t", "2"), 3, "file error: "),
+        (("bounds", "--points", "1"), 2, "refused: "),
+        (("bounds", "--points", "-3"), 2, "refused: "),
+        (("bounds", "--t-range", "0:100"), 2, "refused: "),
+        (("bounds", "--t-range", "14:inf"), 2, "refused: "),
+        (("bounds", "--t-range=-5:100"), 2, "refused: "),
+        (("bounds", "--t-range", "100:14"), 2, "refused: "),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):

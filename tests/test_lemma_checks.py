@@ -8,6 +8,7 @@ import pytest
 
 from trace_turan import (
     Hypergraph3,
+    TraceCertificate,
     check_lemma_invariants,
     contains_trace,
     lemma_status_report,
@@ -16,7 +17,7 @@ from trace_turan import (
     verify_certificate,
     write_hypergraph,
 )
-from trace_turan import cli
+from trace_turan import cli, lemma_checks
 from trace_turan.cli import main
 from trace_turan.lemma_checks import CERTIFIED
 
@@ -46,6 +47,19 @@ def common_neighborhood_instance():
     return h
 
 
+@pytest.fixture
+def detector_calls(monkeypatch):
+    """The arguments of every exact-detector call the check suite makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return contains_trace(*args, **kwargs)
+
+    monkeypatch.setattr(lemma_checks, "contains_trace", counted)
+    return calls
+
+
 def test_empty_hypergraph_all_vacuous():
     report = lemma_status_report(Hypergraph3(5), 2, 14)
     assert all(st.status == "vacuous" for st in report)
@@ -65,13 +79,15 @@ def test_polarity_lifts_are_clean(q):
     assert all(st.status in ("pass", "vacuous") for st in report)
 
 
-def test_residual_codegree_violation_is_certified():
+def test_residual_codegree_violation_is_certified(detector_calls):
     h = residual_codegree_instance()
     violations = check_lemma_invariants(h, 2, 14)
     assert any(v.check == "residual-codegree-cap" and v.subject == (0, 1) for v in violations)
     for v in violations:
         assert v.note == CERTIFIED
         assert v.certificate is not None and verify_certificate(h, v.certificate)
+    # every violation has a constructive certificate, so the detector never runs
+    assert detector_calls == []
     assert contains_trace(h, 2) is not None
 
 
@@ -85,11 +101,14 @@ def test_common_neighborhood_violation_is_certified():
         assert verify_certificate(h, v.certificate)
 
 
-def test_dense_complete_instance_all_violations_certified():
+def test_dense_complete_instance_all_violations_certified(detector_calls):
     # complete on 17 vertices: every pair has co-degree 15, so the dense
     # core is the whole edge set and several caps fail at once
     h = Hypergraph3(17, itertools.combinations(range(17), 3))
     report = lemma_status_report(h, 2, 14)
+    # hundreds of violations lack a constructive certificate; one detector
+    # answer serves them all
+    assert len(detector_calls) <= 1
     by_check = {st.check: st for st in report}
     assert by_check["core-codegree-cap"].status == "violated"
     total = 0
@@ -154,3 +173,23 @@ def test_verify_skips_detector_when_a_violation_is_certified(tmp_path, capsys, m
     assert main(["verify", "--file", str(path), "--t", "2"]) == 0
     assert '"note": "certified"' in capsys.readouterr().out
     assert calls == []
+
+
+def test_unverified_constructive_certificate_takes_the_detector_answer(monkeypatch, detector_calls):
+    h = residual_codegree_instance()
+    bogus = TraceCertificate(0, 1, (2, 3), {})
+    assert not verify_certificate(h, bogus)
+    name, premise, extra, _ = lemma_checks._CHECKS[0]
+
+    def fires(h, g, t, delta, seed):
+        return "bound 0", [((0, 1), 3, 0, bogus), ((0, 2), 3, 0, None)]
+
+    monkeypatch.setattr(
+        lemma_checks, "_CHECKS", ((name, premise, extra, fires), *lemma_checks._CHECKS[1:])
+    )
+    found = lemma_status_report(h, 2, 14)[0].violations
+    assert len(detector_calls) == 1
+    detected = contains_trace(h, 2)
+    assert [v.certificate for v in found] == [detected, detected]
+    assert all(v.note == CERTIFIED for v in found)
+

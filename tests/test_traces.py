@@ -9,7 +9,6 @@ from trace_turan import (
     Hypergraph3,
     SearchTimeout,
     TraceCertificate,
-    TracePattern,
     certificate_from_text,
     contains_berge,
     contains_trace,
@@ -87,7 +86,7 @@ def test_complete_4_has_no_c4_trace():
 
 
 def test_complete_5_has_c4_trace():
-    cert = contains_trace(full_hypergraph(5), TracePattern(2))
+    cert = contains_trace(full_hypergraph(5), 2)
     assert cert is not None and verify_certificate(full_hypergraph(5), cert)
 
 
@@ -104,7 +103,7 @@ def test_pattern_validation():
     with pytest.raises(ValueError):
         contains_trace(full_hypergraph(4), 1)
     with pytest.raises(ValueError):
-        TracePattern(1)
+        contains_berge(full_hypergraph(5), 1)
 
 
 def test_timeout_is_distinct_from_absent():
