@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .canon import canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
 from .indexing import Triple, all_triples, triple_index
-from .traces import TraceCertificate, _DetectorBudget, _search_pair, _t_of
+from .traces import TraceCertificate, _choose_leaves, _DetectorBudget, _leaf_candidates, _pair_sets, _t_of
 
 
 class CapExceeded(ValueError):
@@ -169,6 +169,7 @@ def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate |
     e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
     some q outside e, and u is a leaf adjacent to q in the shadow graph; q
     ranges, ascending, over the shadow neighbours of e's other two vertices.
+    Each pair's leaf candidates are built once and serve both forced leaves.
     """
     if h.n < t + 2:
         return None
@@ -176,12 +177,19 @@ def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate |
     nbrs = h.shadow_neighbors
     for p in e:
         others = [u for u in e if u != p]
+        p_nbrs = nbrs(p)
+        p_sets = _pair_sets(h, p)
         for q in sorted((nbrs(others[0]) | nbrs(others[1])).difference(e)):
-            x, y = (p, q) if p < q else (q, p)
+            common = p_nbrs & nbrs(q)
+            if len(common) < t:
+                continue
+            cands = _leaf_candidates(h, p, q, p_sets, common)
+            leaves = [c[1] for c in cands]
             for u in others:
-                cert = _search_pair(h, x, y, t, budget, forced=u)
-                if cert is not None:
-                    return cert
+                if u in leaves:
+                    cert = _choose_leaves(p, q, t, cands, budget, forced=u)
+                    if cert is not None:
+                        return cert
     return None
 
 

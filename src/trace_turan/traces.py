@@ -11,6 +11,7 @@ where hyperedges only need to *contain* their pair, does.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import AbstractSet, Iterator
@@ -107,6 +108,8 @@ class _DetectorBudget:
     __slots__ = ("deadline", "ticks")
 
     def __init__(self, seconds: float | None):
+        if seconds is not None and not (math.isfinite(seconds) and seconds >= 0):
+            raise ValueError(f"time budget must be a finite number >= 0, got {seconds}")
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.ticks = 0
 
@@ -118,87 +121,107 @@ class _DetectorBudget:
             raise SearchTimeout("trace search exceeded its time budget")
 
 
-def _build_certificate(
-    x: int, y: int, d: tuple[int, ...], wx: dict[int, AbstractSet[int]], wy: dict[int, AbstractSet[int]]
-) -> TraceCertificate:
-    """Each pattern edge takes the least third outside the core; wx[u] and
-    wy[u] are the thirds of {x, u} and {y, u}."""
-    skip_x = {y, *d}
-    skip_y = {x, *d}
-    assignment: dict[PatternEdge, Triple] = {}
-    for u in d:
-        axw = min(wx[u] - skip_x)
-        ayw = min(wy[u] - skip_y)
-        assignment[("x", u)] = tuple(sorted((x, u, axw)))  # type: ignore[assignment]
-        assignment[("y", u)] = tuple(sorted((y, u, ayw)))  # type: ignore[assignment]
-    return TraceCertificate(x, y, d, assignment)
+# a leaf candidate of the pair {a, b}: (minus its co-degree, u, thirds of
+# {a, u}, thirds of {b, u}); the third sets are live sets of the pair index
+_Candidate = tuple[int, int, AbstractSet[int], AbstractSet[int]]
 
 
-def _search_pair(
-    h: Hypergraph3,
-    x: int,
-    y: int,
+def _pair_sets(h: Hypergraph3, a: int) -> dict[int, AbstractSet[int]]:
+    """The thirds of {a, u} for every shadow neighbour u of a, read live."""
+    thirds = h.pair_index()
+    return {u: thirds[(a, u) if a < u else (u, a)] for u in h.shadow_neighbors(a)}
+
+
+def _leaf_candidates(
+    h: Hypergraph3, a: int, b: int, a_sets: dict[int, AbstractSet[int]], common: AbstractSet[int]
+) -> list[_Candidate]:
+    """The leaf candidates of the pair {a, b}, co-degree descending, then u.
+
+    common is the common shadow neighbourhood of a and b (every other vertex
+    lacks an edge with a or with b) and a_sets is ``_pair_sets(h, a)``.  A
+    candidate u keeps a third of {a, u} other than b and a third of {b, u}
+    other than a; its co-degree is the smaller count of such thirds.
+    """
+    thirds = h.pair_index()
+    cands = []
+    for u in common:
+        sa = a_sets[u]
+        sb = thirds[(b, u) if b < u else (u, b)]
+        na = len(sa) - (b in sa)
+        nb = len(sb) - (a in sb)
+        if na and nb:
+            cands.append((-na if na < nb else -nb, u, sa, sb))
+    cands.sort()  # u is unique, so no third set is ever compared
+    return cands
+
+
+def _leaves_fit(a: int, b: int, leaves: list[_Candidate]) -> bool:
+    """Every leaf keeps a third outside the leaves and the pair on both sides."""
+    block_a = {b}
+    block_b = {a}
+    for c in leaves:
+        block_a.add(c[1])
+        block_b.add(c[1])
+    for _, _, sa, sb in leaves:
+        if sa <= block_a or sb <= block_b:
+            return False
+    return True
+
+
+def _choose_leaves(
+    a: int,
+    b: int,
     t: int,
+    cands: list[_Candidate],
     budget: _DetectorBudget,
     forced: int | None = None,
 ) -> TraceCertificate | None:
-    """Find a trace with pair vertices (x, y); optionally force one leaf.
+    """A trace on the pair {a, b} with t leaves among cands, or None.
 
-    Leaf candidates come from the common shadow neighbourhood of x and y:
-    every other vertex has no edge with x or no edge with y.
+    A forced leaf must be one of the candidates.  With exactly t candidates
+    the leaf set is forced, and one feasibility test decides it.  Otherwise
+    a depth-first search takes the first feasible set in candidate order.
+    Feasibility only fails more as leaves are added, so both give the same
+    answer.
     """
-    common = h.shadow_neighbors(x) & h.shadow_neighbors(y)
-    if len(common) < t or (forced is not None and forced not in common):
+    if len(cands) < t:
         return None
-    # live sets of the pair index, read without copies: wx[u] holds every
-    # third of {x, u}, y included, so each reader below skips y itself
-    thirds = h.pair_index()
-    wx: dict[int, AbstractSet[int]] = {}
-    wy: dict[int, AbstractSet[int]] = {}
-    rank: dict[int, int] = {}
-    for u in common:
-        # u is a shadow neighbour of x and of y, so both pairs are indexed
-        sx = thirds[(x, u) if x < u else (u, x)]
-        sy = thirds[(y, u) if y < u else (u, y)]
-        nx = len(sx) - (y in sx)
-        ny = len(sy) - (x in sy)
-        if nx and ny:
-            wx[u] = sx
-            wy[u] = sy
-            rank[u] = -min(nx, ny)
-    if len(rank) < t or (forced is not None and forced not in rank):
-        return None
-    pool = sorted(rank, key=lambda u: (rank[u], u))
-    if forced is not None:
-        pool.remove(forced)
-    chosen: list[int] = [forced] if forced is not None else []
+    if len(cands) == t:
+        budget.tick()
+        return _certificate(a, b, cands) if _leaves_fit(a, b, cands) else None
+    pool = [c for c in cands if c[1] != forced]
+    chosen = [c for c in cands if c[1] == forced]
 
-    def feasible() -> bool:
-        # every chosen leaf keeps a third outside the leaves and the pair
-        bx = {y, *chosen}
-        by = {x, *chosen}
-        return all(not wx[u] <= bx and not wy[u] <= by for u in chosen)
-
-    def extend(start: int) -> tuple[int, ...] | None:
+    def extend(start: int) -> bool:
         budget.tick()
         if len(chosen) == t:
-            return tuple(sorted(chosen))
+            return True
         if t - len(chosen) > len(pool) - start:
-            return None
+            return False
         for i in range(start, len(pool)):
-            u = pool[i]
-            chosen.append(u)
-            if feasible():
-                hit = extend(i + 1)
-                if hit is not None:
-                    return hit
+            chosen.append(pool[i])
+            if _leaves_fit(a, b, chosen) and extend(i + 1):
+                return True
             chosen.pop()
-        return None
+        return False
 
-    d = extend(0)
-    if d is None:
-        return None
-    return _build_certificate(x, y, d, wx, wy)
+    return _certificate(a, b, chosen) if extend(0) else None
+
+
+def _certificate(a: int, b: int, leaves: list[_Candidate]) -> TraceCertificate:
+    """Each pattern edge takes the least third outside the core."""
+    if a > b:
+        a, b = b, a
+        leaves = [(r, u, sb, sa) for r, u, sa, sb in leaves]
+    leaves = sorted(leaves, key=lambda c: c[1])
+    d = tuple(c[1] for c in leaves)
+    skip_x = {b, *d}
+    skip_y = {a, *d}
+    assignment: dict[PatternEdge, Triple] = {}
+    for _, u, sx, sy in leaves:
+        assignment[("x", u)] = tuple(sorted((a, u, min(sx - skip_x))))  # type: ignore[assignment]
+        assignment[("y", u)] = tuple(sorted((b, u, min(sy - skip_y))))  # type: ignore[assignment]
+    return TraceCertificate(a, b, d, assignment)
 
 
 def contains_trace(
@@ -208,30 +231,42 @@ def contains_trace(
 
     Deterministic: pairs (x, y) are scanned in ascending order and leaf
     candidates in descending co-degree order.  Only pairs with a common
-    shadow neighbour are scanned; no other pair has a leaf.  Raises
-    SearchTimeout when the optional wall-clock budget runs out, so a timeout
-    is never mistaken for trace-freeness.
+    shadow neighbour are scanned; no other pair has a leaf.  The scan is
+    vertex-major: the pair sets of x are read once for all its partners y.
+    A pair with exactly t candidates has a forced leaf set, decided by one
+    feasibility test; only a larger pool is searched.  Raises SearchTimeout
+    when the optional wall-clock budget runs out, so a timeout is never
+    mistaken for trace-freeness, and ValueError for a budget that is not a
+    finite number >= 0.
     """
     t = _t_of(t)
+    budget = _DetectorBudget(time_budget)
     if h.n < t + 2:
         return None
-    budget = _DetectorBudget(time_budget)
-    for x, y in _pairs_with_common_neighbor(h):
-        cert = _search_pair(h, x, y, t, budget)
-        if cert is not None:
-            return cert
+    nbrs = h.shadow_neighbors
+    for x, ys in _pair_rows(h):
+        x_nbrs = nbrs(x)
+        x_sets = _pair_sets(h, x)
+        for y in ys:
+            common = x_nbrs & nbrs(y)
+            if len(common) >= t:
+                cert = _choose_leaves(x, y, t, _leaf_candidates(h, x, y, x_sets, common), budget)
+                if cert is not None:
+                    return cert
     return None
 
 
-def _pairs_with_common_neighbor(h: Hypergraph3) -> Iterator[tuple[int, int]]:
-    """The pairs x < y with a common shadow neighbour, in ascending order."""
+def _pair_rows(h: Hypergraph3) -> Iterator[tuple[int, list[int]]]:
+    """Each x with the y > x that share a shadow neighbour with it, both
+    ascending: the pairs x < y with a common shadow neighbour, in order."""
     nbrs = h.shadow_neighbors
     for x in range(h.n):
         reach: set[int] = set()
         for u in nbrs(x):
             reach |= nbrs(u)
-        for y in sorted(y for y in reach if y > x):
-            yield x, y
+        ys = sorted(y for y in reach if y > x)
+        if ys:
+            yield x, ys
 
 
 def contains_trace_naive(h: Hypergraph3, t: int) -> TraceCertificate | None:
@@ -386,4 +421,4 @@ def contains_berge(h: Hypergraph3, t: int) -> bool:
     t = _t_of(t)
     if h.n < t + 2 or h.edge_count < 2 * t:
         return False
-    return any(_berge_pair(h, x, y, t) for x, y in _pairs_with_common_neighbor(h))
+    return any(_berge_pair(h, x, y, t) for x, ys in _pair_rows(h) for y in ys)

@@ -16,7 +16,14 @@ import random
 from math import comb
 from typing import Iterable
 
-from trace_turan import Graph, Hypergraph3, LoopGraph, TraceCertificate
+from trace_turan import (
+    Graph,
+    Hypergraph3,
+    LoopGraph,
+    TraceCertificate,
+    lift_to_trace_free,
+    polarity_graph,
+)
 from trace_turan.hypergraph import _as_triple
 from trace_turan.indexing import Triple, edge_indices
 
@@ -27,6 +34,15 @@ def random_hypergraph(n: int, p: float, rng: random.Random) -> Hypergraph3:
         if rng.random() < p:
             h.add_edge(e)
     return h
+
+
+def relabelled_lift(q: int) -> Hypergraph3:
+    """The lift of the polarity graph for q under a vertex permutation
+    seeded by q, so the apex is not the last vertex."""
+    h = lift_to_trace_free(polarity_graph(q))
+    perm = list(range(h.n))
+    random.Random(q).shuffle(perm)
+    return Hypergraph3(h.n, [tuple(perm[v] for v in e) for e in h.edges])
 
 
 def random_loop_graph(

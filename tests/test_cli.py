@@ -62,6 +62,19 @@ def test_check_trace_free_and_certificate(tmp_path, capsys):
     assert code == 0 and "|" in out and "->" in out
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-1"])
+def test_check_refuses_a_budget_that_is_not_finite_and_nonnegative(tmp_path, capsys, budget):
+    path = tmp_path / "trace.hg"
+    write_hypergraph(
+        Hypergraph3(8, [(0, 2, 4), (0, 3, 5), (1, 2, 6), (1, 3, 7)]), str(path)
+    )
+    code, out, err = run(
+        capsys, "check", "--file", str(path), "--t", "2", f"--time-budget={budget}"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("refused: time budget") and err.count("\n") == 1
+
+
 def test_check_parse_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.hg"
     bad.write_text("4 1\n0 1\n")

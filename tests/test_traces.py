@@ -15,8 +15,6 @@ from trace_turan import (
     contains_trace_naive,
     greedy_lower_bound,
     incremental_trace_check,
-    lift_to_trace_free,
-    polarity_graph,
     trace_from_dominated,
     verify_certificate,
 )
@@ -24,6 +22,7 @@ from trace_turan.dominated import LOOP, Witness
 
 from helpers import (
     random_hypergraph,
+    relabelled_lift,
     reference_contains_berge,
     reference_contains_trace,
     reference_incremental_trace_check,
@@ -112,6 +111,22 @@ def test_timeout_is_distinct_from_absent():
         contains_trace(h, 4, time_budget=0.0)
 
 
+def test_zero_budget_times_out_where_every_leaf_set_is_forced():
+    # pairs through the apex of a lift have no candidate, and any other pair
+    # at most two (the apex and one common graph neighbour), so every leaf
+    # set the scan meets at t = 2 is decided by the forced-leaf test alone
+    h = relabelled_lift(7)
+    assert contains_trace(h, 2) is None
+    with pytest.raises(SearchTimeout):
+        contains_trace(h, 2, time_budget=0.0)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+def test_budget_must_be_finite_and_nonnegative(budget):
+    with pytest.raises(ValueError):
+        contains_trace(Hypergraph3(3), 2, time_budget=budget)
+
+
 # -- naive oracle agreement -------------------------------------------------------
 
 
@@ -173,25 +188,38 @@ def test_detectors_match_full_scan_reference_on_random_corpus():
             ), f"case {case}, edge {e}"
 
 
-@pytest.mark.parametrize("q", [5, 7])
-def test_detectors_match_full_scan_reference_on_planted_lifts(q):
-    h = lift_to_trace_free(polarity_graph(q))
-    assert contains_trace(h, 2) is None and reference_contains_trace(h, 2) is None
-    rng = random.Random(q)
+def _plant_trace(h, t, rng):
+    """Add a K_{2,t} trace on new edges, all but the last; return the last."""
     while True:
-        x, y, u1, u2, w, w2 = rng.sample(range(h.n), 6)
-        planted = [(x, u1, w), (x, u2, w), (y, u1, w2), (y, u2, w2)]
+        x, y, w, w2, *d = rng.sample(range(h.n), 4 + t)
+        planted = [tuple(sorted((x, u, w))) for u in d] + [tuple(sorted((y, u, w2))) for u in d]
         if not any(e in h for e in planted):
             break
     for e in planted[:-1]:
         h.add_edge(e)
-    last = planted[-1]
-    cert = incremental_trace_check(h, last, 2)
-    assert cert is not None and _text(cert) == _text(reference_incremental_trace_check(h, last, 2))
-    h.add_edge(last)
-    cert = contains_trace(h, 2)
-    assert cert is not None and verify_certificate(h, cert)
-    assert _text(cert) == _text(reference_contains_trace(h, 2))
+    return planted[-1]
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+def test_detectors_match_full_scan_reference_on_planted_lifts(q):
+    for t in (2, 3):
+        h = relabelled_lift(q)
+        rng = random.Random(10 * q + t)
+        assert contains_trace(h, t) is None and reference_contains_trace(h, t) is None
+        for _ in range(3):
+            e = tuple(sorted(rng.sample(range(h.n), 3)))
+            if e not in h:
+                assert _text(incremental_trace_check(h, e, t)) == _text(
+                    reference_incremental_trace_check(h, e, t)
+                ), f"t={t}, edge {e}"
+        last = _plant_trace(h, t, rng)
+        cert = incremental_trace_check(h, last, t)
+        assert cert is not None, f"t={t}"
+        assert _text(cert) == _text(reference_incremental_trace_check(h, last, t)), f"t={t}"
+        h.add_edge(last)
+        cert = contains_trace(h, t)
+        assert cert is not None and verify_certificate(h, cert), f"t={t}"
+        assert _text(cert) == _text(reference_contains_trace(h, t)), f"t={t}"
 
 
 def test_greedy_edges_match_full_scan_reference(monkeypatch):
