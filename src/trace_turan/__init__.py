@@ -69,7 +69,6 @@ from .search import (
     SearchConfig,
     SearchResult,
     export_cnf,
-    incremental_trace_check,
     trace_templates,
     turan_oracle,
     turan_search,
@@ -81,6 +80,8 @@ from .traces import (
     contains_berge,
     contains_trace,
     contains_trace_naive,
+    incremental_trace_check,
+    least_third_certificate,
     trace_from_dominated,
     verify_certificate,
 )

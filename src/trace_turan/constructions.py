@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .hypergraph import Hypergraph3, loads_edge_lines
 from .indexing import all_triples
-from .search import incremental_trace_check
+from .traces import incremental_trace_check
 
 
 class Graph:

@@ -45,6 +45,7 @@ from .hypergraph import Hypergraph3, link_graph, neighborhoods, eu_vu, partition
 from .traces import (
     TraceCertificate,
     contains_trace,
+    least_third_certificate,
     trace_from_dominated,
     verify_certificate,
 )
@@ -156,31 +157,11 @@ def _cert_common_neighborhood(hb: Hypergraph3, h: Hypergraph3, x: int, y: int) -
     clean = [u for u in sorted(n1x & n1y) if tuple(sorted((x, y, u))) not in hb]
     if len(clean) < 6:
         return None
-    six = clean[:6]
-
-    def aux_adjacent(a: int, b: int) -> bool:
-        return (
-            tuple(sorted((x, a, b))) in hb
-            or tuple(sorted((y, a, b))) in hb
-        )
-
-    for ui, uj in itertools.combinations(six, 2):
-        if aux_adjacent(ui, uj):
-            continue
-        assignment = {}
-        ok = True
-        for pv, u in ((x, ui), (x, uj), (y, ui), (y, uj)):
-            other = {x, y, ui, uj} - {pv, u}
-            ws = [w for w in sorted(hb.codegree_thirds(pv, u)) if w not in other]
-            if not ws:
-                ok = False
-                break
-            side = "x" if pv == x else "y"
-            assignment[(side, u)] = tuple(sorted((pv, u, ws[0])))
-        if not ok:
-            continue
-        cert = TraceCertificate(x=x, y=y, D=(ui, uj), assignment=assignment)
-        if verify_certificate(h, cert):
+    for ui, uj in itertools.combinations(clean[:6], 2):
+        if tuple(sorted((x, ui, uj))) in hb or tuple(sorted((y, ui, uj))) in hb:
+            continue  # ui, uj adjacent in the auxiliary graph
+        cert = least_third_certificate(hb, x, y, (ui, uj))
+        if cert is not None and verify_certificate(h, cert):
             return cert
     return None
 

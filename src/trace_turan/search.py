@@ -7,9 +7,10 @@ Two independent routes to the same number:
   inclusion tests), capped at n <= 6;
 * ``turan_search`` -- orderly generation: grow canonically-labeled
   trace-free hypergraphs one colex-larger edge at a time, rejecting
-  non-canonical children and pruning with an incremental trace check that
-  only looks for traces through the new edge (sound because the parent is
-  trace-free).
+  non-canonical children and pruning with the incremental trace check of
+  ``traces`` (``_trace_through_edge``), which only looks for traces through
+  the new edge (sound because the parent is trace-free); the search adds
+  and removes each child edge itself.
 
 ``export_cnf`` emits a DIMACS formula satisfiable iff a trace-free
 hypergraph with the requested edge count exists, for external cross-checks
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 from .canon import canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
-from .indexing import Triple, all_triples, triple_index
-from .traces import TraceCertificate, _choose_leaves, _DetectorBudget, _leaf_candidates, _pair_sets, _t_of
+from .indexing import all_triples, triple_index
+from .traces import _t_of, _trace_through_edge
 
 
 class CapExceeded(ValueError):
@@ -143,54 +144,6 @@ def turan_oracle(n: int, t: int) -> SearchResult:
         for mask in witness_forms.values()
     ]
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
-
-
-def incremental_trace_check(
-    h: Hypergraph3, new_edge: Triple, t: int
-) -> TraceCertificate | None:
-    """Trace detection in h + new_edge for trace-free h.
-
-    Any trace of the extended hypergraph must route a pattern edge through
-    new_edge, so only pairs meeting new_edge and leaves inside it need to be
-    scanned.  h is restored before returning.
-    """
-    t = _t_of(t)
-    e = tuple(sorted(new_edge))
-    h.add_edge(e)
-    try:
-        return _trace_through_edge(h, e, t)
-    finally:
-        h.remove_edge(e)
-
-
-def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate | None:
-    """Search for a trace certificate assuming every trace must involve e.
-
-    e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
-    some q outside e, and u is a leaf adjacent to q in the shadow graph; q
-    ranges, ascending, over the shadow neighbours of e's other two vertices.
-    Each pair's leaf candidates are built once and serve both forced leaves.
-    """
-    if h.n < t + 2:
-        return None
-    budget = _DetectorBudget(None)
-    nbrs = h.shadow_neighbors
-    for p in e:
-        others = [u for u in e if u != p]
-        p_nbrs = nbrs(p)
-        p_sets = _pair_sets(h, p)
-        for q in sorted((nbrs(others[0]) | nbrs(others[1])).difference(e)):
-            common = p_nbrs & nbrs(q)
-            if len(common) < t:
-                continue
-            cands = _leaf_candidates(h, p, q, p_sets, common)
-            leaves = [c[1] for c in cands]
-            for u in others:
-                if u in leaves:
-                    cert = _choose_leaves(p, q, t, cands, budget, forced=u)
-                    if cert is not None:
-                        return cert
-    return None
 
 
 def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchResult:

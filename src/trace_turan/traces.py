@@ -14,7 +14,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .hypergraph import FormatError, Hypergraph3, int_tokens
 from .indexing import Triple
@@ -102,23 +102,9 @@ def verify_certificate(h: Hypergraph3, cert: TraceCertificate) -> bool:
     return True
 
 
-class _DetectorBudget:
-    """Coarse wall-clock budget shared across one detector invocation."""
-
-    __slots__ = ("deadline", "ticks")
-
-    def __init__(self, seconds: float | None):
-        if seconds is not None and not (math.isfinite(seconds) and seconds >= 0):
-            raise ValueError(f"time budget must be a finite number >= 0, got {seconds}")
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.ticks = 0
-
-    def tick(self) -> None:
-        if self.deadline is None:
-            return
-        self.ticks += 1
-        if self.ticks & 31 == 1 and time.monotonic() > self.deadline:
-            raise SearchTimeout("trace search exceeded its time budget")
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise SearchTimeout("trace search exceeded its time budget")
 
 
 # a leaf candidate of the pair {a, b}: (minus its co-degree, u, thirds of
@@ -173,27 +159,27 @@ def _choose_leaves(
     b: int,
     t: int,
     cands: list[_Candidate],
-    budget: _DetectorBudget,
+    deadline: float | None,
     forced: int | None = None,
-) -> TraceCertificate | None:
-    """A trace on the pair {a, b} with t leaves among cands, or None.
+) -> list[int] | None:
+    """The leaves of a trace on the pair {a, b}: t of the candidates, or None.
 
     A forced leaf must be one of the candidates.  With exactly t candidates
     the leaf set is forced, and one feasibility test decides it.  Otherwise
     a depth-first search takes the first feasible set in candidate order.
     Feasibility only fails more as leaves are added, so both give the same
-    answer.
+    answer.  Each test first checks the deadline, if there is one.
     """
     if len(cands) < t:
         return None
     if len(cands) == t:
-        budget.tick()
-        return _certificate(a, b, cands) if _leaves_fit(a, b, cands) else None
+        _check_deadline(deadline)
+        return [c[1] for c in cands] if _leaves_fit(a, b, cands) else None
     pool = [c for c in cands if c[1] != forced]
     chosen = [c for c in cands if c[1] == forced]
 
     def extend(start: int) -> bool:
-        budget.tick()
+        _check_deadline(deadline)
         if len(chosen) == t:
             return True
         if t - len(chosen) > len(pool) - start:
@@ -205,23 +191,32 @@ def _choose_leaves(
             chosen.pop()
         return False
 
-    return _certificate(a, b, chosen) if extend(0) else None
+    return [c[1] for c in chosen] if extend(0) else None
 
 
-def _certificate(a: int, b: int, leaves: list[_Candidate]) -> TraceCertificate:
-    """Each pattern edge takes the least third outside the core."""
-    if a > b:
-        a, b = b, a
-        leaves = [(r, u, sb, sa) for r, u, sa, sb in leaves]
-    leaves = sorted(leaves, key=lambda c: c[1])
-    d = tuple(c[1] for c in leaves)
-    skip_x = {b, *d}
-    skip_y = {a, *d}
+def least_third_certificate(
+    h: Hypergraph3, x: int, y: int, D: Iterable[int]
+) -> TraceCertificate | None:
+    """The trace on the pair {x, y} with leaves D where each pattern edge
+    takes the least third outside the core {x, y} union D, or None when some
+    pattern edge has no such third.
+
+    The pair is oriented x < y and the leaves ascend, so (x, y) and (y, x)
+    give the same certificate.  For x != y and two or more distinct leaves
+    outside {x, y}, any certificate it returns passes ``verify_certificate``.
+    """
+    x, y = min(x, y), max(x, y)
+    d = tuple(sorted(D))
+    core = {x, y, *d}
+    thirds = h.pair_index()
     assignment: dict[PatternEdge, Triple] = {}
-    for _, u, sx, sy in leaves:
-        assignment[("x", u)] = tuple(sorted((a, u, min(sx - skip_x))))  # type: ignore[assignment]
-        assignment[("y", u)] = tuple(sorted((b, u, min(sy - skip_y))))  # type: ignore[assignment]
-    return TraceCertificate(a, b, d, assignment)
+    for side, p in (("x", x), ("y", y)):
+        for u in d:
+            outside = thirds.get((p, u) if p < u else (u, p), frozenset()) - core
+            if not outside:
+                return None
+            assignment[(side, u)] = tuple(sorted((p, u, min(outside))))  # type: ignore[assignment]
+    return TraceCertificate(x, y, d, assignment)
 
 
 def contains_trace(
@@ -234,25 +229,80 @@ def contains_trace(
     shadow neighbour are scanned; no other pair has a leaf.  The scan is
     vertex-major: the pair sets of x are read once for all its partners y.
     A pair with exactly t candidates has a forced leaf set, decided by one
-    feasibility test; only a larger pool is searched.  Raises SearchTimeout
-    when the optional wall-clock budget runs out, so a timeout is never
-    mistaken for trace-freeness, and ValueError for a budget that is not a
-    finite number >= 0.
+    feasibility test; only a larger pool is searched.  The certificate is
+    ``least_third_certificate`` of the first pair and leaves found.
+
+    The optional wall-clock budget is checked once per x row of the scan
+    and once per leaf-search step, so a zero budget times out as soon as a
+    row is scanned.  Running out raises SearchTimeout, so a timeout is never
+    mistaken for trace-freeness; a budget that is not a finite number >= 0
+    raises ValueError.
     """
     t = _t_of(t)
-    budget = _DetectorBudget(time_budget)
+    if time_budget is not None and not (math.isfinite(time_budget) and time_budget >= 0):
+        raise ValueError(f"time budget must be a finite number >= 0, got {time_budget}")
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     if h.n < t + 2:
         return None
     nbrs = h.shadow_neighbors
     for x, ys in _pair_rows(h):
+        _check_deadline(deadline)
         x_nbrs = nbrs(x)
         x_sets = _pair_sets(h, x)
         for y in ys:
             common = x_nbrs & nbrs(y)
             if len(common) >= t:
-                cert = _choose_leaves(x, y, t, _leaf_candidates(h, x, y, x_sets, common), budget)
-                if cert is not None:
-                    return cert
+                cands = _leaf_candidates(h, x, y, x_sets, common)
+                leaves = _choose_leaves(x, y, t, cands, deadline)
+                if leaves is not None:
+                    return least_third_certificate(h, x, y, leaves)
+    return None
+
+
+def incremental_trace_check(
+    h: Hypergraph3, new_edge: Triple, t: int
+) -> TraceCertificate | None:
+    """Trace detection in h + new_edge for trace-free h.
+
+    Any trace of the extended hypergraph must route a pattern edge through
+    new_edge, so only pairs meeting new_edge and leaves inside it need to be
+    scanned.  h is restored before returning.
+    """
+    t = _t_of(t)
+    e = tuple(sorted(new_edge))
+    h.add_edge(e)
+    try:
+        return _trace_through_edge(h, e, t)
+    finally:
+        h.remove_edge(e)
+
+
+def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate | None:
+    """Search for a trace certificate assuming every trace must involve e.
+
+    e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
+    some q outside e, and u is a leaf adjacent to q in the shadow graph; q
+    ranges, ascending, over the shadow neighbours of e's other two vertices.
+    Each pair's leaf candidates are built once and serve both forced leaves.
+    """
+    if h.n < t + 2:
+        return None
+    nbrs = h.shadow_neighbors
+    for p in e:
+        others = [u for u in e if u != p]
+        p_nbrs = nbrs(p)
+        p_sets = _pair_sets(h, p)
+        for q in sorted((nbrs(others[0]) | nbrs(others[1])).difference(e)):
+            common = p_nbrs & nbrs(q)
+            if len(common) < t:
+                continue
+            cands = _leaf_candidates(h, p, q, p_sets, common)
+            in_cands = [c[1] for c in cands]
+            for u in others:
+                if u in in_cands:
+                    leaves = _choose_leaves(p, q, t, cands, None, forced=u)
+                    if leaves is not None:
+                        return least_third_certificate(h, p, q, leaves)
     return None
 
 

@@ -15,6 +15,8 @@ from trace_turan import (
 )
 from trace_turan.cli import main
 
+from helpers import relabelled_lift
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -73,6 +75,14 @@ def test_check_refuses_a_budget_that_is_not_finite_and_nonnegative(tmp_path, cap
     )
     assert (code, out) == (2, "")
     assert err.startswith("refused: time budget") and err.count("\n") == 1
+
+
+def test_check_zero_budget_exits_2_in_the_pair_scan(tmp_path, capsys):
+    # no pair of this lift has three leaf candidates: only the scan can time out
+    path = tmp_path / "lift7.hg"
+    write_hypergraph(relabelled_lift(7), str(path))
+    code, out, err = run(capsys, "check", "--file", str(path), "--t", "3", "--time-budget", "0")
+    assert (code, out, err) == (2, "", "unknown: time budget exhausted\n")
 
 
 def test_check_parse_error_exit_3(tmp_path, capsys):

@@ -15,6 +15,7 @@ from trace_turan import (
     contains_trace_naive,
     greedy_lower_bound,
     incremental_trace_check,
+    least_third_certificate,
     trace_from_dominated,
     verify_certificate,
 )
@@ -121,10 +122,31 @@ def test_zero_budget_times_out_where_every_leaf_set_is_forced():
         contains_trace(h, 2, time_budget=0.0)
 
 
+def test_zero_budget_times_out_in_the_pair_scan():
+    # no pair of the lift has three leaf candidates, so at t = 3 the leaf
+    # search never runs and only the once-per-row deadline check can fire
+    h = relabelled_lift(7)
+    assert contains_trace(h, 3) is None
+    with pytest.raises(SearchTimeout):
+        contains_trace(h, 3, time_budget=0.0)
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
 def test_budget_must_be_finite_and_nonnegative(budget):
     with pytest.raises(ValueError):
         contains_trace(Hypergraph3(3), 2, time_budget=budget)
+
+
+# -- least_third_certificate -------------------------------------------------------
+
+
+def test_least_third_certificate():
+    # the pair is oriented x < y and the leaves sorted
+    assert least_third_certificate(FOUR_EDGE_TRACE, 0, 1, (3, 2)) == natural_certificate()
+    assert least_third_certificate(FOUR_EDGE_TRACE, 1, 0, (2, 3)) == natural_certificate()
+    # {0, 2} lies only in {0, 2, 3}, whose third is the leaf 3
+    h = Hypergraph3(8, [(0, 2, 3), (0, 3, 5), (1, 2, 6), (1, 3, 7)])
+    assert least_third_certificate(h, 0, 1, (2, 3)) is None
 
 
 # -- naive oracle agreement -------------------------------------------------------
@@ -173,19 +195,32 @@ def _text(cert):
     return None if cert is None else cert.to_text()
 
 
+def _assert_least_third(h, cert):
+    """cert, if any, is the least-third certificate of its pair and leaves."""
+    if cert is not None:
+        assert _text(least_third_certificate(h, cert.x, cert.y, cert.D)) == cert.to_text()
+        assert verify_certificate(h, cert)
+
+
 def test_detectors_match_full_scan_reference_on_random_corpus():
     rng = random.Random(4242)
     for case in range(160):
         n = rng.randint(4, 13)
         h = random_hypergraph(n, rng.choice([0.03, 0.08, 0.15, 0.3]), rng)
         t = rng.choice([2, 3])
-        assert _text(contains_trace(h, t)) == _text(reference_contains_trace(h, t)), f"case {case}"
+        cert = contains_trace(h, t)
+        assert _text(cert) == _text(reference_contains_trace(h, t)), f"case {case}"
+        _assert_least_third(h, cert)
         assert contains_berge(h, t) == reference_contains_berge(h, t), f"case {case}"
         missing = [e for e in itertools.combinations(range(n), 3) if e not in h]
         for e in rng.sample(missing, min(4, len(missing))):
-            assert _text(incremental_trace_check(h, e, t)) == _text(
+            cert = incremental_trace_check(h, e, t)
+            assert _text(cert) == _text(
                 reference_incremental_trace_check(h, e, t)
             ), f"case {case}, edge {e}"
+            h.add_edge(e)
+            _assert_least_third(h, cert)
+            h.remove_edge(e)
 
 
 def _plant_trace(h, t, rng):
