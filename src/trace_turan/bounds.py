@@ -5,10 +5,13 @@ contribution grows like o(n^{3/2}) with no explicit constant, so reports
 carry an ``excludes_lower_order`` flag and nothing in this module is ever
 asserted against finite-n exact values as an upper bound.
 
-The derivation check certifies, with outward-rounded interval arithmetic,
-that the three-term bound instantiated at g(t) = sqrt(t ln t)/7 stays below
-the single-formula bound (t^{3/2} + 55 t sqrt(ln t))/6 across a log grid of
-t values: the inequality chain behind the headline constant.
+Each bound expression -- g(t) = sqrt(t ln t)/7, the main term t^{3/2}/6,
+the single formula (t^{3/2} + 55 t sqrt(ln t))/6 and the three-term
+coefficients -- is written once, over outward-rounded intervals.  The float
+evaluators report the upper end of each term's interval, times n^{3/2}.
+The derivation check certifies on the same intervals that the three-term
+bound at g stays below the single formula across a log grid of t values:
+the inequality chain behind the headline constant.
 """
 
 from __future__ import annotations
@@ -27,68 +30,6 @@ def epsilon(delta: float) -> float:
     return (1.0 + math.log(delta + 1.0)) / (delta + 1.0)
 
 
-def default_g(t: float) -> float:
-    """The g choice sqrt(t ln t)/7 that yields the headline bound."""
-    return math.sqrt(t * math.log(t)) / 7.0
-
-
-@dataclass
-class BoundReport:
-    """Evaluated bound with its term breakdown and normalized ratios."""
-
-    inputs: dict
-    terms: dict[str, float]
-    total: float
-    ratio_n32: float
-    ratio_main_term: float
-    excludes_lower_order: bool = True
-
-
-def _n32(n: float) -> float:
-    return n * math.sqrt(n)
-
-
-def k2t_upper_bound(n: float, t: int) -> BoundReport:
-    """Leading term (1/6)(t^{3/2} + 55 t sqrt(ln t)) n^{3/2}, for t >= 14."""
-    if t < 14:
-        raise ValueError(f"bound holds for t >= 14, got {t}")
-    main = t ** 1.5 / 6.0 * _n32(n)
-    log_term = 55.0 * t * math.sqrt(math.log(t)) / 6.0 * _n32(n)
-    total = main + log_term
-    return BoundReport(
-        inputs={"n": n, "t": t},
-        terms={"main": main, "log_term": log_term},
-        total=total,
-        ratio_n32=total / _n32(n),
-        ratio_main_term=total / main,
-    )
-
-
-def three_term_upper_bound(n: float, t: int, g: Callable[[float], float]) -> BoundReport:
-    """Sum of the sparse/medium/dense contributions for an admissible g.
-
-    g must satisfy 14 <= t/g(t) <= t; the error message names the violated
-    side.
-    """
-    gt = g(t)
-    ratio = t / gt
-    if ratio < 14:
-        raise ValueError(f"t/g(t) = {ratio:.4f} violates the lower bound 14")
-    if ratio > t:
-        raise ValueError(f"t/g(t) = {ratio:.4f} violates the upper bound t = {t}")
-    sparse = 0.5 * math.sqrt(t - 1) * _n32(n)
-    medium = math.sqrt(6.0) / 2.0 * t ** 1.5 / gt * _n32(n)
-    dense = (t + 5.0 * gt * math.log(t)) ** 1.5 / 6.0 * _n32(n)
-    total = sparse + medium + dense
-    return BoundReport(
-        inputs={"n": n, "t": t, "g(t)": gt, "t/g(t)": ratio},
-        terms={"sparse": sparse, "medium": medium, "dense": dense},
-        total=total,
-        ratio_n32=total / _n32(n),
-        ratio_main_term=total / (t ** 1.5 / 6.0 * _n32(n)),
-    )
-
-
 def medium_codegree_bound(n: float, t: int, delta: float, k: float) -> float:
     """Leading term delta * (1/2) sqrt(k + 3t - 3) n^{3/2}, for t >= 4."""
     if t < 4:
@@ -102,7 +43,7 @@ def high_codegree_bound(n: float, k: float) -> float:
     """Leading term (1/6) k^{3/2} n^{3/2} for the dense edge class."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    return k ** 1.5 / 6.0 * _n32(n)
+    return _main_term(Interval.point(float(k))).hi * _n32(n)
 
 
 def quadratic_root(b: float, c: float, n: float) -> float:
@@ -175,6 +116,88 @@ class Interval:
         return self * self.sqrt()
 
 
+_SIXTH = Interval(_down(1.0 / 6.0), _up(1.0 / 6.0))
+
+
+def _g(t: Interval) -> Interval:
+    """g(t) = sqrt(t ln t)/7."""
+    return (t * t.log()).sqrt() / Interval.point(7.0)
+
+
+def _main_term(t: Interval) -> Interval:
+    """t^{3/2}/6, the main term every bound is normalised by."""
+    return _SIXTH * t.pow32()
+
+
+def _single_formula(t: Interval) -> tuple[dict[str, Interval], Interval]:
+    """(t^{3/2} + 55 t sqrt(ln t))/6: its two terms and its total."""
+    log_term = Interval.point(55.0) * t * t.log().sqrt()
+    return {"main": _main_term(t), "log_term": _SIXTH * log_term}, _SIXTH * (t.pow32() + log_term)
+
+
+def _three_term(t: Interval, g: Interval) -> tuple[dict[str, Interval], Interval]:
+    """The sparse, medium and dense coefficients and their total."""
+    sparse = Interval.point(0.5) * (t - Interval.point(1.0)).sqrt()
+    medium = Interval.point(6.0).sqrt() / Interval.point(2.0) * t.pow32() / g
+    dense = _SIXTH * (t + Interval.point(5.0) * g * t.log()).pow32()
+    return {"sparse": sparse, "medium": medium, "dense": dense}, sparse + medium + dense
+
+
+def default_g(t: float) -> float:
+    """The g choice sqrt(t ln t)/7 that yields the headline bound."""
+    return _g(Interval.point(float(t))).hi
+
+
+@dataclass
+class BoundReport:
+    """Evaluated bound with its term breakdown and normalized ratios."""
+
+    inputs: dict
+    terms: dict[str, float]
+    total: float
+    ratio_n32: float
+    ratio_main_term: float
+    excludes_lower_order: bool = True
+
+
+def _n32(n: float) -> float:
+    if not 0 < n < math.inf:
+        raise ValueError(f"n must be a finite number > 0, got {n!r}")
+    return n * math.sqrt(n)
+
+
+def _report(inputs: dict, terms: dict[str, Interval], total: Interval) -> BoundReport:
+    """Each coefficient's upper end times n^{3/2}; the ratios are the total's
+    upper end, alone and over the main term's."""
+    n32 = _n32(inputs["n"])
+    main = _main_term(Interval.point(float(inputs["t"]))).hi
+    scaled = {name: term.hi * n32 for name, term in terms.items()}
+    return BoundReport(inputs, scaled, total.hi * n32, total.hi, total.hi / main)
+
+
+def k2t_upper_bound(n: float, t: int) -> BoundReport:
+    """Leading term (1/6)(t^{3/2} + 55 t sqrt(ln t)) n^{3/2}, for t >= 14."""
+    if t < 14:
+        raise ValueError(f"bound holds for t >= 14, got {t}")
+    return _report({"n": n, "t": t}, *_single_formula(Interval.point(float(t))))
+
+
+def three_term_upper_bound(n: float, t: int, g: Callable[[float], float]) -> BoundReport:
+    """Sum of the sparse/medium/dense contributions for an admissible g.
+
+    g must satisfy 14 <= t/g(t) <= t; the error message names the violated
+    side.
+    """
+    gt = g(t)
+    ratio = t / gt
+    if ratio < 14:
+        raise ValueError(f"t/g(t) = {ratio:.4f} violates the lower bound 14")
+    if ratio > t:
+        raise ValueError(f"t/g(t) = {ratio:.4f} violates the upper bound t = {t}")
+    inputs = {"n": n, "t": t, "g(t)": gt, "t/g(t)": ratio}
+    return _report(inputs, *_three_term(Interval.point(float(t)), Interval.point(gt)))
+
+
 def epsilon_interval(delta: float) -> Interval:
     d1 = Interval.point(delta) + Interval.point(1.0)
     return (d1.log() + Interval.point(1.0)) / d1
@@ -215,28 +238,21 @@ def log_grid(lo: float = 14.0, hi: float = 1e6, points: int = 1000) -> list[int]
 def derivation_check(t_values: Iterable[int] | None = None) -> list[DerivationPoint]:
     """Certify three_term(g = sqrt(t ln t)/7) <= single-formula bound per t.
 
-    Runs entirely in outward-rounded intervals so a True verdict is a
-    rigorous inequality, not a float coincidence.  The common n^{3/2} factor
-    cancels; the comparison is between coefficient intervals.
+    Compares the interval expressions the float evaluators read, so a True
+    verdict is a rigorous inequality, not a float coincidence.  The common
+    n^{3/2} factor cancels; the comparison is between coefficient intervals.
     """
-    sixth = Interval(_down(1.0 / 6.0), _up(1.0 / 6.0))
-    half = Interval.point(0.5)
     out = []
     for t in t_values if t_values is not None else log_grid():
         ti = Interval.point(float(t))
-        lt = ti.log()
-        g = (ti * lt).sqrt() / Interval.point(7.0)
-        ratio = ti / g
+        g = _g(ti)
         # Only the lower domain side matters for the comparison; the upper
         # side t/g <= t fails for t <= 17 (t ln t < 49) yet the inequality
         # below still holds with slack there.
-        if ratio.lo < 14.0:
+        if (ti / g).lo < 14.0:
             raise ValueError(f"t/g(t) dips below 14 at t={t}")
-        sparse = half * (ti - Interval.point(1.0)).sqrt()
-        medium = Interval.point(6.0).sqrt() / Interval.point(2.0) * ti.pow32() / g
-        dense = sixth * (ti + Interval.point(5.0) * g * lt).pow32()
-        lhs = sparse + medium + dense
-        rhs = sixth * (ti.pow32() + Interval.point(55.0) * ti * lt.sqrt())
+        lhs = _three_term(ti, g)[1]
+        rhs = _single_formula(ti)[1]
         out.append(DerivationPoint(t, lhs.hi, rhs.lo, lhs.hi <= rhs.lo))
     return out
 
@@ -266,7 +282,7 @@ def ratio_table(rows: Iterable) -> str:
         else:
             n, t, value = row.n, row.t, row.value
         r1 = value / _n32(n)
-        r2 = value / (t ** 1.5 * _n32(n) / 6.0)
+        r2 = value / (_main_term(Interval.point(float(t))).hi * _n32(n))
         window = C4_WINDOW if t == 2 else ("", "")
         writer.writerow([n, t, value, f"{r1:.6f}", f"{r2:.6f}", window[0], window[1]])
     return buf.getvalue()

@@ -175,12 +175,12 @@ class Hypergraph3:
         return self._nbrs.get(v, _NO_NEIGHBORS)
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return sum(1 for e in self._edges if v in e)
+        """Half the sum of codeg(v, w) over the shadow neighbours w of v."""
+        return sum(self.codegree(v, w) for w in self.shadow_neighbors(v)) // 2
 
     def edges_at(self, v: int) -> list[Triple]:
-        return sorted(e for e in self._edges if v in e)
+        nbrs = self.shadow_neighbors(v)
+        return sorted(tuple(sorted((v, w, z))) for w in nbrs for z in self.codegree_thirds(v, w) if w < z)
 
     def max_codegree(self) -> int:
         return max((len(s) for s in self._thirds.values()), default=0)

@@ -36,11 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bounds import epsilon
-from .dominated import (
-    DominatedSetResult,
-    dominated_pair_min1,
-    simultaneous_dominated_min_degree,
-)
+from .dominated import dominated_pair_min1, simultaneous_dominated_min_degree
 from .hypergraph import Hypergraph3, link_graph, neighborhoods, eu_vu, partition_edges
 from .traces import (
     TraceCertificate,
@@ -81,27 +77,21 @@ def _try_build(builder, *args) -> TraceCertificate | None:
         return None
 
 
-def _trim_result(res: DominatedSetResult, t: int) -> tuple[dict, dict]:
-    """Restrict witness maps to the t lowest members; subsets of dominated
-    sets stay dominated with the same witnesses."""
-    kept = sorted(res.D)[:t]
-    assert res.witnesses_y is not None
-    return (
-        {v: res.witnesses[v] for v in kept},
-        {v: res.witnesses_y[v] for v in kept},
-    )
-
-
-def _cert_via_pair_min1(h: Hypergraph3, x: int, y: int, s: frozenset[int], t: int) -> TraceCertificate | None:
+def _cert_via_links(
+    h: Hypergraph3, x: int, y: int, s: frozenset[int], t: int, floor: int, dominate: Callable
+) -> TraceCertificate | None:
+    """Trace from a set dominated in both link graphs on S, each of minimum
+    degree >= floor; ``dominate(lx, ly)`` finds the set."""
     lx = link_graph(h, x, s, y)
     ly = link_graph(h, y, s, x)
-    if lx.min_degree() < 1 or ly.min_degree() < 1:
+    if lx.min_degree() < floor or ly.min_degree() < floor:
         return None
-    res = dominated_pair_min1(lx, ly)
+    res = dominate(lx, ly)
     if len(res.D) >= t:
-        wx, wy = _trim_result(res, t)
-        return trace_from_dominated(h, x, y, s, wx, wy)
-    if len(s) == 3 and t == 2:
+        kept = sorted(res.D)[:t]  # a subset of a dominated set stays dominated
+        wx, wy = res.witnesses, res.witnesses_y
+        return trace_from_dominated(h, x, y, s, {v: wx[v] for v in kept}, {v: wy[v] for v in kept})
+    if len(s) == 3 and t == 2:  # pair_min1 only: the simultaneous set keeps 2 of 3
         return _cert_triangle_links(h, x, y, s)
     return None
 
@@ -136,25 +126,10 @@ def _cert_triangle_links(h: Hypergraph3, x: int, y: int, s: frozenset[int]) -> T
     return None
 
 
-def _cert_via_simultaneous(
-    h: Hypergraph3, x: int, y: int, s: frozenset[int], t: int, delta: int, seed: int
-) -> TraceCertificate | None:
-    lx = link_graph(h, x, s, y)
-    ly = link_graph(h, y, s, x)
-    if lx.min_degree() < delta or ly.min_degree() < delta:
-        return None
-    res = simultaneous_dominated_min_degree(lx, ly, delta, seed=seed)
-    if len(res.D) < t:
-        return None
-    wx, wy = _trim_result(res, t)
-    return trace_from_dominated(h, x, y, s, wx, wy)
-
-
 def _cert_common_neighborhood(hb: Hypergraph3, h: Hypergraph3, x: int, y: int) -> TraceCertificate | None:
     """4-cycle from eight common neighbors in the residual hypergraph."""
-    n1x, _ = neighborhoods(hb, x)
-    n1y, _ = neighborhoods(hb, y)
-    clean = [u for u in sorted(n1x & n1y) if tuple(sorted((x, y, u))) not in hb]
+    common = hb.shadow_neighbors(x) & hb.shadow_neighbors(y)
+    clean = [u for u in sorted(common) if tuple(sorted((x, y, u))) not in hb]
     if len(clean) < 6:
         return None
     for ui, uj in itertools.combinations(clean[:6], 2):
@@ -230,19 +205,25 @@ def _residual_codegree(h: Hypergraph3, hma: Hypergraph3, t: int, delta: int, see
     for x, y, d in hma.codegree_pairs():
         if d > bound:
             s = hma.codegree_thirds(x, y)
-            found.append(((x, y), d, bound, _try_build(_cert_via_pair_min1, h, x, y, s, t)))
+            cert = _try_build(_cert_via_links, h, x, y, s, t, 1, dominated_pair_min1)
+            found.append(((x, y), d, bound, cert))
     return f"bound {bound}", found
 
 
+def _codegree_ceiling(t: int, delta: int) -> tuple[int, float]:
+    """The co-degree ceiling ceil((1 + 4 eps) t) and its bound (1 + 4 eps) t - 1."""
+    k = (1 + 4 * epsilon(delta)) * t
+    return math.ceil(k), k - 1
+
+
 def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
-    eps = epsilon(delta)
-    k_ceiling = math.ceil((1 + 4 * eps) * t)
-    bound = (1 + 4 * eps) * t - 1
+    k_ceiling, bound = _codegree_ceiling(t, delta)
+    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta, seed=seed)
     found = []
     for x, y, d in core.codegree_pairs():
         if d >= k_ceiling:  # the integer reading the construction supports
             s = core.codegree_thirds(x, y)
-            cert = _try_build(_cert_via_simultaneous, h, x, y, s, t, delta, seed)
+            cert = _try_build(_cert_via_links, h, x, y, s, t, delta, simultaneous)
             found.append(((x, y), d, bound, cert))
     return f"bound {bound:.4f}", found
 
@@ -250,9 +231,10 @@ def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: 
 def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
     k = core.max_codegree()
     bound = k + 0.5 * k * 50 * t
+    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta, seed=seed)
     found = []
     for x in core.support():
-        n1x, _ = neighborhoods(core, x)
+        n1x = core.shadow_neighbors(x)
         for y in sorted(n1x):
             hits = [
                 e
@@ -261,15 +243,15 @@ def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed
             ]
             if len(hits) >= bound:
                 s = frozenset(w for e in hits for w in e if w != y)
-                cert = _try_build(_cert_via_simultaneous, h, x, y, s, t, delta, seed)
+                cert = _try_build(_cert_via_links, h, x, y, s, t, delta, simultaneous)
                 found.append(((x, y), len(hits), bound, cert))
     return f"bound {bound:.1f}", found
 
 
 def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
-    eps = epsilon(delta)
-    k_ceiling = math.ceil((1 + 4 * eps) * t)
+    k_ceiling, _ = _codegree_ceiling(t, delta)
     bound = (k_ceiling - 1) * h.n
+    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta, seed=seed)
     found = []
     for v in core.support():
         n1, _ = neighborhoods(core, v)
@@ -284,13 +266,13 @@ def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed
             s = frozenset(counts[x_best])
             cert = None
             if len(s) >= k_ceiling:
-                cert = _try_build(_cert_via_simultaneous, h, v, x_best, s, t, delta, seed)
+                cert = _try_build(_cert_via_links, h, v, x_best, s, t, delta, simultaneous)
             found.append(((v,), total, bound, cert))
     return f"bound {bound}", found
 
 
 def _common_neighborhood(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
-    n1 = {v: neighborhoods(hb, v)[0] for v in hb.support()}
+    n1 = {v: hb.shadow_neighbors(v) for v in hb.support()}
     found = []
     for x, y in itertools.combinations(sorted(n1), 2):
         common = n1[x] & n1[y]

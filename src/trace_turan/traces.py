@@ -74,6 +74,8 @@ def certificate_from_text(text: str) -> TraceCertificate:
             raise FormatError(f"bad certificate line {line!r}", i)
         (u,) = int_tokens(side_u[1:], line, i)
         a, b, c = sorted(int_tokens(edge, line, i))
+        if (side_u[0], u) in assignment:
+            raise FormatError(f"repeated pattern edge in {line!r}", i)
         assignment[(side_u[0], u)] = (a, b, c)
     return TraceCertificate(x, y, d, assignment)
 

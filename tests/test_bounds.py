@@ -17,7 +17,7 @@ from trace_turan import (
     ratio_table,
     three_term_upper_bound,
 )
-from trace_turan.bounds import epsilon_interval
+from trace_turan.bounds import _g, _single_formula, _three_term, epsilon_interval
 
 REL = 1e-9
 
@@ -75,6 +75,42 @@ def test_three_term_with_default_g():
     assert rep.terms["sparse"] == pytest.approx(0.5 * math.sqrt(t - 1) * n32, rel=REL)
     assert rep.terms["medium"] == pytest.approx(math.sqrt(6) / 2 * t**1.5 / gt * n32, rel=REL)
     assert rep.terms["dense"] == pytest.approx((t + 5 * gt * math.log(t)) ** 1.5 / 6 * n32, rel=REL)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: k2t_upper_bound(0, 14),
+        lambda: k2t_upper_bound(-5, 14),
+        lambda: k2t_upper_bound(float("nan"), 14),
+        lambda: k2t_upper_bound(float("inf"), 14),
+        lambda: three_term_upper_bound(0, 196, default_g),
+        lambda: ratio_table([(0, 2, 0)]),
+    ],
+    ids=["k2t-0", "k2t-negative", "k2t-nan", "k2t-inf", "three-term-0", "ratio-table-0"],
+)
+def test_bound_evaluators_refuse_degenerate_n(evaluate):
+    with pytest.raises(ValueError, match="finite number > 0"):
+        evaluate()
+
+
+def test_float_evaluators_read_the_derivation_intervals():
+    for t in log_grid(14, 10**12, 400):
+        ti = Interval.point(float(t))
+        g = _g(ti)
+        assert default_g(t) == g.hi
+        terms, total = _single_formula(ti)
+        rep = k2t_upper_bound(1, t)
+        assert rep.terms == {name: term.hi for name, term in terms.items()}
+        assert rep.total == total.hi
+        (point,) = derivation_check([t])
+        assert point.rhs_lo == total.lo
+        terms, total = _three_term(ti, g)
+        assert point.lhs_hi == total.hi
+        if t / default_g(t) <= t:  # the float evaluator's upper domain side
+            rep = three_term_upper_bound(1, t, default_g)
+            assert all(terms[name].lo <= value <= terms[name].hi for name, value in rep.terms.items())
+            assert total.lo <= rep.total <= total.hi
 
 
 def test_three_term_domain_messages():

@@ -1,5 +1,6 @@
 """Command line behaviors and exit codes."""
 
+import hashlib
 import itertools
 import json
 
@@ -193,6 +194,19 @@ def test_bounds_grid(capsys):
     assert lines[0] == "t,lhs_hi,rhs_lo,certified"
     assert len(lines) >= 9
     assert all(line.endswith("true") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "t_range, points, digest",
+    [
+        ("14:1000000", "1000", "584e2ae8a9d2479863f63789f251765027444350c4295bced9d83f1c2c0d0dc1"),
+        ("18:1e12", "300", "29f488ac612dab6416d99930562bddef4d2ef7f5c7e7095ab8f1b2fbb3143806"),
+    ],
+)
+def test_bounds_output_is_pinned(capsys, t_range, points, digest):
+    code, out, _ = run(capsys, "bounds", "--t-range", t_range, "--points", points)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_usage_error_exit_2():

@@ -90,7 +90,8 @@ def test_codegree_index_matches_brute_force(mask, _salt):
 
 
 def _assert_shadow_index(h):
-    """_nbrs holds exactly the pair-index keys as graph edges, with no empty entries."""
+    """_nbrs holds exactly the pair-index keys as graph edges, with no empty
+    entries, and degree/edges_at read off the index agree with an edge scan."""
     expected: dict[int, set[int]] = {}
     for a, b in h._thirds:
         expected.setdefault(a, set()).add(b)
@@ -98,6 +99,9 @@ def _assert_shadow_index(h):
     assert h._nbrs == expected
     for v in range(h.n):
         assert set(h.shadow_neighbors(v)) == expected.get(v, set())
+        scanned = [e for e in h.edges if v in e]
+        assert h.edges_at(v) == scanned
+        assert h.degree(v) == len(scanned)
 
 
 def test_shadow_index_matches_pair_keys_under_random_mutation():
