@@ -120,7 +120,9 @@ _SIXTH = Interval(_down(1.0 / 6.0), _up(1.0 / 6.0))
 
 
 def _g(t: Interval) -> Interval:
-    """g(t) = sqrt(t ln t)/7."""
+    """g(t) = sqrt(t ln t)/7, defined for t > 1."""
+    if t.lo <= 1.0:
+        raise ValueError(f"g(t) = sqrt(t ln t)/7 is defined only for t > 1, got t={t.lo:g}")
     return (t * t.log()).sqrt() / Interval.point(7.0)
 
 

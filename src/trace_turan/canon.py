@@ -9,24 +9,27 @@ search leans on (removing the colex-largest edge of a canonical sequence
 leaves a canonical sequence).
 
 The minimization is a branch and bound over partial label assignments.
-Edges completed at label depth k have indices in [C(k,3), C(k+1,3)), so the
-final sorted sequence grows in per-depth blocks and prefix pruning against
-the incumbent is exact.  That includes where a block ends: a branch whose
-block ties the incumbent's but stops short of it is pruned at once, since
-the incumbent's next entry is below C(k+1,3) and every completion of the
-branch puts an entry of at least C(k+1,3) there.  Candidates are tried in
-block order, so the first pruned candidate ends the depth.
+Edges completed at label depth d have indices C(d,3) + C(j,2) + i with
+i < j < d, so the sorted sequence is a run of per-depth blocks, each read
+by its pair keys C(j,2) + i.  Every key list ends in a sentinel above all
+keys: the incumbent's blocks, split once per call, and the list each
+unassigned vertex u keeps of the edges it would complete.  Plain list
+comparison is then the sequence order, and a longer block sorts before its
+own prefix, whose next entry falls at a later depth.  Giving v label d
+inserts C(d,2) + pos(w) before u's sentinel for each assigned w with
+{u, v, w} an edge; the new keys exceed all older ones, so the list stays
+sorted, and backtracking removes them.
 
-Two things make a branch cheap.  Twin classes -- vertices any two of which
-are swapped by an automorphism transposing just them -- do not depend on
-the partial assignment, so they are computed once per call; each depth tries only the
-smallest unassigned member of each class, which collapses the blowup on
-highly symmetric inputs such as complete or empty hypergraphs.  And every
-unassigned vertex u keeps the pair keys C(j,2)+i of the edges it would
-complete, one per assigned pair labeled i < j: giving v label d appends
-C(d,2)+pos(w) for each assigned w with {u,v,w} an edge.  The new keys exceed
-all older ones, so the list stays sorted without a sort, backtracking pops
-what was appended, and u's block at depth d is C(d,3) plus each key.
+Each frame scans the candidates once.  Deciding, it returns at the first
+key below the incumbent block.  Forming, it takes the least key as the new
+incumbent block and opens every deeper one.  Either way it recurses only
+into the candidates whose key equals that block; forming rebuilds the
+sequence from the blocks at the end.  Candidates are the smallest
+unassigned member of each twin class -- vertices any two of which are
+swapped by an automorphism transposing just them.  The classes do not
+depend on the partial assignment, so they are computed once per call, and
+they collapse the blowup on highly symmetric inputs such as complete or
+empty hypergraphs.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .hypergraph import Hypergraph3
 from .indexing import Triple, edge_indices
 
 _BIG = 1 << 60
+_OPEN = [_BIG, _BIG]  # above every sentinel-terminated key list
 
 
 def _twin_classes(n: int, edges: list[Triple]) -> list[list[int]]:
@@ -44,7 +48,8 @@ def _twin_classes(n: int, edges: list[Triple]) -> list[list[int]]:
 
     v and w are twins when transposing them maps the edge set to itself,
     i.e. when their links agree once pairs containing the other are dropped.
-    Twinship is an equivalence, so one comparison per class suffices.
+    Twinship is an equivalence, so one comparison per class suffices, and a
+    transposition keeps degrees, so only links of one size are compared.
     """
     links: list[set[tuple[int, int]]] = [set() for _ in range(n)]
     for a, b, c in edges:
@@ -55,7 +60,9 @@ def _twin_classes(n: int, edges: list[Triple]) -> list[list[int]]:
     for v in range(n):
         for cls in classes:
             w = cls[0]
-            if {p for p in links[v] if w not in p} == {p for p in links[w] if v not in p}:
+            if len(links[v]) == len(links[w]) and (
+                {p for p in links[v] if w not in p} == {p for p in links[w] if v not in p}
+            ):
                 cls.append(v)
                 break
         else:
@@ -87,65 +94,55 @@ def _min_index_sequence(
 
     c3 = [comb(d, 3) for d in range(n + 1)]
     c2 = [comb(d, 2) for d in range(n)]
+    # the incumbent as one key block per depth
+    blocks = [[x - c3[d] for x in best if c3[d] <= x < c3[d + 1]] + [_BIG] for d in range(n)]
     pos = [-1] * n
     order: list[int] = []  # assigned vertices by label
-    keys: list[list[int]] = [[] for _ in range(n)]
-    found_smaller = False
+    keys: list[list[int]] = [[_BIG] for _ in range(n)]
 
-    def rec(depth: int, emitted: int) -> None:
-        nonlocal found_smaller
+    def rec(depth: int) -> bool:
         if depth == n:
-            return
-        scored = []
+            return False
+        least = blocks[depth]
+        ties: list[int] = []
         for cls in classes:
             for v in cls:
                 if pos[v] < 0:
-                    # the sentinel sorts a block before its own prefixes,
-                    # as the longer block gives the smaller sequence
-                    scored.append((keys[v] + [_BIG], v))
+                    k = keys[v]
+                    if k < least:
+                        if decide_only:
+                            return True
+                        least = k
+                        ties = [v]
+                    elif k == least:
+                        ties.append(v)
                     break
-        scored.sort()
-        base = c3[depth]
-        next_base = c3[depth + 1]
+        if least is not blocks[depth]:
+            blocks[depth] = least[:]  # keys[v] changes under the recursion
+            blocks[depth + 1:] = [_OPEN] * (n - depth - 1)
         pair_base = c2[depth]
-        for _, v in scored:
-            blk = [base + k for k in keys[v]]
-            # compare blk against the incumbent at offset ``emitted``; past
-            # its end the incumbent reads as _BIG
-            end = emitted + len(blk)
-            incumbent = best[emitted:end]
-            if len(incumbent) < len(blk):
-                incumbent += [_BIG] * (len(blk) - len(incumbent))
-            if blk != incumbent:
-                if blk > incumbent:
-                    break  # and so is every later candidate, as scored is sorted
-                if decide_only:
-                    found_smaller = True
-                    return
-                del best[emitted:]
-                best.extend(blk)
-            elif end < len(best) and best[end] < next_base:
-                # a tie, but the incumbent completes one more edge at this
-                # depth; every completion puts at least next_base at ``end``
-                break
+        for v in ties:
             pos[v] = depth
             touched = []
             row = thirds[v]
             for i, w in enumerate(order):  # ascending labels keep keys sorted
                 for u in row[w]:
                     if pos[u] < 0:
-                        keys[u].append(pair_base + i)
-                        touched.append(u)
+                        ku = keys[u]
+                        ku.insert(-1, pair_base + i)
+                        touched.append(ku)
             order.append(v)
-            rec(depth + 1, end)
+            if rec(depth + 1):
+                return True
             order.pop()
-            for u in touched:
-                keys[u].pop()
+            for ku in touched:
+                del ku[-2]
             pos[v] = -1
-            if found_smaller and decide_only:
-                return
+        return False
 
-    rec(0, 0)
+    found_smaller = rec(0)
+    if not decide_only:
+        best[:] = [c3[d] + k for d, blk in enumerate(blocks) for k in blk[:-1]]
     return found_smaller
 
 

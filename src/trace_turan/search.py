@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .canon import canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
 from .indexing import all_triples, triple_index
-from .traces import _t_of, _trace_through_edge
+from .traces import _t_of, _trace_through_edge, contains_trace
 
 
 class CapExceeded(ValueError):
@@ -152,7 +152,9 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
     Every canonically-labeled trace-free hypergraph is reachable from the
     empty one by adding its colex-largest edge last, so extending canonical
     states by strictly larger edges and keeping only canonical children
-    visits each isomorphism class exactly once.
+    visits each isomorphism class exactly once.  ``initial_lower_bound``
+    must be achievable: a hypergraph bound with a trace, or a bound that no
+    trace-free hypergraph reaches, raises ValueError.
     """
     t = _t_of(t)
     cfg = config or SearchConfig()
@@ -171,6 +173,8 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
         if isinstance(lb, Hypergraph3):
             if lb.n != n:
                 raise ValueError("initial lower bound must live on the same vertex count")
+            if contains_trace(lb, t) is not None:
+                raise ValueError(f"initial lower bound contains a K_{{2,{t}}} trace")
             lb = lb.edge_count
         # one below the known-achievable value, so every extremal class is
         # still enumerated while smaller states prune away
@@ -199,6 +203,11 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
             h.remove_edge(e)
 
     rec(-1)
+    if not witnesses:
+        raise ValueError(
+            f"initial lower bound {best + 1} is not achievable: no K_{{2,{t}}}-trace-free "
+            f"hypergraph on {n} vertices has that many edges"
+        )
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
 

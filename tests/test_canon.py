@@ -167,3 +167,35 @@ def test_matches_reference_on_sparse_relabelled_inputs():
         for g in (h, canon, _relabel(canon, perm)):
             assert canonical_index_sequence(g) == ref
             assert is_canonical_labeling(g) == (edge_indices(g.edges) == ref)
+
+
+def _symmetric_inputs():
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    yield Hypergraph3(7, fano)
+    yield Hypergraph3(7, [e for e in all_triples(7) if e not in fano])
+    for n in (6, 7, 8, 9):  # tight cycles C_n^(3)
+        yield Hypergraph3(n, [tuple(sorted((i, (i + 1) % n, (i + 2) % n))) for i in range(n)])
+    two_k4 = [e for part in ((0, 1, 2, 3), (4, 5, 6, 7)) for e in itertools.combinations(part, 3)]
+    yield Hypergraph3(8, two_k4)
+    for n in (0, 2, 3):
+        yield Hypergraph3(n)
+    yield Hypergraph3(3, [(0, 1, 2)])
+
+
+def test_matches_reference_on_symmetric_inputs():
+    # large automorphism groups that twin classes leave (nearly) whole: no
+    # transposition of the Fano plane or of a tight cycle is an automorphism,
+    # and the two K_4^(3) swap as blocks, so many tied branches are searched
+    rng = random.Random(1729)
+    for h in _symmetric_inputs():
+        ref = reference_index_sequence(h)
+        canon = _from_sequence(h.n, ref)
+        variants = [h, canon]
+        for _ in range(10):
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            variants.append(_relabel(h, perm))
+        for g in variants:
+            assert canonical_index_sequence(g) == ref
+            assert is_canonical_labeling(g) == reference_is_canonical(g)
+            assert is_canonical_labeling(g) == (edge_indices(g.edges) == ref)

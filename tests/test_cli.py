@@ -227,6 +227,12 @@ def test_search_takes_no_witness_cap():
     assert exc.value.code == 2
 
 
+def test_bounds_refuses_t_outside_the_domain_of_g(capsys):
+    code, out, err = run(capsys, "bounds", "--t-range", "1:2", "--points", "2")
+    assert code == 2 and out == ""
+    assert err == "refused: g(t) = sqrt(t ln t)/7 is defined only for t > 1, got t=1\n"
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [

@@ -138,6 +138,21 @@ def test_search_lower_bound_accepts_hypergraph(search_table):
     assert primed.value == witness.edge_count
 
 
+def test_search_refuses_unachievable_lower_bound(search_table):
+    # ex(5, 2) = 6: a bound of 7 still finds the 6-edge witnesses, while
+    # no trace-free hypergraph reaches 10
+    value = search_table[(5, 2)].value
+    assert turan_search(5, 2, SearchConfig(initial_lower_bound=value + 1)).witnesses
+    with pytest.raises(ValueError, match="not achievable"):
+        turan_search(5, 2, SearchConfig(initial_lower_bound=10))
+
+
+def test_search_refuses_lower_bound_with_a_trace():
+    complete = Hypergraph3(5, itertools.combinations(range(5), 3))
+    with pytest.raises(ValueError, match=r"contains a K_\{2,2\} trace"):
+        turan_search(5, 2, SearchConfig(initial_lower_bound=complete))
+
+
 def test_monotone_in_n_and_t(search_table):
     for t in (2, 3):
         values = [search_table[(n, t)].value for n in range(4, 7)]
