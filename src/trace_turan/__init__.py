@@ -10,11 +10,8 @@ from .bounds import (
     default_g,
     derivation_check,
     epsilon,
-    high_codegree_bound,
     k2t_upper_bound,
     log_grid,
-    medium_codegree_bound,
-    quadratic_root,
     ratio_table,
     three_term_upper_bound,
 )
@@ -27,7 +24,6 @@ from .constructions import (
     lift_to_trace_free,
     loads_graph,
     polarity_graph,
-    write_graph,
 )
 from .dominated import (
     DominatedSetResult,
@@ -43,7 +39,6 @@ from .dominated import (
     witness_for,
 )
 from .hypergraph import (
-    DegreeInequalityReport,
     EdgePartition,
     FormatError,
     Hypergraph3,
@@ -55,13 +50,11 @@ from .hypergraph import (
     neighborhoods,
     partition_edges,
     read_hypergraph,
-    verify_degree_inequality,
     write_hypergraph,
 )
 from .lemma_checks import (
     CheckStatus,
     LemmaViolation,
-    check_lemma_invariants,
     lemma_status_report,
 )
 from .search import (
@@ -77,7 +70,6 @@ from .traces import (
     SearchTimeout,
     TraceCertificate,
     certificate_from_text,
-    contains_berge,
     contains_trace,
     contains_trace_naive,
     incremental_trace_check,

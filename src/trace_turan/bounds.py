@@ -30,28 +30,6 @@ def epsilon(delta: float) -> float:
     return (1.0 + math.log(delta + 1.0)) / (delta + 1.0)
 
 
-def medium_codegree_bound(n: float, t: int, delta: float, k: float) -> float:
-    """Leading term delta * (1/2) sqrt(k + 3t - 3) n^{3/2}, for t >= 4."""
-    if t < 4:
-        raise ValueError(f"medium co-degree bound needs t >= 4, got {t}")
-    if delta < 2 or k < 2:
-        raise ValueError("delta and k must be >= 2")
-    return delta * 0.5 * math.sqrt(k + 3 * t - 3) * _n32(n)
-
-
-def high_codegree_bound(n: float, k: float) -> float:
-    """Leading term (1/6) k^{3/2} n^{3/2} for the dense edge class."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
-    return _main_term(Interval.point(float(k))).hi * _n32(n)
-
-
-def quadratic_root(b: float, c: float, n: float) -> float:
-    """Positive root (b + sqrt(b^2 + 4cn))/2 bounding an average degree d
-    with d^2 - b d - c n <= 0."""
-    return (b + math.sqrt(b * b + 4.0 * c * n)) / 2.0
-
-
 # -- outward-rounded interval arithmetic -----------------------------------
 
 

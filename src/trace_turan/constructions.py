@@ -157,8 +157,3 @@ def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
 
 def loads_graph(text: str) -> Graph:
     return loads_edge_lines(text, 2, Graph, _add_new_edge)
-
-
-def write_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_graph(g))

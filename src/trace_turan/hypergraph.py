@@ -10,9 +10,8 @@ index, so the trace detectors visit only pairs and leaves that share an edge.
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, TypeVar
 
 T = TypeVar("T")
@@ -280,64 +279,27 @@ class EdgePartition:
     A:  edges with some pair of co-degree exactly 1,
     B:  edges whose pairs all have co-degree >= 2 and some pair <= delta,
     C:  edges whose pairs all have co-degree > delta.
-
-    With residual=True the B/C split measures co-degrees in H minus A
-    instead of the full H (needed by one of the counting arguments); A is
-    always determined by co-degrees in the full H.
     """
 
     delta: float
     A: frozenset[Triple]
     B: frozenset[Triple]
     C: frozenset[Triple]
-    residual: bool = False
-
-    def validate(self, h: Hypergraph3) -> None:
-        assert self.A | self.B | self.C == set(h.edges)
-        assert not (self.A & self.B) and not (self.A & self.C) and not (self.B & self.C)
-        residual_edges = self.B | self.C
-        for e in h.edges:
-            cods = [h.codegree(x, y) for x, y in itertools.combinations(e, 2)]
-            if self.residual:
-                rcods = [
-                    sum(1 for w in h.codegree_thirds(x, y) if tuple(sorted((x, y, w))) in residual_edges)
-                    for x, y in itertools.combinations(e, 2)
-                ]
-            else:
-                rcods = cods
-            if min(cods) == 1:
-                assert e in self.A
-            elif min(rcods) <= self.delta:
-                assert e in self.B
-            else:
-                assert e in self.C
 
 
-def partition_edges(h: Hypergraph3, delta: float, residual: bool = False) -> EdgePartition:
+def partition_edges(h: Hypergraph3, delta: float) -> EdgePartition:
     """Partition the edges of h into the (A, B, C) co-degree classes."""
     if delta < 2:
         raise ValueError(f"delta must be >= 2, got {delta}")
+    thirds = h.pair_index()
     a: set[Triple] = set()
-    rest: list[Triple] = []
-    for e in h.edges:
-        cods = [h.codegree(x, y) for x, y in itertools.combinations(e, 2)]
-        if min(cods) == 1:
-            a.add(e)
-        else:
-            rest.append(e)
     b: set[Triple] = set()
     c: set[Triple] = set()
-    residual_set = set(rest)
-    for e in rest:
-        if residual:
-            cods = [
-                sum(1 for w in h.codegree_thirds(x, y) if tuple(sorted((x, y, w))) in residual_set)
-                for x, y in itertools.combinations(e, 2)
-            ]
-        else:
-            cods = [h.codegree(x, y) for x, y in itertools.combinations(e, 2)]
-        (b if min(cods) <= delta else c).add(e)
-    return EdgePartition(delta, frozenset(a), frozenset(b), frozenset(c), residual)
+    for e in h._edges:
+        x, y, z = e
+        least = min(len(thirds[x, y]), len(thirds[x, z]), len(thirds[y, z]))
+        (a if least == 1 else b if least <= delta else c).add(e)
+    return EdgePartition(delta, frozenset(a), frozenset(b), frozenset(c))
 
 
 def link_graph(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> LoopGraph:
@@ -362,30 +324,6 @@ def link_graph(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> LoopGraph:
             elif v != y:
                 g.add_loop(u)
     return g
-
-
-@dataclass
-class DegreeInequalityReport:
-    """Outcome of checking d_L(u) >= d_H(x, u) - 1 over a link graph."""
-
-    passed: bool
-    failures: list[tuple[int, int, int]] = field(default_factory=list)  # (u, d_L, d_H)
-
-
-def verify_degree_inequality(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> DegreeInequalityReport:
-    """Check that every u in S has link-graph degree >= codegree(x, u) - 1.
-
-    A failure here signals a bug in link_graph, never interesting input.
-    """
-    s_set = frozenset(s)
-    g = link_graph(h, x, s_set, y)
-    failures = []
-    for u in sorted(s_set):
-        d_l = g.degree(u)
-        d_h = h.codegree(x, u)
-        if d_l < d_h - 1:
-            failures.append((u, d_l, d_h))
-    return DegreeInequalityReport(not failures, failures)
 
 
 def neighborhoods(h: Hypergraph3, v: int) -> tuple[set[int], set[int]]:

@@ -285,10 +285,7 @@ def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, see
     found = []
     for e in hb.edges:
         for v in e:
-            u, w = (a for a in e if a != v)
-            n1, _ = neighborhoods(hb, v)
-            if u not in n1 or w not in n1:
-                continue
+            u, w = (a for a in e if a != v)  # both in N1(v): e is an edge of hb
             _, vu = eu_vu(hb, v, u)
             _, vw = eu_vu(hb, v, w)
             overlap = vu & vw
@@ -372,14 +369,3 @@ def lemma_status_report(
             ]
             report.append(CheckStatus(name, "violated" if violations else "pass", detail, violations))
     return report
-
-
-def check_lemma_invariants(
-    h: Hypergraph3, t: int, delta: int = 14, seed: int = 0
-) -> list[LemmaViolation]:
-    """All violations across the structural checks; empty on trace-free
-    inputs (that emptiness is itself part of the contract)."""
-    out: list[LemmaViolation] = []
-    for status in lemma_status_report(h, t, delta, seed):
-        out.extend(status.violations)
-    return out

@@ -4,8 +4,7 @@ A K_{2,t} trace on vertices {x, y} union D assigns to each pattern edge
 {x, u} (and {y, u}) a hyperedge whose intersection with {x, y} union D is
 exactly that pair.  Distinct pattern edges force distinct hyperedges on
 their own (two hyperedges with different exact intersections can never
-coincide), so the exact detector needs no matching step; the Berge variant,
-where hyperedges only need to *contain* their pair, does.
+coincide), so the exact detector needs no matching step.
 """
 
 from __future__ import annotations
@@ -408,69 +407,3 @@ def trace_from_dominated(
     if not verify_certificate(h, cert):
         raise ValueError("witnesses do not assemble into a valid certificate")
     return cert
-
-
-def _berge_pair(h: Hypergraph3, x: int, y: int, t: int) -> bool:
-    ex: dict[int, list[Triple]] = {}
-    ey: dict[int, list[Triple]] = {}
-    pool = []
-    for u in h.shadow_neighbors(x) & h.shadow_neighbors(y):
-        lx = [tuple(sorted((x, u, w))) for w in h.codegree_thirds(x, u)]
-        ly = [tuple(sorted((y, u, w))) for w in h.codegree_thirds(y, u)]
-        if lx and ly:
-            ex[u] = sorted(lx)  # type: ignore[assignment]
-            ey[u] = sorted(ly)  # type: ignore[assignment]
-            pool.append(u)
-    if len(pool) < t:
-        return False
-    pool.sort(key=lambda u: (-min(len(ex[u]), len(ey[u])), u))
-
-    matched: dict[PatternEdge, Triple] = {}
-    owner: dict[Triple, PatternEdge] = {}
-
-    def augment(pe: PatternEdge, cands: list[Triple], seen: set[Triple]) -> bool:
-        for e in cands:
-            if e in seen:
-                continue
-            seen.add(e)
-            holder = owner.get(e)
-            if holder is None or augment(
-                holder, ex[holder[1]] if holder[0] == "x" else ey[holder[1]], seen
-            ):
-                owner[e] = pe
-                matched[pe] = e
-                return True
-        return False
-
-    def extend(start: int, size: int) -> bool:
-        if size == t:
-            return True
-        if t - size > len(pool) - start:
-            return False
-        for i in range(start, len(pool)):
-            u = pool[i]
-            saved_matched = dict(matched)
-            saved_owner = dict(owner)
-            if augment(("x", u), ex[u], set()) and augment(("y", u), ey[u], set()):
-                if extend(i + 1, size + 1):
-                    return True
-            matched.clear()
-            matched.update(saved_matched)
-            owner.clear()
-            owner.update(saved_owner)
-        return False
-
-    return extend(0, 0)
-
-
-def contains_berge(h: Hypergraph3, t: int) -> bool:
-    """True iff h contains a Berge K_{2,t}: distinct hyperedges each
-    containing its pattern pair (supersets allowed, unlike traces).
-
-    Injectivity is enforced with an augmenting-path matching between the 2t
-    pattern edges and candidate hyperedges.
-    """
-    t = _t_of(t)
-    if h.n < t + 2 or h.edge_count < 2 * t:
-        return False
-    return any(_berge_pair(h, x, y, t) for x, ys in _pair_rows(h) for y in ys)

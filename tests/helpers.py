@@ -6,22 +6,26 @@ branch-and-bound minimizer, traces by a frozen copy of the earlier detector
 that scans every pair and every leaf, shells N1/N2 and E_u/V_u by a frozen
 copy of the earlier scan over a sorted, re-validated edge list, 4-cycles are
 found by scanning 4-subsets, dominated sets by scanning all subsets, and the
-DIMACS formulas are decided by a tiny DPLL with unit propagation.
+DIMACS formulas are decided by a tiny DPLL with unit propagation.  The edge
+partition and the link graphs are checked against their defining properties.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable
 
 from trace_turan import (
+    EdgePartition,
     Graph,
     Hypergraph3,
     LoopGraph,
     TraceCertificate,
     lift_to_trace_free,
+    link_graph,
     polarity_graph,
 )
 from trace_turan.hypergraph import _as_triple
@@ -274,71 +278,6 @@ def reference_incremental_trace_check(
         h.remove_edge(e)
 
 
-def _reference_berge_pair(h: Hypergraph3, x: int, y: int, t: int) -> bool:
-    """The library's ``_berge_pair`` before the shadow index: every vertex is
-    tried as a leaf, and there is no time budget."""
-    ex: dict[int, list[Triple]] = {}
-    ey: dict[int, list[Triple]] = {}
-    pool = []
-    for u in range(h.n):
-        if u == x or u == y:
-            continue
-        lx = [tuple(sorted((x, u, w))) for w in h.codegree_thirds(x, u)]
-        ly = [tuple(sorted((y, u, w))) for w in h.codegree_thirds(y, u)]
-        if lx and ly:
-            ex[u] = sorted(lx)
-            ey[u] = sorted(ly)
-            pool.append(u)
-    if len(pool) < t:
-        return False
-    pool.sort(key=lambda u: (-min(len(ex[u]), len(ey[u])), u))
-    matched: dict[tuple[str, int], Triple] = {}
-    owner: dict[Triple, tuple[str, int]] = {}
-
-    def augment(pe, cands, seen) -> bool:
-        for e in cands:
-            if e in seen:
-                continue
-            seen.add(e)
-            holder = owner.get(e)
-            if holder is None or augment(
-                holder, ex[holder[1]] if holder[0] == "x" else ey[holder[1]], seen
-            ):
-                owner[e] = pe
-                matched[pe] = e
-                return True
-        return False
-
-    def extend(start: int, size: int) -> bool:
-        if size == t:
-            return True
-        if t - size > len(pool) - start:
-            return False
-        for i in range(start, len(pool)):
-            u = pool[i]
-            saved_matched = dict(matched)
-            saved_owner = dict(owner)
-            if augment(("x", u), ex[u], set()) and augment(("y", u), ey[u], set()):
-                if extend(i + 1, size + 1):
-                    return True
-            matched.clear()
-            matched.update(saved_matched)
-            owner.clear()
-            owner.update(saved_owner)
-        return False
-
-    return extend(0, 0)
-
-
-def reference_contains_berge(h: Hypergraph3, t: int) -> bool:
-    """``contains_berge`` before the shadow index: every pair, ascending."""
-    if h.n < t + 2 or h.edge_count < 2 * t:
-        return False
-    return any(
-        _reference_berge_pair(h, x, y, t) for x, y in itertools.combinations(range(h.n), 2)
-    )
-
-
 # -- shell reference (sorted copy of the edges, re-validated) ------------------
 
 
@@ -382,6 +321,48 @@ def reference_eu_vu(
     eu = {e for e in edges if sum(1 for w in e if w in n1) == 1 and u in e}
     vu = {w for e in eu for w in e if w in n2}
     return eu, vu
+
+
+# -- edge partition and link graph properties ----------------------------------
+
+
+def validate_partition(p: EdgePartition, h: Hypergraph3) -> None:
+    """A, B and C split the edges of h, each edge filed by its least co-degree:
+    1 in A, at most delta in B, above delta in C."""
+    assert p.A | p.B | p.C == set(h.edges)
+    assert not (p.A & p.B) and not (p.A & p.C) and not (p.B & p.C)
+    for e in h.edges:
+        least = min(h.codegree(x, y) for x, y in itertools.combinations(e, 2))
+        if least == 1:
+            assert e in p.A
+        elif least <= p.delta:
+            assert e in p.B
+        else:
+            assert e in p.C
+
+
+@dataclass
+class DegreeInequalityReport:
+    """Outcome of checking d_L(u) >= d_H(x, u) - 1 over a link graph."""
+
+    passed: bool
+    failures: list[tuple[int, int, int]] = field(default_factory=list)  # (u, d_L, d_H)
+
+
+def verify_degree_inequality(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> DegreeInequalityReport:
+    """Check that every u in S has link-graph degree >= codegree(x, u) - 1.
+
+    A failure here signals a bug in link_graph, never interesting input.
+    """
+    s_set = frozenset(s)
+    g = link_graph(h, x, s_set, y)
+    failures = []
+    for u in sorted(s_set):
+        d_l = g.degree(u)
+        d_h = h.codegree(x, u)
+        if d_l < d_h - 1:
+            failures.append((u, d_l, d_h))
+    return DegreeInequalityReport(not failures, failures)
 
 
 def four_subset_has_c4(g: Graph) -> bool:

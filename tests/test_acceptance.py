@@ -11,7 +11,6 @@ import shutil
 
 from trace_turan import (
     Hypergraph3,
-    check_lemma_invariants,
     contains_trace,
     contains_trace_naive,
     dominated_min_degree,
@@ -20,6 +19,7 @@ from trace_turan import (
     epsilon,
     export_cnf,
     is_dominated,
+    lemma_status_report,
     lift_to_trace_free,
     log_grid,
     polarity_graph,
@@ -97,10 +97,10 @@ def test_criterion_3_lemma_invariant_suite(search_table):
     clean = True
     for (n, t), result in search_table.items():
         for w in result.witnesses:
-            clean = clean and not check_lemma_invariants(w, t, 14)
+            clean = clean and not any(st.violations for st in lemma_status_report(w, t, 14))
     for q in (2, 3, 5, 7):
         h = lift_to_trace_free(polarity_graph(q))
-        clean = clean and not check_lemma_invariants(h, 2, 14)
+        clean = clean and not any(st.violations for st in lemma_status_report(h, 2, 14))
 
     violating = [
         Hypergraph3(
@@ -125,7 +125,7 @@ def test_criterion_3_lemma_invariant_suite(search_table):
     certified = True
     total_violations = 0
     for h in violating:
-        violations = check_lemma_invariants(h, 2, 14)
+        violations = [v for st in lemma_status_report(h, 2, 14) for v in st.violations]
         total_violations += len(violations)
         certified = certified and bool(violations)
         for v in violations:

@@ -9,11 +9,8 @@ from trace_turan import (
     default_g,
     derivation_check,
     epsilon,
-    high_codegree_bound,
     k2t_upper_bound,
     log_grid,
-    medium_codegree_bound,
-    quadratic_root,
     ratio_table,
     three_term_upper_bound,
 )
@@ -127,44 +124,12 @@ def test_three_term_vs_single_formula_on_valid_domain():
         assert lhs <= rhs
 
 
-def test_medium_codegree_bound():
-    n = 100.0
-    val = medium_codegree_bound(n, 4, 2, 2)
-    assert val == pytest.approx(2 * 0.5 * math.sqrt(11) * n**1.5, rel=REL)
-    assert medium_codegree_bound(n, 4, 4, 2) == pytest.approx(2 * val, rel=REL)
-    with pytest.raises(ValueError):
-        medium_codegree_bound(n, 3, 2, 2)
-
-
-def test_medium_codegree_k_ceiling_comparison():
-    # instantiating k at its co-degree ceiling stays below the rounded form
-    for t in (4, 10, 50):
-        k = 3 * t - 3
-        tight = medium_codegree_bound(1, t, 2, k)
-        rounded = 2 / 2 * math.sqrt(6 * t)
-        assert tight <= rounded + REL
-
-
-def test_high_codegree_bound_and_quadratic():
-    assert high_codegree_bound(4, 9) == pytest.approx(27 / 6 * 8, rel=REL)
-    assert quadratic_root(0, 4, 9) == pytest.approx(6.0, rel=REL)
-    with pytest.raises(ValueError):
-        high_codegree_bound(0, 2)
-
-
 def test_quadratic_root_identity_at_codegree_ceiling():
     t, delta = 14, 14
     eps = epsilon(delta)
     k = (1 + 4 * eps) * t
     c = k * k / 4 * (1 + 4 * eps) * t
     assert math.sqrt(c) == pytest.approx(0.5 * k**1.5, rel=REL)
-
-
-def test_quadratic_root_monotone():
-    base = quadratic_root(3, 5, 7)
-    assert quadratic_root(4, 5, 7) > base
-    assert quadratic_root(3, 6, 7) > base
-    assert quadratic_root(3, 5, 8) > base
 
 
 def test_interval_arithmetic_outward():

@@ -20,10 +20,15 @@ from trace_turan import (
     neighborhoods,
     partition_edges,
     polarity_graph,
-    verify_degree_inequality,
 )
 
-from helpers import random_hypergraph, reference_eu_vu, reference_neighborhoods
+from helpers import (
+    random_hypergraph,
+    reference_eu_vu,
+    reference_neighborhoods,
+    validate_partition,
+    verify_degree_inequality,
+)
 
 
 def full_hypergraph(n):
@@ -186,22 +191,10 @@ def test_partition_nested_in_delta():
         h = random_hypergraph(7, 0.4, rng)
         p2 = partition_edges(h, 2)
         p4 = partition_edges(h, 4)
-        p2.validate(h)
-        p4.validate(h)
+        validate_partition(p2, h)
+        validate_partition(p4, h)
         assert p4.C <= p2.C
         assert p2.A == p4.A
-
-
-def test_partition_residual_mode_moves_edges_toward_b():
-    rng = random.Random(11)
-    for _ in range(20):
-        h = random_hypergraph(7, 0.45, rng)
-        plain = partition_edges(h, 2)
-        resid = partition_edges(h, 2, residual=True)
-        resid.validate(h)
-        assert plain.A == resid.A
-        assert plain.B <= resid.B
-        assert resid.C <= plain.C
 
 
 # -- link graphs -------------------------------------------------------------

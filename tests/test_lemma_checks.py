@@ -9,10 +9,10 @@ import pytest
 from trace_turan import (
     Hypergraph3,
     TraceCertificate,
-    check_lemma_invariants,
     contains_trace,
     lemma_status_report,
     lift_to_trace_free,
+    neighborhoods,
     polarity_graph,
     verify_certificate,
     write_hypergraph,
@@ -63,13 +63,13 @@ def detector_calls(monkeypatch):
 def test_empty_hypergraph_all_vacuous():
     report = lemma_status_report(Hypergraph3(5), 2, 14)
     assert all(st.status == "vacuous" for st in report)
-    assert check_lemma_invariants(Hypergraph3(5), 2, 14) == []
+    assert [v for st in report for v in st.violations] == []
 
 
 def test_trace_free_witnesses_are_clean(search_table):
     for (n, t), result in search_table.items():
         for w in result.witnesses[:3]:
-            assert check_lemma_invariants(w, t, 14) == []
+            assert [v for st in lemma_status_report(w, t, 14) for v in st.violations] == []
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -81,7 +81,7 @@ def test_polarity_lifts_are_clean(q):
 
 def test_residual_codegree_violation_is_certified(detector_calls):
     h = residual_codegree_instance()
-    violations = check_lemma_invariants(h, 2, 14)
+    violations = [v for st in lemma_status_report(h, 2, 14) for v in st.violations]
     assert any(v.check == "residual-codegree-cap" and v.subject == (0, 1) for v in violations)
     for v in violations:
         assert v.note == CERTIFIED
@@ -126,6 +126,21 @@ def test_dense_complete_instance_all_violations_certified(detector_calls):
             assert v.note == CERTIFIED, (st.check, v.subject)
             assert verify_certificate(h, v.certificate)
     assert total > 0
+
+
+def test_shell_pair_overlap_reads_n1_off_the_edge(monkeypatch):
+    # on the complete K^(3)_15 every co-degree is 13 <= delta, so the dense
+    # core is empty; shell-size-floor and shell-sum each take N1(v) once per
+    # vertex, and shell-pair-overlap reads its N1 membership off the edge
+    calls = []
+
+    def counted(h, v):
+        calls.append(v)
+        return neighborhoods(h, v)
+
+    monkeypatch.setattr(lemma_checks, "neighborhoods", counted)
+    lemma_status_report(Hypergraph3(15, itertools.combinations(range(15), 3)), 2, 14)
+    assert len(calls) == 30
 
 
 def test_higher_t_skips_c4_only_checks():

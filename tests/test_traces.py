@@ -1,4 +1,4 @@
-"""Trace and Berge detector tests."""
+"""Trace detector tests."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from trace_turan import (
     SearchTimeout,
     TraceCertificate,
     certificate_from_text,
-    contains_berge,
     contains_trace,
     contains_trace_naive,
     greedy_lower_bound,
@@ -24,7 +23,6 @@ from trace_turan.dominated import LOOP, Witness
 from helpers import (
     random_hypergraph,
     relabelled_lift,
-    reference_contains_berge,
     reference_contains_trace,
     reference_incremental_trace_check,
 )
@@ -102,8 +100,6 @@ def test_four_edge_example_found():
 def test_pattern_validation():
     with pytest.raises(ValueError):
         contains_trace(full_hypergraph(4), 1)
-    with pytest.raises(ValueError):
-        contains_berge(full_hypergraph(5), 1)
 
 
 def test_timeout_is_distinct_from_absent():
@@ -211,7 +207,6 @@ def test_detectors_match_full_scan_reference_on_random_corpus():
         cert = contains_trace(h, t)
         assert _text(cert) == _text(reference_contains_trace(h, t)), f"case {case}"
         _assert_least_third(h, cert)
-        assert contains_berge(h, t) == reference_contains_berge(h, t), f"case {case}"
         missing = [e for e in itertools.combinations(range(n), 3) if e not in h]
         for e in rng.sample(missing, min(4, len(missing))):
             cert = incremental_trace_check(h, e, t)
@@ -312,37 +307,6 @@ def test_randomized_dominated_assembly_always_verifies():
             fresh += 2 if rng.random() < 0.5 else 0
         cert = trace_from_dominated(h, 0, 1, set(d), wx, wy)
         assert verify_certificate(h, cert)
-
-
-# -- Berge -----------------------------------------------------------------------
-
-
-def test_trace_implies_berge():
-    assert contains_berge(FOUR_EDGE_TRACE, 2)
-
-
-def test_too_few_edges_no_berge():
-    assert not contains_berge(Hypergraph3(4, [(0, 2, 3), (1, 2, 3)]), 2)
-
-
-def test_berge_without_trace_instance_exists():
-    # seeded search for a configuration that is Berge-positive yet trace-free
-    rng = random.Random(123)
-    found = None
-    while found is None:
-        h = random_hypergraph(5, 0.35, rng)
-        if h.edge_count >= 4 and contains_trace_naive(h, 2) is None and contains_berge(h, 2):
-            found = h
-    assert contains_berge(found, 2) and contains_trace(found, 2) is None
-
-
-def test_berge_dominates_trace_on_corpus():
-    rng = random.Random(31337)
-    for _ in range(150):
-        h = random_hypergraph(6, rng.choice([0.2, 0.35, 0.5]), rng)
-        t = rng.choice([2, 3])
-        if contains_trace(h, t) is not None:
-            assert contains_berge(h, t)
 
 
 # -- serialization ------------------------------------------------------------------
