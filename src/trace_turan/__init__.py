@@ -26,17 +26,14 @@ from .constructions import (
     polarity_graph,
 )
 from .dominated import (
-    DominatedSetResult,
     LoopVertex,
     Star,
     StarDecomposition,
-    Witness,
     dominated_min_degree,
     dominated_pair_min1,
     is_dominated,
     simultaneous_dominated_min_degree,
     star_loop_decomposition,
-    witness_for,
 )
 from .hypergraph import (
     EdgePartition,
@@ -74,7 +71,6 @@ from .traces import (
     contains_trace_naive,
     incremental_trace_check,
     least_third_certificate,
-    trace_from_dominated,
     verify_certificate,
 )
 

@@ -12,8 +12,9 @@ Three constructions live here:
   deterministic conditional-expectation fallback so the size contract holds
   on every call.
 
-Subsets of dominated sets are dominated (witnesses stay valid), which the
-lemma-check pipeline uses to trim results to an exact target size.
+Every operation returns the set itself.  Subsets of dominated sets are
+dominated, which the lemma-check pipeline uses to trim results to an exact
+target size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -29,13 +30,8 @@ from .bounds import epsilon
 from .hypergraph import LoopGraph
 
 
-@dataclass(frozen=True)
-class Witness:
-    kind: str  # "loop" | "neighbor"
-    neighbor: int | None = None
-
-
-LOOP = Witness("loop")
+# random rounds before dominated_min_degree switches to the derandomized one
+_MAX_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -56,20 +52,6 @@ class StarDecomposition:
     components: list[LoopVertex | Star]
 
 
-@dataclass
-class DominatedSetResult:
-    """A dominated set with one validity witness per member.
-
-    For two-graph operations, ``witnesses`` covers the first graph and
-    ``witnesses_y`` the second; single-graph operations leave the latter
-    None.
-    """
-
-    D: frozenset[int]
-    witnesses: dict[int, Witness] = field(default_factory=dict)
-    witnesses_y: dict[int, Witness] | None = None
-
-
 def is_dominated(g: LoopGraph, d: Iterable[int]) -> bool:
     d_set = frozenset(d)
     if not d_set <= g.vertices:
@@ -77,17 +59,6 @@ def is_dominated(g: LoopGraph, d: Iterable[int]) -> bool:
     return all(
         g.loops_at(v) >= 1 or any(u not in d_set for u in g.neighbors(v)) for v in d_set
     )
-
-
-def witness_for(g: LoopGraph, v: int, d: Iterable[int]) -> Witness:
-    """A loop or outside-neighbor witness that v is dominated w.r.t. D."""
-    d_set = frozenset(d)
-    if g.loops_at(v) >= 1:
-        return LOOP
-    outside = sorted(u for u in g.neighbors(v) if u not in d_set)
-    if not outside:
-        raise ValueError(f"vertex {v} is not dominated")
-    return Witness("neighbor", outside[0])
 
 
 def star_loop_decomposition(g: LoopGraph) -> StarDecomposition:
@@ -197,7 +168,7 @@ def _star_union_colouring(verts: list[int], decomps: Iterable[StarDecomposition]
     return colour
 
 
-def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> DominatedSetResult:
+def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> frozenset[int]:
     """A set dominated in both graphs of size >= ceil(|S|/3).
 
     |S| = 3 is special: a non-adjacent pair when the simple-edge union is
@@ -218,32 +189,23 @@ def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> DominatedSetResult:
     reverse peeling order needs 3 colours (Szekeres-Wilf 1968).  A colour
     class misses each member's star partners in both decompositions (its
     center, or all of its leaves), which are neighbors in that graph;
-    looped singletons are their own witness.  The largest class is
+    looped singletons have their loop.  The largest class is
     dominated in both graphs and has >= ceil(|S|/3) members.
     """
     if gx.vertices != gy.vertices:
         raise ValueError("graphs must share a vertex set")
     verts = sorted(gx.vertices)
     if not verts:
-        return DominatedSetResult(frozenset(), {}, {})
+        return frozenset()
     if gx.min_degree() < 1 or gy.min_degree() < 1:
         raise ValueError("both graphs need minimum degree >= 1")
-
-    def finish(d: Iterable[int]) -> DominatedSetResult:
-        d_set = frozenset(d)
-        return DominatedSetResult(
-            d_set,
-            {v: witness_for(gx, v, d_set) for v in sorted(d_set)},
-            {v: witness_for(gy, v, d_set) for v in sorted(d_set)},
-        )
-
     if len(verts) == 3:
         union = gx.simple_edges() | gy.simple_edges()
         if len(union) == 3:
-            return finish({min(verts)})
+            return frozenset({min(verts)})
         for u, v in itertools.combinations(verts, 2):
             if frozenset((u, v)) not in union:
-                return finish({u, v})
+                return frozenset({u, v})
         raise AssertionError("unreachable: fewer than 3 union edges")
 
     dx = star_loop_decomposition(gx)
@@ -252,7 +214,7 @@ def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> DominatedSetResult:
     if len(d) < -(-len(verts) // 3):
         colour = _star_union_colouring(verts, (dx, dy))
         d = max(({v for v in verts if colour[v] == c} for c in range(3)), key=len)
-    return finish(d)
+    return frozenset(d)
 
 
 def _sample_round(g: LoopGraph, p: float, rng: random.Random) -> set[int]:
@@ -313,9 +275,7 @@ def _derandomized_round(g: LoopGraph, p_float: float) -> set[int]:
     }
 
 
-def dominated_min_degree(
-    g: LoopGraph, delta: float, seed: int = 0, max_retries: int = 100
-) -> DominatedSetResult:
+def dominated_min_degree(g: LoopGraph, delta: float, seed: int = 0) -> frozenset[int]:
     """A dominated set of size >= ceil((1 - eps_delta) n), min degree delta.
 
     Samples vertices with the standard inclusion probability and drops the
@@ -327,7 +287,7 @@ def dominated_min_degree(
         raise ValueError(f"delta must be >= 2, got {delta}")
     verts = sorted(g.vertices)
     if not verts:
-        return DominatedSetResult(frozenset(), {})
+        return frozenset()
     if g.min_degree() < delta:
         raise ValueError(f"minimum degree {g.min_degree()} below delta {delta}")
     n = len(verts)
@@ -335,7 +295,7 @@ def dominated_min_degree(
     p = 1.0 - math.log(delta + 1.0) / (delta + 1.0)
     rng = random.Random(seed)
     d: set[int] | None = None
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         attempt = _sample_round(g, p, rng)
         if len(attempt) >= target:
             d = attempt
@@ -343,13 +303,12 @@ def dominated_min_degree(
     if d is None:
         d = _derandomized_round(g, p)
     assert len(d) >= target, "derandomized round must meet the size bound"
-    witnesses = {v: witness_for(g, v, d) for v in sorted(d)}
-    return DominatedSetResult(frozenset(d), witnesses)
+    return frozenset(d)
 
 
 def simultaneous_dominated_min_degree(
-    gx: LoopGraph, gy: LoopGraph, delta: float, seed: int = 0, max_retries: int = 100
-) -> DominatedSetResult:
+    gx: LoopGraph, gy: LoopGraph, delta: float, seed: int = 0
+) -> frozenset[int]:
     """Intersection of per-graph dominated sets: size >= ceil((1-2eps)|S|).
 
     Requires delta >= 14, which keeps eps <= 1/4 and the guarantee positive.
@@ -358,16 +317,9 @@ def simultaneous_dominated_min_degree(
         raise ValueError("graphs must share a vertex set")
     if delta < 14:
         raise ValueError(f"simultaneous domination needs delta >= 14, got {delta}")
-    verts = sorted(gx.vertices)
-    if not verts:
-        return DominatedSetResult(frozenset(), {}, {})
-    rx = dominated_min_degree(gx, delta, seed=seed, max_retries=max_retries)
-    ry = dominated_min_degree(gy, delta, seed=seed + 1, max_retries=max_retries)
-    d = rx.D & ry.D
-    target = math.ceil((1.0 - 2.0 * epsilon(delta)) * len(verts))
+    if not gx.vertices:
+        return frozenset()
+    d = dominated_min_degree(gx, delta, seed=seed) & dominated_min_degree(gy, delta, seed=seed + 1)
+    target = math.ceil((1.0 - 2.0 * epsilon(delta)) * len(gx.vertices))
     assert len(d) >= target, "intersection bound must hold by inclusion-exclusion"
-    return DominatedSetResult(
-        d,
-        {v: rx.witnesses[v] for v in sorted(d)},
-        {v: ry.witnesses[v] for v in sorted(d)},
-    )
+    return d

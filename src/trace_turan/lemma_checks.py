@@ -2,11 +2,14 @@
 per instance, with constructive certificates on violation.
 
 Each check mirrors a constructive argument: whenever the inequality fails,
-the same structure that witnesses the failure feeds the dominated-set
-machinery (or an explicit four-edge assembly in the 4-cycle cases) and is
-converted into a verified TraceCertificate.  On a genuinely trace-free
-input, therefore, every check must pass; a violation on one is reported as
-"certificate search exhausted", never dropped.
+the same structure that witnesses the failure becomes a TraceCertificate.
+There is one builder, ``least_third_certificate``: a set dominated in both
+link graphs picks the leaves, and the builder picks each pattern edge's
+least third outside the core.  Only the 4-cycle cases add explicit
+four-edge assemblies.  Every certificate is verified once, when it is
+attached to its violation.  On a genuinely trace-free input, therefore,
+every check must pass; a violation on one is reported as "certificate
+search exhausted", never dropped.
 
 The checks form one table, ``_CHECKS``, in report order.  A row gives the
 check's name, its premise hypergraph (the residual edges B | C of the
@@ -42,7 +45,6 @@ from .traces import (
     TraceCertificate,
     contains_trace,
     least_third_certificate,
-    trace_from_dominated,
     verify_certificate,
 )
 
@@ -86,11 +88,11 @@ def _cert_via_links(
     ly = link_graph(h, y, s, x)
     if lx.min_degree() < floor or ly.min_degree() < floor:
         return None
-    res = dominate(lx, ly)
-    if len(res.D) >= t:
-        kept = sorted(res.D)[:t]  # a subset of a dominated set stays dominated
-        wx, wy = res.witnesses, res.witnesses_y
-        return trace_from_dominated(h, x, y, s, {v: wx[v] for v in kept}, {v: wy[v] for v in kept})
+    d = dominate(lx, ly)
+    if len(d) >= t:
+        # a subset of a dominated set stays dominated, and a leaf u dominated
+        # in both links has, on each side, a third outside {x, y} | D
+        return least_third_certificate(h, x, y, sorted(d)[:t])
     if len(s) == 3 and t == 2:  # pair_min1 only: the simultaneous set keeps 2 of 3
         return _cert_triangle_links(h, x, y, s)
     return None
@@ -110,7 +112,7 @@ def _cert_triangle_links(h: Hypergraph3, x: int, y: int, s: frozenset[int]) -> T
                 and tuple(sorted((p, o, v))) in h
                 and tuple(sorted((p, o, w))) in h
             ):
-                cert = TraceCertificate(
+                return TraceCertificate(
                     x=o,
                     y=u,
                     D=(v, w),
@@ -121,13 +123,12 @@ def _cert_triangle_links(h: Hypergraph3, x: int, y: int, s: frozenset[int]) -> T
                         ("y", w): tuple(sorted((p, u, w))),
                     },
                 )
-                if verify_certificate(h, cert):
-                    return cert
     return None
 
 
-def _cert_common_neighborhood(hb: Hypergraph3, h: Hypergraph3, x: int, y: int) -> TraceCertificate | None:
-    """4-cycle from eight common neighbors in the residual hypergraph."""
+def _cert_common_neighborhood(hb: Hypergraph3, x: int, y: int) -> TraceCertificate | None:
+    """4-cycle from eight common neighbors in the residual hypergraph; its
+    edges are edges of hb, so it is a certificate for h too."""
     common = hb.shadow_neighbors(x) & hb.shadow_neighbors(y)
     clean = [u for u in sorted(common) if tuple(sorted((x, y, u))) not in hb]
     if len(clean) < 6:
@@ -136,7 +137,7 @@ def _cert_common_neighborhood(hb: Hypergraph3, h: Hypergraph3, x: int, y: int) -
         if tuple(sorted((x, ui, uj))) in hb or tuple(sorted((y, ui, uj))) in hb:
             continue  # ui, uj adjacent in the auxiliary graph
         cert = least_third_certificate(hb, x, y, (ui, uj))
-        if cert is not None and verify_certificate(h, cert):
+        if cert is not None:
             return cert
     return None
 
@@ -154,7 +155,7 @@ def _cert_shell_overlap(hb: Hypergraph3, h: Hypergraph3, v: int) -> TraceCertifi
         b_cands = [b for b in sorted(hb.codegree_thirds(v, w)) if b != u]
         if not (a_cands and b_cands):
             if len(overlap) >= 8:
-                cert = _cert_common_neighborhood(hb, h, min(u, w), max(u, w))
+                cert = _cert_common_neighborhood(hb, min(u, w), max(u, w))
                 if cert is not None:
                     return cert
             continue
@@ -277,7 +278,7 @@ def _common_neighborhood(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, se
     for x, y in itertools.combinations(sorted(n1), 2):
         common = n1[x] & n1[y]
         if len(common) > 7:
-            found.append(((x, y), len(common), 7, _try_build(_cert_common_neighborhood, hb, h, x, y)))
+            found.append(((x, y), len(common), 7, _try_build(_cert_common_neighborhood, hb, x, y)))
     return "bound 7", found
 
 
@@ -290,7 +291,7 @@ def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, see
             _, vw = eu_vu(hb, v, w)
             overlap = vu & vw
             if len(overlap) > 7:
-                cert = _try_build(_cert_common_neighborhood, hb, h, min(u, w), max(u, w))
+                cert = _try_build(_cert_common_neighborhood, hb, min(u, w), max(u, w))
                 if cert is None:
                     cert = _try_build(_cert_shell_overlap, hb, h, v)
                 found.append(((v, u, w), len(overlap), 7, cert))
@@ -305,7 +306,7 @@ def _shell_size_floor(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed:
             _, vu = eu_vu(hb, v, u)
             du = hb.degree(u)
             if len(vu) < du - 16:
-                cert = _try_build(_cert_common_neighborhood, hb, h, min(u, v), max(u, v))
+                cert = _try_build(_cert_common_neighborhood, hb, min(u, v), max(u, v))
                 found.append(((v, u), len(vu), du - 16, cert))
     return "slack 16", found
 

@@ -359,51 +359,3 @@ def contains_trace_naive(h: Hypergraph3, t: int) -> TraceCertificate | None:
                 if assign(0):
                     return TraceCertificate(x, y, d, dict(assignment))
     return None
-
-
-def trace_from_dominated(
-    h: Hypergraph3,
-    x: int,
-    y: int,
-    s,
-    dx_witness: dict[int, "Witness"],
-    dy_witness: dict[int, "Witness"],
-) -> TraceCertificate:
-    """Assemble a trace certificate from a set dominated in both link graphs.
-
-    For each u in D, a loop witness yields an edge {x, u, w} with w outside
-    S (and w != y); a neighbor witness u' in S minus D yields {x, u, u'}.
-    The y side is symmetric.  Invalid witnesses raise ValueError.
-    """
-    s_set = frozenset(s)
-    d = tuple(sorted(dx_witness))
-    if tuple(sorted(dy_witness)) != d:
-        raise ValueError("witness maps must cover the same dominated set")
-    if not set(d) <= s_set or x in s_set or y in s_set or x == y:
-        raise ValueError("dominated set must lie in S, which must avoid x and y")
-    d_set = set(d)
-    assignment: dict[PatternEdge, Triple] = {}
-    for side, pv, witnesses in (("x", x, dx_witness), ("y", y, dy_witness)):
-        other = y if side == "x" else x
-        for u in d:
-            w = witnesses[u]
-            if w.kind == "neighbor":
-                partner = w.neighbor
-                if partner is None or partner not in s_set or partner in d_set:
-                    raise ValueError(f"neighbor witness for {u} must lie in S minus D")
-                if tuple(sorted((pv, u, partner))) not in h:
-                    raise ValueError(f"witness edge {{{pv}, {u}, {partner}}} missing from H")
-            else:
-                outside = sorted(
-                    v
-                    for v in h.codegree_thirds(pv, u)
-                    if v not in s_set and v != other
-                )
-                if not outside:
-                    raise ValueError(f"loop witness for {u} has no supporting edge at {pv}")
-                partner = outside[0]
-            assignment[(side, u)] = tuple(sorted((pv, u, partner)))  # type: ignore[assignment]
-    cert = TraceCertificate(x, y, d, assignment)
-    if not verify_certificate(h, cert):
-        raise ValueError("witnesses do not assemble into a valid certificate")
-    return cert

@@ -26,6 +26,7 @@ from trace_turan import (
     turan_search,
     verify_certificate,
 )
+import trace_turan.dominated as dominated
 from trace_turan.bounds import epsilon_interval
 from trace_turan.lemma_checks import CERTIFIED
 
@@ -169,7 +170,7 @@ def test_criterion_5_numeric_derivation():
     )
 
 
-def test_criterion_6_dominated_set_guarantees():
+def test_criterion_6_dominated_set_guarantees(monkeypatch):
     rng = random.Random(1357924680)
     ok = True
     for _ in range(500):
@@ -177,17 +178,18 @@ def test_criterion_6_dominated_set_guarantees():
         gx = random_loop_graph(n, rng.choice([0.15, 0.3, 0.5]), rng, min_degree=1)
         gy = random_loop_graph(n, rng.choice([0.15, 0.3, 0.5]), rng, min_degree=1)
         r = dominated_pair_min1(gx, gy)
-        ok = ok and len(r.D) >= math.ceil(n / 3)
-        ok = ok and is_dominated(gx, r.D) and is_dominated(gy, r.D)
+        ok = ok and len(r) >= math.ceil(n / 3)
+        ok = ok and is_dominated(gx, r) and is_dominated(gy, r)
     for _ in range(500):
         n = rng.randint(2, 24)
         delta = rng.choice([2, 3, 4, 14])
         g = random_loop_graph(n, 0.45, rng, min_degree=delta)
         r = dominated_min_degree(g, delta, seed=rng.randrange(2**30))
-        ok = ok and len(r.D) >= math.ceil((1 - epsilon(delta)) * n)
-        ok = ok and is_dominated(g, r.D)
+        ok = ok and len(r) >= math.ceil((1 - epsilon(delta)) * n)
+        ok = ok and is_dominated(g, r)
 
     # deterministic-fallback sweep with an all-subsets cross-check
+    monkeypatch.setattr(dominated, "_MAX_RETRIES", 0)
     exhaustive_ok = True
     for n in range(3, 13):
         for delta in (2, 3, 4):
@@ -195,10 +197,10 @@ def test_criterion_6_dominated_set_guarantees():
                 g = random_loop_graph(
                     n, 0.5, random.Random(n * 1000 + delta * 100 + case), min_degree=delta
                 )
-                r = dominated_min_degree(g, delta, seed=0, max_retries=0)
+                r = dominated_min_degree(g, delta, seed=0)
                 target = math.ceil((1 - epsilon(delta)) * n)
-                exhaustive_ok = exhaustive_ok and len(r.D) >= target
-                exhaustive_ok = exhaustive_ok and is_dominated(g, r.D)
+                exhaustive_ok = exhaustive_ok and len(r) >= target
+                exhaustive_ok = exhaustive_ok and is_dominated(g, r)
                 if n <= 10 and case < 3:
                     exhaustive_ok = exhaustive_ok and max_dominated_subset(g) >= target
     report(

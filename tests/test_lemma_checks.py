@@ -105,7 +105,7 @@ def test_common_neighborhood_certificate_skips_leaves_joined_through_the_pair():
     # {0, 2, 3} joins the leaves 2 and 3 through x = 0, so the first pair of
     # the six clean common neighbours is passed over, though it has a trace
     h = Hypergraph3(10, [(0, 2, 3)] + [(p, u, 8 + p) for u in range(2, 8) for p in (0, 1)])
-    cert = lemma_checks._cert_common_neighborhood(h, h, 0, 1)
+    cert = lemma_checks._cert_common_neighborhood(h, 0, 1)
     assert cert is not None and cert.D == (2, 4) and verify_certificate(h, cert)
 
 

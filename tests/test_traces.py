@@ -14,11 +14,11 @@ from trace_turan import (
     contains_trace_naive,
     greedy_lower_bound,
     incremental_trace_check,
+    is_dominated,
     least_third_certificate,
-    trace_from_dominated,
+    link_graph,
     verify_certificate,
 )
-from trace_turan.dominated import LOOP, Witness
 
 from helpers import (
     random_hypergraph,
@@ -260,53 +260,34 @@ def test_greedy_edges_match_full_scan_reference(monkeypatch):
     assert fast == [greedy_lower_bound(9, 2, seed).edges for seed in range(3)]
 
 
-# -- trace_from_dominated ----------------------------------------------------------
+# -- certificates from dominated sets ----------------------------------------------
 
 
-def test_loop_witness_assembly():
-    h = Hypergraph3(6, [(0, 2, 4), (0, 3, 4), (1, 2, 5), (1, 3, 5)])
-    wx = {2: LOOP, 3: LOOP}
-    wy = {2: LOOP, 3: LOOP}
-    cert = trace_from_dominated(h, 0, 1, {2, 3}, wx, wy)
-    assert verify_certificate(h, cert)
+def _subsets(vs, least):
+    return itertools.chain.from_iterable(
+        itertools.combinations(vs, k) for k in range(least, len(vs) + 1)
+    )
 
 
-def test_neighbor_witness_assembly():
-    h = Hypergraph3(7, [(0, 2, 6), (0, 3, 6), (1, 2, 6), (1, 3, 6)])
-    wx = {2: Witness("neighbor", 6), 3: Witness("neighbor", 6)}
-    wy = {2: Witness("neighbor", 6), 3: Witness("neighbor", 6)}
-    cert = trace_from_dominated(h, 0, 1, {2, 3, 6}, wx, wy)
-    assert verify_certificate(h, cert)
-    assert all(6 in e for e in cert.assignment.values())
-
-
-def test_invalid_witness_rejected():
-    h = Hypergraph3(6, [(0, 2, 4), (0, 3, 4), (1, 2, 5), (1, 3, 5)])
-    with pytest.raises(ValueError):
-        trace_from_dominated(h, 0, 1, {2, 3}, {2: LOOP, 3: LOOP}, {2: LOOP, 4: LOOP})
-    with pytest.raises(ValueError):
-        trace_from_dominated(
-            h, 0, 1, {2, 3}, {2: Witness("neighbor", 3), 3: LOOP}, {2: LOOP, 3: LOOP}
-        )
-
-
-def test_randomized_dominated_assembly_always_verifies():
-    # loop witnesses built from fresh outside partners always assemble
-    rng = random.Random(5)
-    for _ in range(50):
-        t = rng.choice([2, 3])
-        d = list(range(2, 2 + t))
-        h = Hypergraph3(2 + t + 2 * t)
-        wx, wy = {}, {}
-        fresh = 2 + t
-        for u in d:
-            h.add_edge((0, u, fresh))
-            h.add_edge((1, u, fresh + 1))
-            wx[u] = LOOP
-            wy[u] = LOOP
-            fresh += 2 if rng.random() < 0.5 else 0
-        cert = trace_from_dominated(h, 0, 1, set(d), wx, wy)
-        assert verify_certificate(h, cert)
+def test_doubly_dominated_sets_give_least_third_certificates():
+    # every D of size >= 2 dominated in both link graphs on S is the leaf set
+    # of a trace whose edges least_third_certificate picks
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(6):
+        n = rng.randint(6, 7)
+        h = random_hypergraph(n, rng.choice([0.3, 0.5, 0.7]), rng)
+        for x, y in itertools.combinations(range(n), 2):
+            rest = [v for v in range(n) if v != x and v != y]
+            for s in _subsets(rest, 2):
+                lx, ly = link_graph(h, x, s, y), link_graph(h, y, s, x)
+                for d in _subsets(s, 2):
+                    if is_dominated(lx, d) and is_dominated(ly, d):
+                        cert = least_third_certificate(h, x, y, d)
+                        assert cert is not None and cert.D == d
+                        assert verify_certificate(h, cert)
+                        checked += 1
+    assert checked > 1000
 
 
 # -- serialization ------------------------------------------------------------------
