@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .hypergraph import Hypergraph3, loads_edge_lines
 from .indexing import all_triples
-from .traces import incremental_trace_check
+from .traces import _t_of, incremental_trace_check
 
 
 class Graph:
@@ -121,8 +121,10 @@ def greedy_lower_bound(n: int, t: int, seed: int = 0, restarts: int = 32) -> Hyp
     """Best maximal trace-free hypergraph over seeded random greedy runs.
 
     Each run inserts the triples in a random order, keeping an edge exactly
-    when the incremental detector finds no trace through it.
+    when the incremental detector finds no trace through it.  t is checked
+    before any triple is tried, so a bad t is refused even when n < 3.
     """
+    t = _t_of(t)
     if restarts < 1:
         raise ValueError("restarts must be positive")
     best: Hypergraph3 | None = None

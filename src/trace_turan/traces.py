@@ -13,9 +13,9 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
-from .hypergraph import FormatError, Hypergraph3, int_tokens
+from .hypergraph import FormatError, Hypergraph3, Pair, int_tokens
 from .indexing import Triple
 
 PatternEdge = tuple[str, int]  # ("x" | "y", leaf vertex)
@@ -26,8 +26,10 @@ class SearchTimeout(Exception):
 
 
 def _t_of(t: int) -> int:
-    """The t of the pattern K_{2,t} (t = 2 is the 4-cycle), checked."""
-    t = int(t)
+    """The t of the pattern K_{2,t} (t = 2 is the 4-cycle), checked: an int
+    of at least 2; 2.9 or "3" is refused, not read as 2 or 3."""
+    if not isinstance(t, int):
+        raise ValueError(f"pattern t must be an integer, got {t!r}")
     if t < 2:
         raise ValueError(f"pattern requires t >= 2, got {t}")
     return t
@@ -113,26 +115,20 @@ def _check_deadline(deadline: float | None) -> None:
 _Candidate = tuple[int, int, AbstractSet[int], AbstractSet[int]]
 
 
-def _pair_sets(h: Hypergraph3, a: int) -> dict[int, AbstractSet[int]]:
-    """The thirds of {a, u} for every shadow neighbour u of a, read live."""
-    thirds = h.pair_index()
-    return {u: thirds[(a, u) if a < u else (u, a)] for u in h.shadow_neighbors(a)}
-
-
 def _leaf_candidates(
-    h: Hypergraph3, a: int, b: int, a_sets: dict[int, AbstractSet[int]], common: AbstractSet[int]
+    thirds: Mapping[Pair, AbstractSet[int]], a: int, b: int, common: AbstractSet[int]
 ) -> list[_Candidate]:
     """The leaf candidates of the pair {a, b}, co-degree descending, then u.
 
-    common is the common shadow neighbourhood of a and b (every other vertex
-    lacks an edge with a or with b) and a_sets is ``_pair_sets(h, a)``.  A
-    candidate u keeps a third of {a, u} other than b and a third of {b, u}
-    other than a; its co-degree is the smaller count of such thirds.
+    thirds is the live pair index ``h.pair_index()`` and common is the common
+    shadow neighbourhood of a and b: every other vertex lacks an edge with a
+    or with b, so it is no leaf.  A candidate u keeps a third of {a, u} other
+    than b and a third of {b, u} other than a; its co-degree is the smaller
+    count of such thirds.
     """
-    thirds = h.pair_index()
     cands = []
     for u in common:
-        sa = a_sets[u]
+        sa = thirds[(a, u) if a < u else (u, a)]
         sb = thirds[(b, u) if b < u else (u, b)]
         na = len(sa) - (b in sa)
         nb = len(sb) - (a in sb)
@@ -143,14 +139,14 @@ def _leaf_candidates(
 
 
 def _leaves_fit(a: int, b: int, leaves: list[_Candidate]) -> bool:
-    """Every leaf keeps a third outside the leaves and the pair on both sides."""
-    block_a = {b}
-    block_b = {a}
+    """Every leaf keeps a third outside the core {a, b} union leaves on both
+    sides.  One core serves both: a third of {a, u} is never a, nor one of
+    {b, u} ever b."""
+    core = {a, b}
     for c in leaves:
-        block_a.add(c[1])
-        block_b.add(c[1])
+        core.add(c[1])
     for _, _, sa, sb in leaves:
-        if sa <= block_a or sb <= block_b:
+        if sa <= core or sb <= core:
             return False
     return True
 
@@ -161,38 +157,56 @@ def _choose_leaves(
     t: int,
     cands: list[_Candidate],
     deadline: float | None,
-    forced: int | None = None,
+    forced: _Candidate | None = None,
 ) -> list[int] | None:
     """The leaves of a trace on the pair {a, b}: t of the candidates, or None.
 
-    A forced leaf must be one of the candidates.  With exactly t candidates
-    the leaf set is forced, and one feasibility test decides it.  Otherwise
-    a depth-first search takes the first feasible set in candidate order.
-    Feasibility only fails more as leaves are added, so both give the same
-    answer.  Each test first checks the deadline, if there is one.
+    forced, if given, is one of the candidates and must be a leaf.  With
+    exactly t candidates the leaf set is forced, and one ``_leaves_fit``
+    test decides it.  Otherwise a depth-first search takes the first
+    feasible set in candidate order.  Feasibility only fails more as leaves
+    are added, so both give the same answer.  The search grows the core
+    {a, b} union leaves in place: a candidate v joins it before its test and
+    leaves it on backtrack.  The chosen leaves fit, as does any single
+    candidate, so only v and the chosen leaves with v among their thirds are
+    tested.  Each test first checks the deadline, if there is one.
     """
     if len(cands) < t:
         return None
     if len(cands) == t:
         _check_deadline(deadline)
         return [c[1] for c in cands] if _leaves_fit(a, b, cands) else None
-    pool = [c for c in cands if c[1] != forced]
-    chosen = [c for c in cands if c[1] == forced]
-
-    def extend(start: int) -> bool:
+    pool = [c for c in cands if c is not forced]
+    chosen, core = ([], {a, b}) if forced is None else ([forced], {a, b, forced[1]})
+    picked: list[int] = []  # the pool index of each leaf taken from the pool
+    need = t - len(chosen)
+    i = 0
+    while need:
+        if i > len(pool) - need:  # too few candidates left: backtrack
+            if not picked:
+                return None
+            i = picked.pop() + 1
+            core.discard(chosen.pop()[1])
+            need += 1
+            continue
         _check_deadline(deadline)
-        if len(chosen) == t:
-            return True
-        if t - len(chosen) > len(pool) - start:
-            return False
-        for i in range(start, len(pool)):
-            chosen.append(pool[i])
-            if _leaves_fit(a, b, chosen) and extend(i + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return [c[1] for c in chosen] if extend(0) else None
+        c = pool[i]
+        _, v, sa, sb = c
+        core.add(v)
+        fits = not (sa <= core or sb <= core)
+        if fits:
+            for _, _, da, db in chosen:
+                if (v in da and da <= core) or (v in db and db <= core):
+                    fits = False
+                    break
+        if fits:
+            chosen.append(c)
+            picked.append(i)
+            need -= 1
+        else:
+            core.discard(v)
+        i += 1
+    return [c[1] for c in chosen]
 
 
 def least_third_certificate(
@@ -228,7 +242,7 @@ def contains_trace(
     Deterministic: pairs (x, y) are scanned in ascending order and leaf
     candidates in descending co-degree order.  Only pairs with a common
     shadow neighbour are scanned; no other pair has a leaf.  The scan is
-    vertex-major: the pair sets of x are read once for all its partners y.
+    vertex-major: each row x takes its partners y > x in ascending order.
     A pair with exactly t candidates has a forced leaf set, decided by one
     feasibility test; only a larger pool is searched.  The certificate is
     ``least_third_certificate`` of the first pair and leaves found.
@@ -246,14 +260,14 @@ def contains_trace(
     if h.n < t + 2:
         return None
     nbrs = h.shadow_neighbors
+    thirds = h.pair_index()
     for x, ys in _pair_rows(h):
         _check_deadline(deadline)
         x_nbrs = nbrs(x)
-        x_sets = _pair_sets(h, x)
         for y in ys:
             common = x_nbrs & nbrs(y)
             if len(common) >= t:
-                cands = _leaf_candidates(h, x, y, x_sets, common)
+                cands = _leaf_candidates(thirds, x, y, common)
                 leaves = _choose_leaves(x, y, t, cands, deadline)
                 if leaves is not None:
                     return least_third_certificate(h, x, y, leaves)
@@ -263,11 +277,13 @@ def contains_trace(
 def incremental_trace_check(
     h: Hypergraph3, new_edge: Triple, t: int
 ) -> TraceCertificate | None:
-    """Trace detection in h + new_edge for trace-free h.
+    """A trace certificate of h + new_edge, or None; h is restored.
 
-    Any trace of the extended hypergraph must route a pattern edge through
-    new_edge, so only pairs meeting new_edge and leaves inside it need to be
-    scanned.  h is restored before returning.
+    A certificate it returns always passes ``verify_certificate`` in
+    h + new_edge.  None means that no trace of h + new_edge uses new_edge,
+    so for a trace-free h it means h + new_edge is trace-free.  A trace that
+    uses new_edge routes a pattern edge through it, so only pairs meeting
+    new_edge, with a leaf inside it, are scanned.
     """
     t = _t_of(t)
     e = tuple(sorted(new_edge))
@@ -279,31 +295,33 @@ def incremental_trace_check(
 
 
 def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate | None:
-    """Search for a trace certificate assuming every trace must involve e.
+    """A trace certificate of h on a pair and leaf that its edge e could
+    serve, or None when no trace of h uses e.
 
     e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
     some q outside e, and u is a leaf adjacent to q in the shadow graph; q
     ranges, ascending, over the shadow neighbours of e's other two vertices.
-    Each pair's leaf candidates are built once and serve both forced leaves.
+    Each pair's leaf candidates are built once, and the vertices of e among
+    them are forced in turn, ascending.  With exactly t candidates the leaf
+    set is the same whichever vertex is forced, so it is tested once.
     """
     if h.n < t + 2:
         return None
     nbrs = h.shadow_neighbors
+    thirds = h.pair_index()
     for p in e:
         others = [u for u in e if u != p]
         p_nbrs = nbrs(p)
-        p_sets = _pair_sets(h, p)
         for q in sorted((nbrs(others[0]) | nbrs(others[1])).difference(e)):
             common = p_nbrs & nbrs(q)
             if len(common) < t:
                 continue
-            cands = _leaf_candidates(h, p, q, p_sets, common)
-            in_cands = [c[1] for c in cands]
-            for u in others:
-                if u in in_cands:
-                    leaves = _choose_leaves(p, q, t, cands, None, forced=u)
-                    if leaves is not None:
-                        return least_third_certificate(h, p, q, leaves)
+            cands = _leaf_candidates(thirds, p, q, common)
+            forced = [c for u in others for c in cands if c[1] == u]
+            for c in forced[:1] if len(cands) == t else forced:
+                leaves = _choose_leaves(p, q, t, cands, None, c)
+                if leaves is not None:
+                    return least_third_certificate(h, p, q, leaves)
     return None
 
 

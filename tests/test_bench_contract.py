@@ -1,9 +1,10 @@
-"""The bench's output contract, from one short traced run of the search workload.
+"""The bench's output contract, from short traced runs of the search and
+construct workloads.
 
 The bench reports through standard output: every line is a JSON object and
 the last one is the result.  A run that exits 0 with any other last line
-reports nothing, so this test runs ``bench/run.py`` as the bench driver
-does and reads its output the same strict way.
+reports nothing, so these tests run ``bench/run.py`` as the bench driver
+does and read its output the same strict way.
 """
 
 import json
@@ -24,9 +25,11 @@ def _is_finite_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def test_traced_search_run_ends_with_a_result_line():
+def _traced_run(workload):
+    """The records of one short traced bench run, read strictly, and the
+    metrics of its last line, which must be a correct result."""
     done = subprocess.run(
-        [sys.executable, str(BENCH_RUN), "--workload", "search", "--seed", "3",
+        [sys.executable, str(BENCH_RUN), "--workload", workload, "--seed", "3",
          "--seconds", "0", "--trace", "1"],
         capture_output=True, text=True, timeout=300,
     )
@@ -40,9 +43,22 @@ def test_traced_search_run_ends_with_a_result_line():
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     assert metrics
     assert all(_is_finite_number(v) for v in metrics.values()), metrics
+    return records, metrics
+
+
+def test_traced_search_run_ends_with_a_result_line():
+    records, metrics = _traced_run("search")
     assert metrics["search.children"] == sum(metrics[k] for k in CHILD_OUTCOMES)
 
     jobs = [r for r in records if "job" in r and "search.children" in r]
     assert jobs
     for job in jobs:
         assert job["search.children"] == sum(job[k] for k in CHILD_OUTCOMES), job
+
+
+def test_traced_construct_run_ends_with_a_result_line():
+    # each incremental check adds and removes the new edge once, and the
+    # greedy run keeps some triples but not all
+    _, metrics = _traced_run("construct")
+    assert metrics["traces.incremental_calls"] == metrics["hypergraph.remove_calls"] > 0
+    assert 0 < metrics["constructions.kept_ratio"] < 1

@@ -248,6 +248,8 @@ def test_bounds_refuses_t_outside_the_domain_of_g(capsys):
         (("bounds", "--t-range", "14:inf"), 2, "refused: "),
         (("bounds", "--t-range=-5:100"), 2, "refused: "),
         (("bounds", "--t-range", "100:14"), 2, "refused: "),
+        (("construct", "greedy", "--n", "2", "--t", "1"), 2, "refused: "),
+        (("construct", "greedy", "--n", "0", "--t", "0"), 2, "refused: "),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):

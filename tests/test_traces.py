@@ -102,6 +102,15 @@ def test_pattern_validation():
         contains_trace(full_hypergraph(4), 1)
 
 
+@pytest.mark.parametrize("t", [2.9, 3.0, "3", None])
+def test_pattern_t_must_be_an_integer(t):
+    # int(2.9) would quietly run t = 2 and return a K_{2,2} certificate
+    with pytest.raises(ValueError, match="integer"):
+        contains_trace(full_hypergraph(5), t)
+    with pytest.raises(ValueError, match="integer"):
+        incremental_trace_check(Hypergraph3(5), (0, 1, 2), t)
+
+
 def test_timeout_is_distinct_from_absent():
     h = full_hypergraph(9)
     with pytest.raises(SearchTimeout):
@@ -258,6 +267,27 @@ def test_greedy_edges_match_full_scan_reference(monkeypatch):
     fast = [greedy_lower_bound(9, 2, seed).edges for seed in range(3)]
     monkeypatch.setattr(constructions, "incremental_trace_check", reference_incremental_trace_check)
     assert fast == [greedy_lower_bound(9, 2, seed).edges for seed in range(3)]
+
+
+def test_greedy_certificates_match_full_scan_reference(monkeypatch):
+    # every check a real greedy run makes, on the state it makes it in
+    import trace_turan.constructions as constructions
+
+    fast = constructions.incremental_trace_check
+    calls = []
+
+    def both(h, e, t):
+        cert = fast(h, e, t)
+        assert _text(cert) == _text(reference_incremental_trace_check(h, e, t)), (h.edges, e, t)
+        calls.append(cert is not None)
+        return cert
+
+    monkeypatch.setattr(constructions, "incremental_trace_check", both)
+    for t in (2, 3):
+        for seed in range(3):
+            greedy_lower_bound(10, t, seed, restarts=2)
+    assert len(calls) == 6 * 2 * 120  # every triple of 10 vertices, each run
+    assert 0 < sum(calls) < len(calls)
 
 
 # -- certificates from dominated sets ----------------------------------------------
