@@ -3,17 +3,13 @@ hypergraphs: detection with certificates, dominated-set algorithms, exact
 small-n extremal search, C4-free constructions, and bound evaluation."""
 
 from .bounds import (
-    BoundReport,
     C4_WINDOW,
     DerivationPoint,
     Interval,
-    default_g,
     derivation_check,
     epsilon,
-    k2t_upper_bound,
     log_grid,
     ratio_table,
-    three_term_upper_bound,
 )
 from .canon import canonical_form, canonical_index_sequence, is_canonical_labeling
 from .constructions import (
@@ -22,7 +18,6 @@ from .constructions import (
     dumps_graph,
     greedy_lower_bound,
     lift_to_trace_free,
-    loads_graph,
     polarity_graph,
 )
 from .dominated import (
@@ -31,7 +26,6 @@ from .dominated import (
     StarDecomposition,
     dominated_min_degree,
     dominated_pair_min1,
-    is_dominated,
     simultaneous_dominated_min_degree,
     star_loop_decomposition,
 )
@@ -56,7 +50,6 @@ from .lemma_checks import (
 )
 from .search import (
     CapExceeded,
-    SearchConfig,
     SearchResult,
     export_cnf,
     trace_templates,

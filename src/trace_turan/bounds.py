@@ -1,17 +1,16 @@
-"""Closed-form bound evaluation and the numeric derivation chain.
+"""Bound expressions and the numeric derivation chain.
 
 Every bound here is a leading term only: the suppressed lower-order
-contribution grows like o(n^{3/2}) with no explicit constant, so reports
-carry an ``excludes_lower_order`` flag and nothing in this module is ever
-asserted against finite-n exact values as an upper bound.
+contribution grows like o(n^{3/2}) with no explicit constant, so nothing in
+this module is ever asserted against finite-n exact values as an upper bound.
 
 Each bound expression -- g(t) = sqrt(t ln t)/7, the main term t^{3/2}/6,
 the single formula (t^{3/2} + 55 t sqrt(ln t))/6 and the three-term
-coefficients -- is written once, over outward-rounded intervals.  The float
-evaluators report the upper end of each term's interval, times n^{3/2}.
-The derivation check certifies on the same intervals that the three-term
-bound at g stays below the single formula across a log grid of t values:
-the inequality chain behind the headline constant.
+coefficients -- is written once, over outward-rounded intervals.  The
+derivation check certifies on those intervals that the three-term bound at
+g stays below the single formula across a log grid of t values: the
+inequality chain behind the headline constant.  The ratio table normalises
+exact or constructed values by n^{3/2} and by the main term.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 def epsilon(delta: float) -> float:
@@ -109,73 +108,18 @@ def _main_term(t: Interval) -> Interval:
     return _SIXTH * t.pow32()
 
 
-def _single_formula(t: Interval) -> tuple[dict[str, Interval], Interval]:
-    """(t^{3/2} + 55 t sqrt(ln t))/6: its two terms and its total."""
+def _single_formula(t: Interval) -> Interval:
+    """(t^{3/2} + 55 t sqrt(ln t))/6."""
     log_term = Interval.point(55.0) * t * t.log().sqrt()
-    return {"main": _main_term(t), "log_term": _SIXTH * log_term}, _SIXTH * (t.pow32() + log_term)
+    return _SIXTH * (t.pow32() + log_term)
 
 
-def _three_term(t: Interval, g: Interval) -> tuple[dict[str, Interval], Interval]:
-    """The sparse, medium and dense coefficients and their total."""
+def _three_term(t: Interval, g: Interval) -> Interval:
+    """The sum of the sparse, medium and dense coefficients."""
     sparse = Interval.point(0.5) * (t - Interval.point(1.0)).sqrt()
     medium = Interval.point(6.0).sqrt() / Interval.point(2.0) * t.pow32() / g
     dense = _SIXTH * (t + Interval.point(5.0) * g * t.log()).pow32()
-    return {"sparse": sparse, "medium": medium, "dense": dense}, sparse + medium + dense
-
-
-def default_g(t: float) -> float:
-    """The g choice sqrt(t ln t)/7 that yields the headline bound."""
-    return _g(Interval.point(float(t))).hi
-
-
-@dataclass
-class BoundReport:
-    """Evaluated bound with its term breakdown and normalized ratios."""
-
-    inputs: dict
-    terms: dict[str, float]
-    total: float
-    ratio_n32: float
-    ratio_main_term: float
-    excludes_lower_order: bool = True
-
-
-def _n32(n: float) -> float:
-    if not 0 < n < math.inf:
-        raise ValueError(f"n must be a finite number > 0, got {n!r}")
-    return n * math.sqrt(n)
-
-
-def _report(inputs: dict, terms: dict[str, Interval], total: Interval) -> BoundReport:
-    """Each coefficient's upper end times n^{3/2}; the ratios are the total's
-    upper end, alone and over the main term's."""
-    n32 = _n32(inputs["n"])
-    main = _main_term(Interval.point(float(inputs["t"]))).hi
-    scaled = {name: term.hi * n32 for name, term in terms.items()}
-    return BoundReport(inputs, scaled, total.hi * n32, total.hi, total.hi / main)
-
-
-def k2t_upper_bound(n: float, t: int) -> BoundReport:
-    """Leading term (1/6)(t^{3/2} + 55 t sqrt(ln t)) n^{3/2}, for t >= 14."""
-    if t < 14:
-        raise ValueError(f"bound holds for t >= 14, got {t}")
-    return _report({"n": n, "t": t}, *_single_formula(Interval.point(float(t))))
-
-
-def three_term_upper_bound(n: float, t: int, g: Callable[[float], float]) -> BoundReport:
-    """Sum of the sparse/medium/dense contributions for an admissible g.
-
-    g must satisfy 14 <= t/g(t) <= t; the error message names the violated
-    side.
-    """
-    gt = g(t)
-    ratio = t / gt
-    if ratio < 14:
-        raise ValueError(f"t/g(t) = {ratio:.4f} violates the lower bound 14")
-    if ratio > t:
-        raise ValueError(f"t/g(t) = {ratio:.4f} violates the upper bound t = {t}")
-    inputs = {"n": n, "t": t, "g(t)": gt, "t/g(t)": ratio}
-    return _report(inputs, *_three_term(Interval.point(float(t)), Interval.point(gt)))
+    return sparse + medium + dense
 
 
 def epsilon_interval(delta: float) -> Interval:
@@ -218,9 +162,9 @@ def log_grid(lo: float = 14.0, hi: float = 1e6, points: int = 1000) -> list[int]
 def derivation_check(t_values: Iterable[int] | None = None) -> list[DerivationPoint]:
     """Certify three_term(g = sqrt(t ln t)/7) <= single-formula bound per t.
 
-    Compares the interval expressions the float evaluators read, so a True
-    verdict is a rigorous inequality, not a float coincidence.  The common
-    n^{3/2} factor cancels; the comparison is between coefficient intervals.
+    Compares outward-rounded interval expressions, so a True verdict is a
+    rigorous inequality, not a float coincidence.  The common n^{3/2}
+    factor cancels; the comparison is between coefficient intervals.
     """
     out = []
     for t in t_values if t_values is not None else log_grid():
@@ -231,8 +175,8 @@ def derivation_check(t_values: Iterable[int] | None = None) -> list[DerivationPo
         # below still holds with slack there.
         if (ti / g).lo < 14.0:
             raise ValueError(f"t/g(t) dips below 14 at t={t}")
-        lhs = _three_term(ti, g)[1]
-        rhs = _single_formula(ti)[1]
+        lhs = _three_term(ti, g)
+        rhs = _single_formula(ti)
         out.append(DerivationPoint(t, lhs.hi, rhs.lo, lhs.hi <= rhs.lo))
     return out
 
@@ -242,25 +186,25 @@ def derivation_check(t_values: Iterable[int] | None = None) -> list[DerivationPo
 C4_WINDOW = (0.5, 5.0 / 6.0)
 
 
-def ratio_table(rows: Iterable) -> str:
+def _n32(n: float) -> float:
+    if not 0 < n < math.inf:
+        raise ValueError(f"n must be a finite number > 0, got {n!r}")
+    return n * math.sqrt(n)
+
+
+def ratio_table(rows: Iterable[tuple[int, int, int]]) -> str:
     """CSV of exact/constructed values normalized by n^{3/2} scales.
 
-    Accepts objects with n/t/value attributes, dicts, or (n, t, value)
-    tuples.  For t = 2 the asymptotic window [1/2, 5/6] is attached for
-    reference only; finite-n values may legitimately fall outside it.
+    Rows are (n, t, value) tuples.  For t = 2 the asymptotic window
+    [1/2, 5/6] is attached for reference only; finite-n values may
+    legitimately fall outside it.
     """
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
         ["n", "t", "value", "value/n^1.5", "value/(t^1.5 n^1.5 / 6)", "window_lo", "window_hi"]
     )
-    for row in rows:
-        if isinstance(row, dict):
-            n, t, value = row["n"], row["t"], row["value"]
-        elif isinstance(row, tuple):
-            n, t, value = row[:3]
-        else:
-            n, t, value = row.n, row.t, row.value
+    for n, t, value in rows:
         r1 = value / _n32(n)
         r2 = value / (_main_term(Interval.point(float(t))).hi * _n32(n))
         window = C4_WINDOW if t == 2 else ("", "")

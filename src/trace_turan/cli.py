@@ -17,7 +17,7 @@ from .bounds import derivation_check, log_grid
 from .constructions import dumps_graph, greedy_lower_bound, lift_to_trace_free, polarity_graph
 from .hypergraph import FormatError, dumps_hypergraph, read_hypergraph
 from .lemma_checks import EXHAUSTED, lemma_status_report
-from .search import SearchConfig, turan_oracle, turan_search
+from .search import turan_oracle, turan_search
 from .traces import SearchTimeout, contains_trace
 
 DEFAULT_SEED = 20240901
@@ -35,7 +35,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.oracle:
         result = turan_oracle(args.n, args.t)
     else:
-        result = turan_search(args.n, args.t, SearchConfig(max_n=args.cap))
+        result = turan_search(args.n, args.t)
     if args.format == "json-lines":
         payload = {
             "n": result.n,
@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="use the enumeration oracle (n <= 6)")
-    p.add_argument("--cap", type=int, default=12, help="refusal cap for the search")
     p.add_argument("--format", choices=("csv", "text", "json-lines"), default="csv")
     p.add_argument("--output")
 

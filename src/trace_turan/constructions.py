@@ -15,7 +15,7 @@ import itertools
 import random
 from typing import Iterable
 
-from .hypergraph import Hypergraph3, loads_edge_lines
+from .hypergraph import Hypergraph3
 from .indexing import all_triples
 from .traces import _t_of, incremental_trace_check
 
@@ -149,13 +149,3 @@ def dumps_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
-    if g.has_edge(*edge):
-        raise ValueError(f"duplicate edge {edge}")
-    g.add_edge(*edge)
-
-
-def loads_graph(text: str) -> Graph:
-    return loads_edge_lines(text, 2, Graph, _add_new_edge)

@@ -52,15 +52,6 @@ class StarDecomposition:
     components: list[LoopVertex | Star]
 
 
-def is_dominated(g: LoopGraph, d: Iterable[int]) -> bool:
-    d_set = frozenset(d)
-    if not d_set <= g.vertices:
-        raise ValueError("D must be a subset of the vertex set")
-    return all(
-        g.loops_at(v) >= 1 or any(u not in d_set for u in g.neighbors(v)) for v in d_set
-    )
-
-
 def star_loop_decomposition(g: LoopGraph) -> StarDecomposition:
     """Greedy spanning decomposition for graphs of minimum degree >= 1.
 

@@ -43,6 +43,7 @@ from .dominated import dominated_pair_min1, simultaneous_dominated_min_degree
 from .hypergraph import Hypergraph3, link_graph, neighborhoods, eu_vu, partition_edges
 from .traces import (
     TraceCertificate,
+    _t_of,
     contains_trace,
     least_third_certificate,
     verify_certificate,
@@ -342,10 +343,7 @@ def lemma_status_report(
     h: Hypergraph3, t: int, delta: int = 14, seed: int = 0
 ) -> list[CheckStatus]:
     """Run every structural check; one status entry per check, in table order."""
-    if t < 2:
-        raise ValueError(f"t must be >= 2, got {t}")
-    if delta < 2:
-        raise ValueError(f"delta must be >= 2, got {delta}")
+    t = _t_of(t)
     part = partition_edges(h, delta)
     premises = {
         "residual": Hypergraph3(h.n, sorted(part.B | part.C)),

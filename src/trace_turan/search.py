@@ -10,7 +10,7 @@ Two independent routes to the same number:
   non-canonical children and pruning with the incremental trace check of
   ``traces`` (``_trace_through_edge``), which only looks for traces through
   the new edge (sound because the parent is trace-free); the search adds
-  and removes each child edge itself.
+  and removes each child edge itself, capped at n <= 12.
 
 ``export_cnf`` emits a DIMACS formula satisfiable iff a trace-free
 hypergraph with the requested edge count exists, for external cross-checks
@@ -26,11 +26,11 @@ from dataclasses import dataclass
 from .canon import canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
 from .indexing import all_triples, triple_index
-from .traces import _t_of, _trace_through_edge, contains_trace
+from .traces import _t_of, _trace_through_edge
 
 
 class CapExceeded(ValueError):
-    """Requested size is beyond the configured exact-computation cap."""
+    """Requested size is beyond a fixed exact-computation cap."""
 
 
 @dataclass
@@ -48,12 +48,6 @@ class SearchResult:
 
 # both routes keep at most this many witness classes
 WITNESS_CAP = 100
-
-
-@dataclass
-class SearchConfig:
-    max_n: int = 12
-    initial_lower_bound: Hypergraph3 | int | None = None
 
 
 def trace_templates(n: int, t: int) -> list[frozenset[int]]:
@@ -95,6 +89,7 @@ def _templates_by_edge(n: int, t: int) -> tuple[int, list[list[int]]]:
 
 
 ORACLE_CAP = 6
+SEARCH_CAP = 12
 
 
 def turan_oracle(n: int, t: int) -> SearchResult:
@@ -146,20 +141,17 @@ def turan_oracle(n: int, t: int) -> SearchResult:
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
 
-def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchResult:
-    """Exact maximum by isomorph-free orderly generation.
+def turan_search(n: int, t: int) -> SearchResult:
+    """Exact maximum by isomorph-free orderly generation, for n <= 12.
 
     Every canonically-labeled trace-free hypergraph is reachable from the
     empty one by adding its colex-largest edge last, so extending canonical
     states by strictly larger edges and keeping only canonical children
-    visits each isomorphism class exactly once.  ``initial_lower_bound``
-    must be achievable: a hypergraph bound with a trace, or a bound that no
-    trace-free hypergraph reaches, raises ValueError.
+    visits each isomorphism class exactly once.
     """
     t = _t_of(t)
-    cfg = config or SearchConfig()
-    if n > cfg.max_n:
-        raise CapExceeded(f"search capped at n <= {cfg.max_n}, got n={n}")
+    if n > SEARCH_CAP:
+        raise CapExceeded(f"search capped at n <= {SEARCH_CAP}, got n={n}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     start = time.perf_counter()
@@ -168,17 +160,6 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
 
     best = -1
     witnesses: list[Hypergraph3] = []
-    if cfg.initial_lower_bound is not None:
-        lb = cfg.initial_lower_bound
-        if isinstance(lb, Hypergraph3):
-            if lb.n != n:
-                raise ValueError("initial lower bound must live on the same vertex count")
-            if contains_trace(lb, t) is not None:
-                raise ValueError(f"initial lower bound contains a K_{{2,{t}}} trace")
-            lb = lb.edge_count
-        # one below the known-achievable value, so every extremal class is
-        # still enumerated while smaller states prune away
-        best = lb - 1
     nodes = 0
     h = Hypergraph3(n)
 
@@ -203,11 +184,6 @@ def turan_search(n: int, t: int, config: SearchConfig | None = None) -> SearchRe
             h.remove_edge(e)
 
     rec(-1)
-    if not witnesses:
-        raise ValueError(
-            f"initial lower bound {best + 1} is not achievable: no K_{{2,{t}}}-trace-free "
-            f"hypergraph on {n} vertices has that many edges"
-        )
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
 

@@ -7,7 +7,9 @@ that scans every pair and every leaf, shells N1/N2 and E_u/V_u by a frozen
 copy of the earlier scan over a sorted, re-validated edge list, 4-cycles are
 found by scanning 4-subsets, dominated sets by scanning all subsets, and the
 DIMACS formulas are decided by a tiny DPLL with unit propagation.  The edge
-partition and the link graphs are checked against their defining properties.
+partition, the link graphs and dominated sets are checked against their
+defining properties.  The one exception is ``loads_graph``: no command reads
+a graph file, so the graph reader lives here, on the library's line parser.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from trace_turan import (
     link_graph,
     polarity_graph,
 )
-from trace_turan.hypergraph import _as_triple
+from trace_turan.hypergraph import _as_triple, loads_edge_lines
 from trace_turan.indexing import Triple, edge_indices
 
 
@@ -341,6 +343,16 @@ def validate_partition(p: EdgePartition, h: Hypergraph3) -> None:
             assert e in p.C
 
 
+def is_dominated(g: LoopGraph, d: Iterable[int]) -> bool:
+    """Every member of D has a loop or a neighbour outside D."""
+    d_set = frozenset(d)
+    if not d_set <= g.vertices:
+        raise ValueError("D must be a subset of the vertex set")
+    return all(
+        g.loops_at(v) >= 1 or any(u not in d_set for u in g.neighbors(v)) for v in d_set
+    )
+
+
 @dataclass
 class DegreeInequalityReport:
     """Outcome of checking d_L(u) >= d_H(x, u) - 1 over a link graph."""
@@ -365,6 +377,17 @@ def verify_degree_inequality(h: Hypergraph3, x: int, s: Iterable[int], y: int) -
     return DegreeInequalityReport(not failures, failures)
 
 
+def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
+    if g.has_edge(*edge):
+        raise ValueError(f"duplicate edge {edge}")
+    g.add_edge(*edge)
+
+
+def loads_graph(text: str) -> Graph:
+    """Read the graph text format that ``dumps_graph`` writes."""
+    return loads_edge_lines(text, 2, Graph, _add_new_edge)
+
+
 def four_subset_has_c4(g: Graph) -> bool:
     """4-cycle detection by enumerating vertex 4-subsets and pairings."""
     for quad in itertools.combinations(range(g.n), 4):
@@ -386,13 +409,7 @@ def max_dominated_subset(g: LoopGraph) -> int:
     best = 0
     for mask in range(1 << len(verts)):
         d = [verts[i] for i in range(len(verts)) if mask >> i & 1]
-        if len(d) <= best:
-            continue
-        d_set = set(d)
-        if all(
-            g.loops_at(v) >= 1 or any(u not in d_set for u in g.neighbors(v))
-            for v in d
-        ):
+        if len(d) > best and is_dominated(g, d):
             best = len(d)
     return best
 

@@ -18,7 +18,6 @@ from trace_turan import (
     derivation_check,
     epsilon,
     export_cnf,
-    is_dominated,
     lemma_status_report,
     lift_to_trace_free,
     log_grid,
@@ -33,6 +32,7 @@ from trace_turan.lemma_checks import CERTIFIED
 from helpers import (
     dpll_satisfiable,
     four_subset_has_c4,
+    is_dominated,
     max_dominated_subset,
     parse_dimacs,
     random_hypergraph,

@@ -1,19 +1,10 @@
-"""Formula evaluator and interval derivation tests."""
+"""Bound expression, interval derivation and ratio table tests."""
 
 import math
 
 import pytest
 
-from trace_turan import (
-    Interval,
-    default_g,
-    derivation_check,
-    epsilon,
-    k2t_upper_bound,
-    log_grid,
-    ratio_table,
-    three_term_upper_bound,
-)
+from trace_turan import Interval, derivation_check, epsilon, log_grid, ratio_table
 from trace_turan.bounds import _g, _single_formula, _three_term, epsilon_interval
 
 REL = 1e-9
@@ -42,49 +33,15 @@ def test_epsilon_interval_contains_float_value():
     assert iv.hi <= 0.25
 
 
-def test_k2t_upper_bound_terms():
-    n, t = 10**4, 14
-    rep = k2t_upper_bound(n, t)
-    n32 = n * math.sqrt(n)
-    assert rep.terms["main"] == pytest.approx(t**1.5 / 6 * n32, rel=REL)
-    assert rep.terms["log_term"] == pytest.approx(55 * t * math.sqrt(math.log(t)) / 6 * n32, rel=REL)
-    assert rep.ratio_main_term == pytest.approx(1 + 55 / (math.sqrt(t) / math.sqrt(math.log(t))) , rel=REL)
-    assert rep.excludes_lower_order
-
-
-def test_k2t_upper_bound_boundary_and_refusal():
-    k2t_upper_bound(100, 14)
-    with pytest.raises(ValueError):
-        k2t_upper_bound(100, 13)
-
-
-def test_k2t_ratio_decreases_toward_one():
-    ratios = [k2t_upper_bound(100, t).ratio_main_term for t in (10**2, 10**4, 10**6, 10**8, 10**12)]
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] < 1.001
-
-
-def test_three_term_with_default_g():
-    n, t = 1000, 196
-    rep = three_term_upper_bound(n, t, default_g)
-    gt = default_g(t)
-    n32 = n * math.sqrt(n)
-    assert rep.terms["sparse"] == pytest.approx(0.5 * math.sqrt(t - 1) * n32, rel=REL)
-    assert rep.terms["medium"] == pytest.approx(math.sqrt(6) / 2 * t**1.5 / gt * n32, rel=REL)
-    assert rep.terms["dense"] == pytest.approx((t + 5 * gt * math.log(t)) ** 1.5 / 6 * n32, rel=REL)
-
-
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda: k2t_upper_bound(0, 14),
-        lambda: k2t_upper_bound(-5, 14),
-        lambda: k2t_upper_bound(float("nan"), 14),
-        lambda: k2t_upper_bound(float("inf"), 14),
-        lambda: three_term_upper_bound(0, 196, default_g),
         lambda: ratio_table([(0, 2, 0)]),
+        lambda: ratio_table([(-5, 2, 0)]),
+        lambda: ratio_table([(float("nan"), 2, 0)]),
+        lambda: ratio_table([(float("inf"), 2, 0)]),
     ],
-    ids=["k2t-0", "k2t-negative", "k2t-nan", "k2t-inf", "three-term-0", "ratio-table-0"],
+    ids=["ratio-table-0", "ratio-table-negative", "ratio-table-nan", "ratio-table-inf"],
 )
 def test_bound_evaluators_refuse_degenerate_n(evaluate):
     with pytest.raises(ValueError, match="finite number > 0"):
@@ -92,36 +49,12 @@ def test_bound_evaluators_refuse_degenerate_n(evaluate):
 
 
 def test_float_evaluators_read_the_derivation_intervals():
+    # the derivation check reports the ends of the very interval expressions
     for t in log_grid(14, 10**12, 400):
         ti = Interval.point(float(t))
-        g = _g(ti)
-        assert default_g(t) == g.hi
-        terms, total = _single_formula(ti)
-        rep = k2t_upper_bound(1, t)
-        assert rep.terms == {name: term.hi for name, term in terms.items()}
-        assert rep.total == total.hi
         (point,) = derivation_check([t])
-        assert point.rhs_lo == total.lo
-        terms, total = _three_term(ti, g)
-        assert point.lhs_hi == total.hi
-        if t / default_g(t) <= t:  # the float evaluator's upper domain side
-            rep = three_term_upper_bound(1, t, default_g)
-            assert all(terms[name].lo <= value <= terms[name].hi for name, value in rep.terms.items())
-            assert total.lo <= rep.total <= total.hi
-
-
-def test_three_term_domain_messages():
-    with pytest.raises(ValueError, match="lower"):
-        three_term_upper_bound(10, 100, lambda t: t)  # t/g = 1 < 14
-    with pytest.raises(ValueError, match="upper"):
-        three_term_upper_bound(10, 100, lambda t: 1 / 200)  # t/g = 20000 > t
-
-
-def test_three_term_vs_single_formula_on_valid_domain():
-    for t in (20, 100, 10**4, 10**6):
-        lhs = three_term_upper_bound(7, t, default_g).total
-        rhs = k2t_upper_bound(7, t).total
-        assert lhs <= rhs
+        assert point.rhs_lo == _single_formula(ti).lo
+        assert point.lhs_hi == _three_term(ti, _g(ti)).hi
 
 
 def test_quadratic_root_identity_at_codegree_ceiling():
@@ -177,7 +110,3 @@ def test_ratio_table_polarity_lift_row():
 def test_ratio_table_empty_is_header_only():
     assert len(ratio_table([]).strip().splitlines()) == 1
 
-
-def test_ratio_table_accepts_objects(search_table):
-    table = ratio_table([search_table[(4, 2)]])
-    assert "4,2,4," in table

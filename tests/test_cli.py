@@ -215,15 +215,14 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_search_takes_no_seed():
+@pytest.mark.parametrize(
+    "flag",
+    [["--seed", "1"], ["--witness-cap", "5"], ["--cap", "13"]],
+    ids=["seed", "witness-cap", "cap"],
+)
+def test_search_takes_no_such_flag(flag):
     with pytest.raises(SystemExit) as exc:
-        main(["search", "--n", "4", "--t", "2", "--seed", "1"])
-    assert exc.value.code == 2
-
-
-def test_search_takes_no_witness_cap():
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--n", "4", "--t", "2", "--witness-cap", "5"])
+        main(["search", "--n", "4", "--t", "2", *flag])
     assert exc.value.code == 2
 
 

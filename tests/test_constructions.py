@@ -12,11 +12,10 @@ from trace_turan import (
     dumps_graph,
     greedy_lower_bound,
     lift_to_trace_free,
-    loads_graph,
     polarity_graph,
 )
 
-from helpers import four_subset_has_c4
+from helpers import four_subset_has_c4, loads_graph
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

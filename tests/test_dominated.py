@@ -13,14 +13,13 @@ from trace_turan import (
     dominated_min_degree,
     dominated_pair_min1,
     epsilon,
-    is_dominated,
     simultaneous_dominated_min_degree,
     star_loop_decomposition,
 )
 import trace_turan.dominated as dominated
 from trace_turan.dominated import _star_union_colouring
 
-from helpers import max_dominated_subset, random_loop_graph
+from helpers import is_dominated, max_dominated_subset, random_loop_graph
 
 
 def triangle():

@@ -161,6 +161,10 @@ def test_small_delta_marks_core_checks_vacuous():
 def test_input_validation():
     with pytest.raises(ValueError):
         lemma_status_report(Hypergraph3(4), 1, 14)
+    k7 = Hypergraph3(7, itertools.combinations(range(7), 3))
+    for t in (1, 2.5, 3.0):
+        with pytest.raises(ValueError, match="pattern"):
+            lemma_status_report(k7, t, 14)
     with pytest.raises(ValueError):
         lemma_status_report(Hypergraph3(4), 2, 1)
 

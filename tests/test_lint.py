@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every library module reads what it imports."""
+"""Source checks that need no linter: every library module reads what it
+imports, and every private module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,55 @@ def test_unused_import_finder_sees_leftovers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_library_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The ``_name``s a module binds at top level by def, class or assignment."""
+    bound = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted(n for n in bound if n.startswith("_") and not n.startswith("__"))
+
+
+def read_names(source: str) -> set[str]:
+    """Every name a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+PACKAGE_READS = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")))
+
+
+def test_private_finder_sees_leftovers():
+    source = (
+        "import math\n"
+        "_CAP = 6\n"
+        "_UNUSED: int = 1\n"
+        "def _report(x):\n"
+        "    return math.sqrt(x) + _CAP\n"
+        "class _Row:\n"
+        "    pass\n"
+    )
+    assert private_definitions(source) == ["_CAP", "_Row", "_UNUSED", "_report"]
+    assert [n for n in private_definitions(source) if n not in read_names(source)] == [
+        "_Row",
+        "_UNUSED",
+        "_report",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_module_private_names_are_read(path):
+    defined = private_definitions(path.read_text(encoding="utf-8"))
+    assert [name for name in defined if name not in PACKAGE_READS] == []

@@ -9,7 +9,6 @@ import pytest
 from trace_turan import (
     CapExceeded,
     Hypergraph3,
-    SearchConfig,
     canonical_form,
     contains_trace,
     contains_trace_naive,
@@ -121,36 +120,6 @@ def test_search_n7_regression(search_table):
 def test_search_refuses_beyond_cap():
     with pytest.raises(CapExceeded):
         turan_search(40, 2)
-    with pytest.raises(CapExceeded):
-        turan_search(7, 2, SearchConfig(max_n=6))
-
-
-def test_search_lower_bound_pruning_preserves_value(search_table):
-    ref = search_table[(5, 2)]
-    primed = turan_search(5, 2, SearchConfig(initial_lower_bound=ref.value))
-    assert primed.value == ref.value
-    assert primed.witnesses and primed.nodes_explored <= ref.nodes_explored
-
-
-def test_search_lower_bound_accepts_hypergraph(search_table):
-    witness = search_table[(5, 2)].witnesses[0]
-    primed = turan_search(5, 2, SearchConfig(initial_lower_bound=witness))
-    assert primed.value == witness.edge_count
-
-
-def test_search_refuses_unachievable_lower_bound(search_table):
-    # ex(5, 2) = 6: a bound of 7 still finds the 6-edge witnesses, while
-    # no trace-free hypergraph reaches 10
-    value = search_table[(5, 2)].value
-    assert turan_search(5, 2, SearchConfig(initial_lower_bound=value + 1)).witnesses
-    with pytest.raises(ValueError, match="not achievable"):
-        turan_search(5, 2, SearchConfig(initial_lower_bound=10))
-
-
-def test_search_refuses_lower_bound_with_a_trace():
-    complete = Hypergraph3(5, itertools.combinations(range(5), 3))
-    with pytest.raises(ValueError, match=r"contains a K_\{2,2\} trace"):
-        turan_search(5, 2, SearchConfig(initial_lower_bound=complete))
 
 
 def test_monotone_in_n_and_t(search_table):

@@ -15,9 +15,10 @@ from trace_turan import (
     certificate_from_text,
     dumps_graph,
     dumps_hypergraph,
-    loads_graph,
     loads_hypergraph,
 )
+
+from helpers import loads_graph
 
 READERS = (loads_hypergraph, loads_graph, certificate_from_text)
 

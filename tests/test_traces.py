@@ -14,13 +14,13 @@ from trace_turan import (
     contains_trace_naive,
     greedy_lower_bound,
     incremental_trace_check,
-    is_dominated,
     least_third_certificate,
     link_graph,
     verify_certificate,
 )
 
 from helpers import (
+    is_dominated,
     random_hypergraph,
     relabelled_lift,
     reference_contains_trace,
