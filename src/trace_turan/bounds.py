@@ -142,18 +142,21 @@ def log_grid(lo: float = 14.0, hi: float = 1e6, points: int = 1000) -> list[int]
 
     Oversamples until rounding collisions no longer shrink the grid below
     the requested size (or the integer range is exhausted).  Needs
-    0 < lo <= hi < inf and points >= 2; raises ValueError otherwise.
+    0 < lo <= hi < inf with an integer in [lo, hi], and points >= 2;
+    raises ValueError otherwise.
     """
     if not 0 < lo <= hi < math.inf:
         raise ValueError(f"t range needs 0 < lo <= hi < inf, got {lo}:{hi}")
     if points < 2:
         raise ValueError(f"a log grid needs at least 2 points, got {points}")
-    floor_lo, ceil_hi = int(math.ceil(lo)), int(hi)
-    available = ceil_hi - floor_lo + 1
+    ceil_lo, floor_hi = math.ceil(lo), math.floor(hi)
+    if ceil_lo > floor_hi:
+        raise ValueError(f"no integer t in {lo}:{hi}")
+    available = floor_hi - ceil_lo + 1
     m = points
     while True:
         raw = (lo * (hi / lo) ** (i / (m - 1)) for i in range(m))
-        grid = sorted({min(max(int(round(x)), floor_lo), ceil_hi) for x in raw})
+        grid = sorted({min(max(int(round(x)), ceil_lo), floor_hi) for x in raw})
         if len(grid) >= min(points, available):
             return grid
         m = m * 13 // 10 + 1

@@ -4,13 +4,17 @@ Two independent routes to the same number:
 
 * ``turan_oracle`` -- subset enumeration over all triples in colex order
   against a precomputed table of minimal trace configurations (bitmask
-  inclusion tests), capped at n <= 6;
-* ``turan_search`` -- orderly generation: grow canonically-labeled
-  trace-free hypergraphs one colex-larger edge at a time, rejecting
-  non-canonical children and pruning with the incremental trace check of
-  ``traces`` (``_trace_through_edge``), which only looks for traces through
-  the new edge (sound because the parent is trace-free); the search adds
-  and removes each child edge itself, capped at n <= 12.
+  inclusion tests), capped at n <= 6.  It canonicalizes only the masks it
+  keeps as witnesses, in order at the end, not every interim best;
+* ``turan_search`` -- orderly generation (Read 1978): grow
+  canonically-labeled trace-free hypergraphs one colex-larger edge at a
+  time, rejecting non-canonical children and pruning with the incremental
+  trace check of ``traces`` (``_trace_through_edge``), which only looks for
+  traces through the new edge (sound because the parent is trace-free);
+  the search adds and removes each child edge itself, capped at n <= 12.
+  Traces are monotone under adding edges, so a child edge found trace-free
+  below a sibling is trace-free at the parent too, and the parent skips
+  the check for it.
 
 ``export_cnf`` emits a DIMACS formula satisfiable iff a trace-free
 hypergraph with the requested edge count exists, for external cross-checks
@@ -95,6 +99,13 @@ SEARCH_CAP = 12
 def turan_oracle(n: int, t: int) -> SearchResult:
     """Ground-truth maximum edge count by pruned subset enumeration.
 
+    The masks reached at the current best are kept as they come and
+    canonicalized in order at the end, so an interim best that a larger one
+    replaces costs no canonical form.  They are canonicalized earlier only
+    once they could hold ``WITNESS_CAP`` classes, which is when the cap
+    prune needs the exact class count; it then fires exactly where it would
+    if every mask were canonicalized on arrival.
+
     Refuses n > 6 outright rather than degrading into an open-ended run.
     """
     t = _t_of(t)
@@ -106,17 +117,27 @@ def turan_oracle(n: int, t: int) -> SearchResult:
     total, by_edge = _templates_by_edge(n, t)
     nodes = 0
     best = -1
-    witness_forms: dict[bytes, int] = {}
+    witness_forms: dict[bytes, int] = {}  # first mask of each class, in order
+    pending: list[int] = []  # masks at best not yet canonicalized
     triples = all_triples(n)
 
+    def to_graph(mask: int) -> Hypergraph3:
+        return Hypergraph3(n, [triples[i] for i in range(total) if mask >> i & 1])
+
+    def canonicalize_pending() -> None:
+        for mask in pending:
+            witness_forms.setdefault(canonical_form(to_graph(mask)), mask)
+        pending.clear()
+
     def record(mask: int, m: int) -> None:
-        nonlocal best, witness_forms
+        nonlocal best
         if m > best:
             best = m
-            witness_forms = {}
-        if m == best and len(witness_forms) < WITNESS_CAP:
-            h = Hypergraph3(n, [triples[i] for i in range(total) if mask >> i & 1])
-            witness_forms.setdefault(canonical_form(h), mask)
+            witness_forms.clear()
+            pending.clear()
+        pending.append(mask)
+        if len(witness_forms) + len(pending) >= WITNESS_CAP:
+            canonicalize_pending()
 
     def rec(idx: int, mask: int, m: int) -> None:
         nonlocal nodes
@@ -128,16 +149,17 @@ def turan_oracle(n: int, t: int) -> SearchResult:
         if idx == total:
             record(mask, m)
             return
-        new_mask = mask | (1 << idx)
-        if not any(res & ~mask == 0 for res in by_edge[idx]):
-            rec(idx + 1, new_mask, m + 1)
+        rest = ~mask
+        for res in by_edge[idx]:
+            if not res & rest:
+                break
+        else:
+            rec(idx + 1, mask | (1 << idx), m + 1)
         rec(idx + 1, mask, m)
 
     rec(0, 0, 0)
-    witnesses = [
-        Hypergraph3(n, [triples[i] for i in range(total) if mask >> i & 1])
-        for mask in witness_forms.values()
-    ]
+    canonicalize_pending()
+    witnesses = [to_graph(mask) for mask in witness_forms.values()]
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
 
@@ -148,6 +170,13 @@ def turan_search(n: int, t: int) -> SearchResult:
     empty one by adding its colex-largest edge last, so extending canonical
     states by strictly larger edges and keeping only canonical children
     visits each isomorphism class exactly once.
+
+    Each node returns the child edges its subtree proved trace-free.  If
+    h + f + ... + e is trace-free, so is its subgraph h + e, so a node
+    skips the trace check for any later child e that an earlier child's
+    subtree returned.  That child is still added, tested for canonicity
+    and recursed into in the same order, so nodes and witnesses do not
+    change.
     """
     t = _t_of(t)
     if n > SEARCH_CAP:
@@ -163,7 +192,9 @@ def turan_search(n: int, t: int) -> SearchResult:
     nodes = 0
     h = Hypergraph3(n)
 
-    def rec(last_idx: int) -> None:
+    # returns, as a bitmask of edge indices, every edge this subtree found
+    # trace-free when added; each is also trace-free added to this node alone
+    def rec(last_idx: int) -> int:
         nonlocal best, nodes, witnesses
         nodes += 1
         m = h.edge_count
@@ -172,6 +203,7 @@ def turan_search(n: int, t: int) -> SearchResult:
             witnesses = [h.copy()]
         elif m == best and len(witnesses) < WITNESS_CAP:
             witnesses.append(h.copy())
+        free = 0
         for idx in range(last_idx + 1, total):
             if m + (total - idx) < best or (
                 m + (total - idx) == best and len(witnesses) >= WITNESS_CAP
@@ -179,9 +211,12 @@ def turan_search(n: int, t: int) -> SearchResult:
                 break
             e = triples[idx]
             h.add_edge(e)
-            if _trace_through_edge(h, e, t) is None and is_canonical_labeling(h):
-                rec(idx)
+            if free >> idx & 1 or _trace_through_edge(h, e, t) is None:
+                free |= 1 << idx
+                if is_canonical_labeling(h):
+                    free |= rec(idx)
             h.remove_edge(e)
+        return free
 
     rec(-1)
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)

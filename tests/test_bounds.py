@@ -83,6 +83,17 @@ def test_log_grid_covers_range_with_enough_points():
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
+@pytest.mark.parametrize("lo, hi", [(14.2, 14.9), (1.5, 1.7), (0.5, 0.9)])
+def test_log_grid_refuses_a_range_without_an_integer(lo, hi):
+    with pytest.raises(ValueError, match=f"no integer t in {lo}:{hi}"):
+        log_grid(lo, hi, 2)
+
+
+def test_log_grid_stays_inside_a_fractional_range():
+    assert log_grid(14.2, 15.9, 5) == [15]
+    assert log_grid(13.5, 16.5, 2) == [14, 16]
+
+
 def test_derivation_check_certifies_sample():
     points = derivation_check(log_grid(14, 10**6, 60))
     assert points and all(p.certified for p in points)

@@ -232,6 +232,12 @@ def test_bounds_refuses_t_outside_the_domain_of_g(capsys):
     assert err == "refused: g(t) = sqrt(t ln t)/7 is defined only for t > 1, got t=1\n"
 
 
+def test_bounds_refuses_a_range_without_an_integer(capsys):
+    code, out, err = run(capsys, "bounds", "--t-range", "20.5:20.7", "--points", "2")
+    assert code == 2 and out == ""
+    assert err == "refused: no integer t in 20.5:20.7\n"
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [

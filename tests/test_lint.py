@@ -1,7 +1,9 @@
 """Source checks that need no linter: every library module reads what it
-imports, and every private module-level name is read somewhere in the package."""
+imports, every private module-level name is read somewhere in the package,
+and every package export is read by the package or the bench, or is public."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -104,3 +106,21 @@ def test_private_finder_sees_leftovers():
 def test_library_module_private_names_are_read(path):
     defined = private_definitions(path.read_text(encoding="utf-8"))
     assert [name for name in defined if name not in PACKAGE_READS] == []
+
+
+# exports that only users call: no library module or bench file reads them
+PUBLIC_EXPORTS = {"export_cnf", "ratio_table"}
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+LIBRARY_AND_BENCH_READS = set().union(
+    *(read_names(p.read_text(encoding="utf-8")) for p in [*MODULES, *BENCH.glob("*.py")])
+)
+
+
+def test_every_export_is_read_or_public():
+    exports = {
+        name
+        for name in trace_turan.__all__
+        if not isinstance(getattr(trace_turan, name), types.ModuleType)
+    }
+    assert PUBLIC_EXPORTS <= exports
+    assert sorted(exports - LIBRARY_AND_BENCH_READS - PUBLIC_EXPORTS) == []

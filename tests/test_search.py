@@ -88,6 +88,77 @@ def test_oracle_tiny_n():
     assert turan_oracle(2, 2).value == 0
 
 
+def witness_digest(result):
+    """sha256 of a result's witnesses, one per line as "a,b,c a,b,c ..."."""
+    text = "\n".join(" ".join(f"{a},{b},{c}" for a, b, c in w.edges) for w in result.witnesses)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+K3_SHA256 = "c0be322c1ad6af50f418b96232d98fe25a36d5d0a557291833f8248f2084b8ef"
+K4_SHA256 = "532ac27cbeee62a0b9bb74efe78721abe724ab1fce35bc4df42c10d5f8fa4661"
+K5_SHA256 = "72188a0e1f9860a573aa3bce14c23fbe35782525fe99f4ea081ac6f7552feaad"
+N5_T2_SHA256 = "15c5e490c2e92cd2ad1c898d522550dc46a67227de50c650e29d54d5be5805ed"
+N6_T3_SHA256 = "09d3e7c61d65d989fb225fa0ec1eac1bd175e9ea68a4ce491bc037b2c4f15c0b"
+
+# value, nodes, witness count and witness_digest of turan_oracle(n, t), as
+# it returned them when it canonicalized every mask reached at the best
+ORACLE_PINS = {
+    **{(n, t): (0, 1, 1, EMPTY_SHA256) for n in range(3) for t in (2, 3, 4)},
+    **{(3, t): (1, 3, 1, K3_SHA256) for t in (2, 3, 4)},
+    **{(4, t): (4, 9, 1, K4_SHA256) for t in (2, 3, 4)},
+    (5, 2): (6, 601, 1, N5_T2_SHA256),
+    (5, 3): (10, 21, 1, K5_SHA256),
+    (5, 4): (10, 21, 1, K5_SHA256),
+    (6, 2): (7, 67444, 7, "3533c2ca1c8df849d017f6191f109e9082e02775f4c6cde4e74ab54b9dbc507a"),
+    (6, 3): (14, 62522, 1, N6_T3_SHA256),
+    (6, 4): (20, 41, 1, "9632f5683c4b0deefa4c80eb286c5d1261cc66d4e0b5d43eb94609e97dd7de20"),
+}
+
+# the same with WITNESS_CAP lowered to 1, 2 and 3, where the cap prune binds
+ORACLE_CAPPED_PINS = {
+    (1, 6, 2): (7, 48418, 1, "bede7935083f5ef4832acaa49d3e970897b2d6495592c56528a096cd0087d513"),
+    (1, 6, 3): (14, 23014, 1, N6_T3_SHA256),
+    (1, 5, 2): (6, 293, 1, N5_T2_SHA256),
+    (2, 6, 2): (7, 48418, 2, "4d5f6498386a6aa410320ecf01f79a6561db5d5d6d3d0fb81f877cd6757e9496"),
+    (2, 6, 3): (14, 62382, 1, N6_T3_SHA256),
+    (2, 5, 2): (6, 601, 1, N5_T2_SHA256),
+    (3, 6, 2): (7, 48419, 3, "2c0c830055eed097a76f4e01f266c679b406577498db769f7237eb5179f84690"),
+    (3, 6, 3): (14, 62417, 1, N6_T3_SHA256),
+    (3, 5, 2): (6, 601, 1, N5_T2_SHA256),
+}
+
+
+def pin(result):
+    return result.value, result.nodes_explored, len(result.witnesses), witness_digest(result)
+
+
+@pytest.mark.parametrize("n, t", sorted(ORACLE_PINS))
+def test_oracle_regression(n, t):
+    assert pin(turan_oracle(n, t)) == ORACLE_PINS[n, t]
+
+
+@pytest.mark.parametrize("cap, n, t", sorted(ORACLE_CAPPED_PINS))
+def test_oracle_regression_under_witness_cap(monkeypatch, cap, n, t):
+    monkeypatch.setattr(search_module, "WITNESS_CAP", cap)
+    assert pin(turan_oracle(n, t)) == ORACLE_CAPPED_PINS[cap, n, t]
+
+
+def test_oracle_canonicalizes_only_the_witnesses_it_keeps(monkeypatch):
+    # 141 forms when every mask reached at the current best was formed,
+    # 81 of them for interim 12- and 13-edge bests at (6, 3)
+    calls = 0
+
+    def counting(h):
+        nonlocal calls
+        calls += 1
+        return canonical_form(h)
+
+    monkeypatch.setattr(search_module, "canonical_form", counting)
+    assert pin(turan_oracle(6, 3)) == ORACLE_PINS[6, 3]
+    assert calls == 60
+
+
 # -- search ---------------------------------------------------------------------
 
 
@@ -156,6 +227,29 @@ def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
     result = turan_search(n, t)
     assert counts == {"calls": calls, "accepts": accepts}
     assert result.nodes_explored == nodes == accepts + 1
+
+
+@pytest.mark.parametrize(
+    "n, t, calls, expected",
+    [
+        (7, 2, 2812, (9, 394, 5, "a524986cd29eeefeaaf602114f03ddb95fdc84edd35012a543ee7746e65e6ce4")),
+        (6, 3, 350, (14, 181, 1, N6_T3_SHA256)),
+    ],
+)
+def test_search_skips_the_kernel_for_children_proved_trace_free(monkeypatch, n, t, calls, expected):
+    # 3,321 and 503 kernel calls when every child was tested; a child edge
+    # trace-free over a sibling's larger hypergraph needs no second test
+    count = 0
+    kernel = search_module._trace_through_edge
+
+    def counting(h, e, t):
+        nonlocal count
+        count += 1
+        return kernel(h, e, t)
+
+    monkeypatch.setattr(search_module, "_trace_through_edge", counting)
+    assert pin(turan_search(n, t)) == expected
+    assert count == calls
 
 
 # sha256 of the witnesses' edges, one witness per line as "a,b,c a,b,c ...",
