@@ -14,7 +14,11 @@ Two independent routes to the same number:
   the search adds and removes each child edge itself, capped at n <= 12.
   Traces are monotone under adding edges, so a child edge found trace-free
   below a sibling is trace-free at the parent too, and the parent skips
-  the check for it.
+  the check for it.  A child edge f with a vertex v whose smaller twin w
+  (the transposition (v w) is an automorphism of the parent) lies outside f
+  is skipped unadded: the swap maps f to a colex-smaller edge, so the
+  child is isomorphic to one with a smaller index sequence and is not
+  canonical.
 
 ``export_cnf`` emits a DIMACS formula satisfiable iff a trace-free
 hypergraph with the requested edge count exists, for external cross-checks
@@ -27,9 +31,9 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .canon import canonical_form, is_canonical_labeling
+from .canon import _twin_classes, canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
-from .indexing import all_triples, triple_index
+from .indexing import Triple, all_triples, triple_index
 from .traces import _t_of, _trace_through_edge
 
 
@@ -163,6 +167,24 @@ def turan_oracle(n: int, t: int) -> SearchResult:
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
 
+def _smaller_twins(h: Hypergraph3) -> list[int]:
+    """Per vertex v, the bitmask of v's twins in h with smaller labels."""
+    below = [0] * h.n
+    for cls in _twin_classes(h.n, list(h.edges)):
+        mask = 0
+        for v in cls:  # ascending
+            below[v] = mask
+            mask |= 1 << v
+    return below
+
+
+def _twin_lowers(below: list[int], e: Triple) -> bool:
+    """True when some vertex of e has a smaller twin outside e, so that
+    swapping the two maps e to a colex-smaller edge."""
+    a, b, c = e
+    return bool((below[a] | below[b] | below[c]) & ~(1 << a | 1 << b | 1 << c))
+
+
 def turan_search(n: int, t: int) -> SearchResult:
     """Exact maximum by isomorph-free orderly generation, for n <= 12.
 
@@ -177,6 +199,14 @@ def turan_search(n: int, t: int) -> SearchResult:
     subtree returned.  That child is still added, tested for canonicity
     and recursed into in the same order, so nodes and witnesses do not
     change.
+
+    A child edge f is skipped before it is added, with neither check, when
+    some vertex v of f has a smaller twin w outside f in h.  The swap
+    (v w) is an automorphism of h, so it maps f to an edge f* outside h
+    with a smaller colex index, and h + f is isomorphic to h + f*, whose
+    sorted index sequence is smaller: h + f is not canonical.  Twin classes
+    are computed once per node.  The children recursed into are the same,
+    so nodes and witnesses do not change.
     """
     t = _t_of(t)
     if n > SEARCH_CAP:
@@ -204,12 +234,15 @@ def turan_search(n: int, t: int) -> SearchResult:
         elif m == best and len(witnesses) < WITNESS_CAP:
             witnesses.append(h.copy())
         free = 0
+        below = _smaller_twins(h)
         for idx in range(last_idx + 1, total):
             if m + (total - idx) < best or (
                 m + (total - idx) == best and len(witnesses) >= WITNESS_CAP
             ):
                 break
             e = triples[idx]
+            if _twin_lowers(below, e):
+                continue
             h.add_edge(e)
             if free >> idx & 1 or _trace_through_edge(h, e, t) is None:
                 free |= 1 << idx

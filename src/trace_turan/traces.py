@@ -283,20 +283,27 @@ def incremental_trace_check(
     h + new_edge.  None means that no trace of h + new_edge uses new_edge,
     so for a trace-free h it means h + new_edge is trace-free.  A trace that
     uses new_edge routes a pattern edge through it, so only pairs meeting
-    new_edge, with a leaf inside it, are scanned.
+    new_edge, with a leaf inside it, are scanned.  The certificate is
+    ``least_third_certificate`` of the pair and leaves ``_trace_through_edge``
+    finds, built while new_edge is still in h.
     """
     t = _t_of(t)
     e = tuple(sorted(new_edge))
     h.add_edge(e)
     try:
-        return _trace_through_edge(h, e, t)
+        found = _trace_through_edge(h, e, t)
+        return None if found is None else least_third_certificate(h, *found)
     finally:
         h.remove_edge(e)
 
 
-def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate | None:
-    """A trace certificate of h on a pair and leaf that its edge e could
-    serve, or None when no trace of h uses e.
+def _trace_through_edge(
+    h: Hypergraph3, e: Triple, t: int
+) -> tuple[int, int, list[int]] | None:
+    """The pair p, q and the leaves of a trace of h that its edge e could
+    serve, or None when no trace of h uses e.  It builds no certificate:
+    ``turan_search`` only asks whether there is a trace, and
+    ``incremental_trace_check`` builds one from the answer.
 
     e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
     some q outside e, and u is a leaf adjacent to q in the shadow graph; q
@@ -321,7 +328,7 @@ def _trace_through_edge(h: Hypergraph3, e: Triple, t: int) -> TraceCertificate |
             for c in forced[:1] if len(cands) == t else forced:
                 leaves = _choose_leaves(p, q, t, cands, None, c)
                 if leaves is not None:
-                    return least_third_certificate(h, p, q, leaves)
+                    return p, q, leaves
     return None
 
 

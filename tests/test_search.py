@@ -20,10 +20,11 @@ from trace_turan import (
     verify_certificate,
 )
 from trace_turan import search as search_module
+from trace_turan import traces as traces_module
 from trace_turan.canon import is_canonical_labeling
 from trace_turan.indexing import all_triples, triple_index
 
-from helpers import dpll_satisfiable, parse_dimacs, random_hypergraph
+from helpers import dpll_satisfiable, parse_dimacs, random_hypergraph, reference_is_canonical
 
 # regression constants, produced by both routes below
 KNOWN_VALUES = {
@@ -100,6 +101,7 @@ K4_SHA256 = "532ac27cbeee62a0b9bb74efe78721abe724ab1fce35bc4df42c10d5f8fa4661"
 K5_SHA256 = "72188a0e1f9860a573aa3bce14c23fbe35782525fe99f4ea081ac6f7552feaad"
 N5_T2_SHA256 = "15c5e490c2e92cd2ad1c898d522550dc46a67227de50c650e29d54d5be5805ed"
 N6_T3_SHA256 = "09d3e7c61d65d989fb225fa0ec1eac1bd175e9ea68a4ce491bc037b2c4f15c0b"
+N7_T2_SHA256 = "a524986cd29eeefeaaf602114f03ddb95fdc84edd35012a543ee7746e65e6ce4"
 
 # value, nodes, witness count and witness_digest of turan_oracle(n, t), as
 # it returned them when it canonicalized every mask reached at the best
@@ -210,10 +212,11 @@ def test_search_deterministic(search_table):
 
 @pytest.mark.parametrize(
     "n, t, calls, accepts, nodes",
-    [(7, 2, 1257, 393, 394), (6, 3, 359, 180, 181)],
+    [(7, 2, 770, 393, 394), (6, 3, 257, 180, 181)],
 )
 def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
-    # every child that passes the trace check is tested once, and each
+    # every child that the twin rule keeps and that passes the trace check
+    # is tested once (1,257 and 359 calls without the twin rule), and each
     # accept is one node below the empty root
     counts = {"calls": 0, "accepts": 0}
 
@@ -232,13 +235,14 @@ def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
 @pytest.mark.parametrize(
     "n, t, calls, expected",
     [
-        (7, 2, 2812, (9, 394, 5, "a524986cd29eeefeaaf602114f03ddb95fdc84edd35012a543ee7746e65e6ce4")),
-        (6, 3, 350, (14, 181, 1, N6_T3_SHA256)),
+        (7, 2, 2153, (9, 394, 5, N7_T2_SHA256)),
+        (6, 3, 300, (14, 181, 1, N6_T3_SHA256)),
     ],
 )
 def test_search_skips_the_kernel_for_children_proved_trace_free(monkeypatch, n, t, calls, expected):
-    # 3,321 and 503 kernel calls when every child was tested; a child edge
-    # trace-free over a sibling's larger hypergraph needs no second test
+    # 3,321 and 503 kernel calls when every child was tested, 2,812 and 350
+    # without the twin rule; a child edge trace-free over a sibling's larger
+    # hypergraph needs no second test, and a child the twin rule skips none
     count = 0
     kernel = search_module._trace_through_edge
 
@@ -250,6 +254,61 @@ def test_search_skips_the_kernel_for_children_proved_trace_free(monkeypatch, n, 
     monkeypatch.setattr(search_module, "_trace_through_edge", counting)
     assert pin(turan_search(n, t)) == expected
     assert count == calls
+
+
+@pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
+def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t):
+    # every child the twin rule skips, taken at the node that skips it, is
+    # non-canonical by the reference minimizer, and the node counts hold
+    live = []
+    skipped = 0
+    smaller_twins, twin_lowers = search_module._smaller_twins, search_module._twin_lowers
+
+    def spy_twins(h):
+        live[:] = [h]  # the search's own hypergraph, at the node being expanded
+        return smaller_twins(h)
+
+    def spy_lowers(below, e):
+        nonlocal skipped
+        verdict = twin_lowers(below, e)
+        if verdict:
+            (h,) = live
+            assert e not in h
+            assert not reference_is_canonical(Hypergraph3(n, [*h.edges, e]))
+            skipped += 1
+        return verdict
+
+    monkeypatch.setattr(search_module, "_smaller_twins", spy_twins)
+    monkeypatch.setattr(search_module, "_twin_lowers", spy_lowers)
+    result = turan_search(n, t)
+    assert skipped > 0
+    assert result.nodes_explored == {(6, 2): 82, (6, 3): 181, (7, 2): 394}[n, t]
+
+
+def test_twin_rule_on_one_edge():
+    # on 6 vertices, {0, 1, 2} has twin classes {0, 1, 2} and {3, 4, 5}
+    h = Hypergraph3(6, [(0, 1, 2)])
+    below = search_module._smaller_twins(h)
+    assert below == [0, 0b1, 0b11, 0, 0b1000, 0b11000]
+    assert search_module._twin_lowers(below, (0, 1, 4))  # 4 -> 3 gives {0, 1, 3}
+    assert not search_module._twin_lowers(below, (0, 1, 3))
+    assert reference_is_canonical(Hypergraph3(6, [(0, 1, 2), (0, 1, 3)]))
+    assert not reference_is_canonical(Hypergraph3(6, [(0, 1, 2), (0, 1, 4)]))
+
+
+def test_search_builds_no_certificates(monkeypatch):
+    # the search only asks the kernel whether a trace exists
+    calls = 0
+    builder = traces_module.least_third_certificate
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return builder(*args)
+
+    monkeypatch.setattr(traces_module, "least_third_certificate", counting)
+    assert pin(turan_search(7, 2)) == (9, 394, 5, N7_T2_SHA256)
+    assert calls == 0
 
 
 # sha256 of the witnesses' edges, one witness per line as "a,b,c a,b,c ...",
