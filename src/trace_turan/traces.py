@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .hypergraph import FormatError, Hypergraph3, Pair, int_tokens
 from .indexing import Triple
@@ -124,7 +124,8 @@ def _leaf_candidates(
     shadow neighbourhood of a and b: every other vertex lacks an edge with a
     or with b, so it is no leaf.  A candidate u keeps a third of {a, u} other
     than b and a third of {b, u} other than a; its co-degree is the smaller
-    count of such thirds.
+    count of such thirds.  ``contains_trace`` builds the same tuples in its
+    row sweep.
     """
     cands = []
     for u in common:
@@ -240,18 +241,21 @@ def contains_trace(
     """Exact K_{2,t}-trace detection with a certificate, or None if absent.
 
     Deterministic: pairs (x, y) are scanned in ascending order and leaf
-    candidates in descending co-degree order.  Only pairs with a common
-    shadow neighbour are scanned; no other pair has a leaf.  The scan is
-    vertex-major: each row x takes its partners y > x in ascending order.
-    A pair with exactly t candidates has a forced leaf set, decided by one
-    feasibility test; only a larger pool is searched.  The certificate is
-    ``least_third_certificate`` of the first pair and leaves found.
+    candidates in descending co-degree order.  The scan is one neighbour
+    sweep per row, a support vertex x with its partners y > x: each path
+    x - u - y is walked once and gives the pair {x, y} the candidate u that
+    ``_leaf_candidates`` would, so no pair without a common shadow
+    neighbour is touched.  The partners with at least t candidates are then
+    visited in ascending order.  A pair with exactly t candidates has a
+    forced leaf set, decided by one feasibility test; only a larger pool is
+    searched.  The certificate is ``least_third_certificate`` of the first
+    pair and leaves found.
 
-    The optional wall-clock budget is checked once per x row of the scan
-    and once per leaf-search step, so a zero budget times out as soon as a
-    row is scanned.  Running out raises SearchTimeout, so a timeout is never
-    mistaken for trace-freeness; a budget that is not a finite number >= 0
-    raises ValueError.
+    The optional wall-clock budget is checked once per row that has a later
+    partner and once per leaf-search step, so a zero budget times out as
+    soon as such a row is scanned.  Running out raises SearchTimeout, so a
+    timeout is never mistaken for trace-freeness; a budget that is not a
+    finite number >= 0 raises ValueError.
     """
     t = _t_of(t)
     if time_budget is not None and not (math.isfinite(time_budget) and time_budget >= 0):
@@ -261,16 +265,33 @@ def contains_trace(
         return None
     nbrs = h.shadow_neighbors
     thirds = h.pair_index()
-    for x, ys in _pair_rows(h):
-        _check_deadline(deadline)
-        x_nbrs = nbrs(x)
-        for y in ys:
-            common = x_nbrs & nbrs(y)
-            if len(common) >= t:
-                cands = _leaf_candidates(thirds, x, y, common)
-                leaves = _choose_leaves(x, y, t, cands, deadline)
-                if leaves is not None:
-                    return least_third_certificate(h, x, y, leaves)
+    for x in h.support():
+        cands_of: dict[int, list[_Candidate]] = {}  # partner y -> candidates
+        partner = False
+        for u in nbrs(x):
+            sa = thirds[(x, u) if x < u else (u, x)]
+            la = len(sa)
+            for y in nbrs(u):
+                if y <= x:
+                    continue
+                partner = True
+                sb = thirds[(y, u) if y < u else (u, y)]
+                na = la - (y in sa)
+                nb = len(sb) - (x in sb)
+                if na and nb:
+                    c = (-na if na < nb else -nb, u, sa, sb)
+                    if y in cands_of:
+                        cands_of[y].append(c)
+                    else:
+                        cands_of[y] = [c]
+        if partner:
+            _check_deadline(deadline)
+        for y in sorted(y for y, cands in cands_of.items() if len(cands) >= t):
+            cands = cands_of[y]
+            cands.sort()  # u is unique, so no third set is ever compared
+            leaves = _choose_leaves(x, y, t, cands, deadline)
+            if leaves is not None:
+                return least_third_certificate(h, x, y, leaves)
     return None
 
 
@@ -330,19 +351,6 @@ def _trace_through_edge(
                 if leaves is not None:
                     return p, q, leaves
     return None
-
-
-def _pair_rows(h: Hypergraph3) -> Iterator[tuple[int, list[int]]]:
-    """Each x with the y > x that share a shadow neighbour with it, both
-    ascending: the pairs x < y with a common shadow neighbour, in order."""
-    nbrs = h.shadow_neighbors
-    for x in range(h.n):
-        reach: set[int] = set()
-        for u in nbrs(x):
-            reach |= nbrs(u)
-        ys = sorted(y for y in reach if y > x)
-        if ys:
-            yield x, ys
 
 
 def contains_trace_naive(h: Hypergraph3, t: int) -> TraceCertificate | None:

@@ -1,5 +1,5 @@
-"""The bench's output contract, from short traced runs of the search and
-construct workloads.
+"""The bench's output contract, from short traced runs of the search,
+detect and construct workloads.
 
 The bench reports through standard output: every line is a JSON object and
 the last one is the result.  A run that exits 0 with any other last line
@@ -54,6 +54,13 @@ def test_traced_search_run_ends_with_a_result_line():
     assert jobs
     for job in jobs:
         assert job["search.children"] == sum(job[k] for k in CHILD_OUTCOMES), job
+
+
+def test_traced_detect_run_ends_with_a_result_line():
+    # the bench wraps trace_turan.cli.contains_trace as traces.detect; a
+    # count of 0 would mean the check command no longer goes through it
+    _, metrics = _traced_run("detect")
+    assert metrics["traces.detect_calls"] > 0
 
 
 def test_traced_construct_run_ends_with_a_result_line():

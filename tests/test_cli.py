@@ -86,6 +86,16 @@ def test_check_zero_budget_exits_2_in_the_pair_scan(tmp_path, capsys):
     assert (code, out, err) == (2, "", "unknown: time budget exhausted\n")
 
 
+def test_check_walks_only_the_support_of_a_huge_vertex_range(tmp_path, capsys):
+    # one edge among 10**8 labels: the scan takes its rows from the support,
+    # and the one row with a later partner still checks a zero budget
+    path = tmp_path / "huge.hg"
+    path.write_text("100000000 1\n0 1 2\n", encoding="ascii")
+    assert run(capsys, "check", "--file", str(path), "--t", "2") == (0, "trace-free\n", "")
+    code, out, err = run(capsys, "check", "--file", str(path), "--t", "2", "--time-budget", "0")
+    assert (code, out, err) == (2, "", "unknown: time budget exhausted\n")
+
+
 def test_check_parse_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.hg"
     bad.write_text("4 1\n0 1\n")

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
+from trace_turan import traces
 from trace_turan import (
     Hypergraph3,
     SearchTimeout,
@@ -136,6 +138,13 @@ def test_zero_budget_times_out_in_the_pair_scan():
         contains_trace(h, 3, time_budget=0.0)
 
 
+def test_scan_takes_rows_from_the_support_only():
+    # one edge among 10**8 labels: the scan must not walk the isolated ones
+    start = time.monotonic()
+    assert contains_trace(Hypergraph3(10**8, [(0, 1, 2)]), 2) is None
+    assert time.monotonic() - start < 0.5
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
 def test_budget_must_be_finite_and_nonnegative(budget):
     with pytest.raises(ValueError):
@@ -259,6 +268,66 @@ def test_detectors_match_full_scan_reference_on_planted_lifts(q):
         cert = contains_trace(h, t)
         assert cert is not None and verify_certificate(h, cert), f"t={t}"
         assert _text(cert) == _text(reference_contains_trace(h, t)), f"t={t}"
+
+
+def _sweep_case(rng):
+    """A sparse hypergraph on n in 20-60 labels whose edges sit on a
+    scattered support, every other label isolated, with a book {x, y, u_i}
+    planted: x and y share each page u_i as a shadow neighbour, but no page
+    is a leaf candidate of {x, y} through the book alone."""
+    n = rng.randint(20, 60)
+    support = rng.sample(range(n), rng.randint(7, 14))
+    edges = {tuple(sorted(rng.sample(support, 3))) for _ in range(rng.randint(2, 2 * len(support)))}
+    x, y, *pages = rng.sample(support, rng.randint(4, 6))
+    edges.update(tuple(sorted((x, y, u))) for u in pages)
+    return Hypergraph3(n, edges)
+
+
+def _expected_leaf_searches(h, t, choose):
+    """The (x, y, candidates) the scan must hand ``_choose_leaves``: every
+    pair x < y with at least t leaf candidates, ascending, up to the first
+    pair with a trace; and how many pairs have at least t common shadow
+    neighbours but fewer than t candidates."""
+    nbrs, thirds = h.shadow_neighbors, h.pair_index()
+    calls, short = [], 0
+    for x, y in itertools.combinations(h.support(), 2):
+        common = nbrs(x) & nbrs(y)
+        cands = traces._leaf_candidates(thirds, x, y, common)
+        if len(cands) < t:
+            short += len(common) >= t
+            continue
+        calls.append((x, y, [c[:2] for c in cands]))
+        if choose(x, y, t, cands, None) is not None:
+            break
+    return calls, short
+
+
+def test_row_sweep_matches_full_scan_reference_on_sparse_corpus(monkeypatch):
+    # per row x the scan builds every pair's candidates in one neighbour
+    # sweep; each pair must get the candidates, in the order, that
+    # ``_leaf_candidates`` gives it, and the pairs must be visited ascending
+    choose, seen = traces._choose_leaves, []
+
+    def spy(a, b, t, cands, deadline, forced=None):
+        seen.append((a, b, [c[:2] for c in cands]))
+        return choose(a, b, t, cands, deadline, forced)
+
+    monkeypatch.setattr(traces, "_choose_leaves", spy)
+    rng = random.Random(1919)
+    found, short = dict.fromkeys((2, 3, 4), 0), dict.fromkeys((2, 3, 4), 0)
+    for case in range(24):
+        h = _sweep_case(rng)
+        for t in (2, 3, 4):
+            seen.clear()
+            cert = contains_trace(h, t)
+            assert _text(cert) == _text(reference_contains_trace(h, t)), f"case {case}, t={t}"
+            calls, pairs = _expected_leaf_searches(h, t, choose)
+            assert seen == calls, f"case {case}, t={t}"
+            found[t] += cert is not None
+            short[t] += pairs
+    # the corpus has traces and trace-free cases, and pairs whose common
+    # neighbours outnumber their candidates, at every t
+    assert all(0 < found[t] < 24 and short[t] for t in found), (found, short)
 
 
 def test_greedy_edges_match_full_scan_reference(monkeypatch):
