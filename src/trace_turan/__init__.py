@@ -21,9 +21,6 @@ from .constructions import (
     polarity_graph,
 )
 from .dominated import (
-    LoopVertex,
-    Star,
-    StarDecomposition,
     dominated_min_degree,
     dominated_pair_min1,
     simultaneous_dominated_min_degree,

@@ -3,14 +3,16 @@
 A set D is dominated when every member has a loop or a neighbor outside D.
 Three constructions live here:
 
-* a greedy spanning decomposition into loop-vertices and stars,
+* a greedy spanning decomposition into stars and looped singletons, as
+  a map from each component's center to its leaves,
 * a set dominated in two graphs at once of size >= |S|/3 (min degree 1):
   the vertices that are a center in neither decomposition when there are
   enough of them, else the largest class of a 3-colouring of the union of
   the two star forests,
-* a randomized set of size >= (1 - eps_delta) n (min degree delta), with a
+* a sampled set of size >= (1 - eps_delta) n (min degree delta), with a
   deterministic conditional-expectation fallback so the size contract holds
-  on every call.
+  on every call.  Each call seeds its own generator with 0, so the answer
+  depends on the graph alone.
 
 Every operation returns the set itself.  Subsets of dominated sets are
 dominated, which the lemma-check pipeline uses to trim results to an exact
@@ -22,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -34,102 +35,64 @@ from .hypergraph import LoopGraph
 _MAX_RETRIES = 100
 
 
-@dataclass(frozen=True)
-class LoopVertex:
-    vertex: int
-
-
-@dataclass(frozen=True)
-class Star:
-    center: int
-    leaves: frozenset[int]
-
-
-@dataclass
-class StarDecomposition:
-    """Spanning decomposition into loop-vertices and stars of >= 2 vertices."""
-
-    components: list[LoopVertex | Star]
-
-
-def star_loop_decomposition(g: LoopGraph) -> StarDecomposition:
+def star_loop_decomposition(g: LoopGraph) -> dict[int, frozenset[int]]:
     """Greedy spanning decomposition for graphs of minimum degree >= 1.
 
-    Vertices are claimed in ascending order.  A looped vertex becomes its
-    own component; otherwise the vertex opens a star over its uncovered
-    neighbors.  When all neighbors are already covered the structure is
-    repaired: absorb a looped singleton, steal a leaf from a star that can
-    spare one, merge with a single-edge star into a 2-leaf star, or join as
-    a new leaf when the contact vertex is itself a center.
+    The result maps each component's center to its leaves: a star of >= 2
+    vertices, or a looped singleton with no leaves.  Vertices are claimed in
+    ascending order.  A looped vertex becomes its own component; otherwise
+    the vertex opens a star over its uncovered neighbors.  When all
+    neighbors are already covered the structure is repaired: absorb a
+    looped singleton, steal a leaf from a star that can spare one, merge
+    with a single-edge star into a 2-leaf star, or join as a new leaf when
+    the contact vertex is itself a center.  A component formed anew enters
+    the map last.
     """
     verts = sorted(g.vertices)
     if any(g.degree(v) == 0 for v in verts):
         raise ValueError("star decomposition needs minimum degree >= 1")
-    comps: list[dict | None] = []
-    comp_of: dict[int, int] = {}
-
-    def new_comp(data: dict) -> None:
-        comps.append(data)
-        idx = len(comps) - 1
-        for v in data.get("leaves", ()):
-            comp_of[v] = idx
-        if "center" in data:
-            comp_of[data["center"]] = idx
-        else:
-            comp_of[data["vertex"]] = idx
-
+    leaves: dict[int, frozenset[int]] = {}
+    center_of: dict[int, int] = {}
     for v in verts:
-        if v in comp_of:
+        if v in center_of:
             continue
+        center_of[v] = v
         if g.loops_at(v) >= 1:
-            new_comp({"vertex": v})
+            leaves[v] = frozenset()
             continue
-        fresh = sorted(u for u in g.neighbors(v) if u not in comp_of)
+        fresh = frozenset(u for u in g.neighbors(v) if u not in center_of)
         if fresh:
-            new_comp({"center": v, "leaves": set(fresh)})
+            leaves[v] = fresh
+            center_of.update(dict.fromkeys(fresh, v))
             continue
         u = min(g.neighbors(v))
-        j = comp_of[u]
-        comp = comps[j]
-        assert comp is not None
-        if "vertex" in comp:  # looped singleton: absorb into a 2-star
-            comps[j] = None
-            new_comp({"center": v, "leaves": {u}})
-        elif comp["center"] == u:  # u already a center: join as a leaf
-            comp["leaves"].add(v)
-            comp_of[v] = j
-        elif len(comp["leaves"]) >= 2:  # steal the leaf u
-            comp["leaves"].discard(u)
-            new_comp({"center": v, "leaves": {u}})
-        else:  # single edge (w, u): remerge around u
-            w = comp["center"]
-            comps[j] = None
-            new_comp({"center": u, "leaves": {v, w}})
-
-    out: list[LoopVertex | Star] = []
-    for comp in comps:
-        if comp is None:
-            continue
-        if "vertex" in comp:
-            out.append(LoopVertex(comp["vertex"]))
-        else:
-            out.append(Star(comp["center"], frozenset(comp["leaves"])))
-    return StarDecomposition(out)
+        c = center_of[u]
+        if not leaves[c]:  # looped singleton u: absorb into a 2-star
+            del leaves[u]
+            leaves[v] = frozenset({u})
+            center_of[u] = v
+        elif c == u:  # u already a center: join as a leaf
+            leaves[u] |= {v}
+            center_of[v] = u
+        elif len(leaves[c]) >= 2:  # steal the leaf u
+            leaves[c] -= {u}
+            leaves[v] = frozenset({u})
+            center_of[u] = v
+        else:  # single edge (c, u): remerge around u
+            del leaves[c]
+            leaves[u] = frozenset({v, c})
+            center_of[v] = center_of[c] = center_of[u] = u
+    return leaves
 
 
-def _center_set(decomp: StarDecomposition) -> set[int]:
+def _center_set(stars: dict[int, frozenset[int]]) -> set[int]:
     """Star centers; for 2-vertex stars the lower id plays the center."""
-    out = set()
-    for comp in decomp.components:
-        if isinstance(comp, Star):
-            if len(comp.leaves) == 1:
-                out.add(min(comp.center, next(iter(comp.leaves))))
-            else:
-                out.add(comp.center)
-    return out
+    return {min(c, *ls) if len(ls) == 1 else c for c, ls in stars.items() if ls}
 
 
-def _star_union_colouring(verts: list[int], decomps: Iterable[StarDecomposition]) -> dict[int, int]:
+def _star_union_colouring(
+    verts: list[int], decomps: Iterable[dict[int, frozenset[int]]]
+) -> dict[int, int]:
     """Greedy colouring with 0/1/2 of the union H of the star edges.
 
     Peels a vertex of least remaining degree (ties to the lowest id), then
@@ -137,12 +100,11 @@ def _star_union_colouring(verts: list[int], decomps: Iterable[StarDecomposition]
     neighbors leave free.  dominated_pair_min1 shows why 3 colours suffice.
     """
     adj: dict[int, set[int]] = {v: set() for v in verts}
-    for decomp in decomps:
-        for comp in decomp.components:
-            if isinstance(comp, Star):
-                for leaf in comp.leaves:
-                    adj[comp.center].add(leaf)
-                    adj[leaf].add(comp.center)
+    for stars in decomps:
+        for c, ls in stars.items():
+            for leaf in ls:
+                adj[c].add(leaf)
+                adj[leaf].add(c)
     remaining = {v: len(adj[v]) for v in verts}
     order = []
     while remaining:
@@ -229,12 +191,6 @@ def _derandomized_round(g: LoopGraph, p_float: float) -> set[int]:
     p = Fraction(p_float)
     verts = sorted(g.vertices)
     state: dict[int, bool | None] = {v: None for v in verts}
-    pow_cache: dict[int, Fraction] = {0: Fraction(1)}
-
-    def p_pow(k: int) -> Fraction:
-        if k not in pow_cache:
-            pow_cache[k] = p_pow(k - 1) * p
-        return pow_cache[k]
 
     def q(v: int) -> Fraction:
         s = state[v]
@@ -246,8 +202,8 @@ def _derandomized_round(g: LoopGraph, p_float: float) -> set[int]:
         )
         undecided = sum(1 for u in g.neighbors(v) if state[u] is None)
         if s is True:
-            return Fraction(1) if saved else 1 - p_pow(undecided)
-        return p if saved else p * (1 - p_pow(undecided))
+            return Fraction(1) if saved else 1 - p**undecided
+        return p if saved else p * (1 - p**undecided)
 
     def local(v: int) -> Fraction:
         return q(v) + sum(q(u) for u in sorted(g.neighbors(v)))
@@ -266,13 +222,13 @@ def _derandomized_round(g: LoopGraph, p_float: float) -> set[int]:
     }
 
 
-def dominated_min_degree(g: LoopGraph, delta: float, seed: int = 0) -> frozenset[int]:
+def dominated_min_degree(g: LoopGraph, delta: float) -> frozenset[int]:
     """A dominated set of size >= ceil((1 - eps_delta) n), min degree delta.
 
     Samples vertices with the standard inclusion probability and drops the
     loopless ones whose whole neighborhood got sampled; retries a bounded
     number of times, then switches to the deterministic greedy so the bound
-    is met on every call.
+    is met on every call.  The generator is seeded with 0 on every call.
     """
     if delta < 2:
         raise ValueError(f"delta must be >= 2, got {delta}")
@@ -284,7 +240,7 @@ def dominated_min_degree(g: LoopGraph, delta: float, seed: int = 0) -> frozenset
     n = len(verts)
     target = math.ceil((1.0 - epsilon(delta)) * n)
     p = 1.0 - math.log(delta + 1.0) / (delta + 1.0)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     d: set[int] | None = None
     for _ in range(_MAX_RETRIES):
         attempt = _sample_round(g, p, rng)
@@ -297,9 +253,7 @@ def dominated_min_degree(g: LoopGraph, delta: float, seed: int = 0) -> frozenset
     return frozenset(d)
 
 
-def simultaneous_dominated_min_degree(
-    gx: LoopGraph, gy: LoopGraph, delta: float, seed: int = 0
-) -> frozenset[int]:
+def simultaneous_dominated_min_degree(gx: LoopGraph, gy: LoopGraph, delta: float) -> frozenset[int]:
     """Intersection of per-graph dominated sets: size >= ceil((1-2eps)|S|).
 
     Requires delta >= 14, which keeps eps <= 1/4 and the guarantee positive.
@@ -310,7 +264,7 @@ def simultaneous_dominated_min_degree(
         raise ValueError(f"simultaneous domination needs delta >= 14, got {delta}")
     if not gx.vertices:
         return frozenset()
-    d = dominated_min_degree(gx, delta, seed=seed) & dominated_min_degree(gy, delta, seed=seed + 1)
+    d = dominated_min_degree(gx, delta) & dominated_min_degree(gy, delta)
     target = math.ceil((1.0 - 2.0 * epsilon(delta)) * len(gx.vertices))
     assert len(d) >= target, "intersection bound must hold by inclusion-exclusion"
     return d

@@ -71,15 +71,6 @@ class CheckStatus:
     violations: list[LemmaViolation] = field(default_factory=list)
 
 
-def _try_build(builder, *args) -> TraceCertificate | None:
-    """Run a constructive certificate builder; degrade to None on failure so
-    the caller's exact-detector fallback still gets its chance."""
-    try:
-        return builder(*args)
-    except (ValueError, AssertionError):
-        return None
-
-
 def _cert_via_links(
     h: Hypergraph3, x: int, y: int, s: frozenset[int], t: int, floor: int, dominate: Callable
 ) -> TraceCertificate | None:
@@ -197,17 +188,17 @@ def _attach_certificate(
 
 # -- the checks ----------------------------------------------------------------
 #
-# Each takes (h, g, t, delta, seed), g being the premise hypergraph of its
+# Each takes (h, g, t, delta), g being the premise hypergraph of its
 # row, and returns (detail, [(subject, observed, bound, certificate), ...]).
 
 
-def _residual_codegree(h: Hypergraph3, hma: Hypergraph3, t: int, delta: int, seed: int):
+def _residual_codegree(h: Hypergraph3, hma: Hypergraph3, t: int, delta: int):
     bound = 2 if t == 2 else 3 * t - 3
     found = []
     for x, y, d in hma.codegree_pairs():
         if d > bound:
             s = hma.codegree_thirds(x, y)
-            cert = _try_build(_cert_via_links, h, x, y, s, t, 1, dominated_pair_min1)
+            cert = _cert_via_links(h, x, y, s, t, 1, dominated_pair_min1)
             found.append(((x, y), d, bound, cert))
     return f"bound {bound}", found
 
@@ -218,22 +209,22 @@ def _codegree_ceiling(t: int, delta: int) -> tuple[int, float]:
     return math.ceil(k), k - 1
 
 
-def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
+def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     k_ceiling, bound = _codegree_ceiling(t, delta)
-    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta, seed=seed)
+    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta)
     found = []
     for x, y, d in core.codegree_pairs():
         if d >= k_ceiling:  # the integer reading the construction supports
             s = core.codegree_thirds(x, y)
-            cert = _try_build(_cert_via_links, h, x, y, s, t, delta, simultaneous)
+            cert = _cert_via_links(h, x, y, s, t, delta, simultaneous)
             found.append(((x, y), d, bound, cert))
     return f"bound {bound:.4f}", found
 
 
-def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
+def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     k = core.max_codegree()
     bound = k + 0.5 * k * 50 * t
-    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta, seed=seed)
+    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta)
     found = []
     for x in core.support():
         n1x = core.shadow_neighbors(x)
@@ -245,15 +236,15 @@ def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed
             ]
             if len(hits) >= bound:
                 s = frozenset(w for e in hits for w in e if w != y)
-                cert = _try_build(_cert_via_links, h, x, y, s, t, delta, simultaneous)
+                cert = _cert_via_links(h, x, y, s, t, delta, simultaneous)
                 found.append(((x, y), len(hits), bound, cert))
     return f"bound {bound:.1f}", found
 
 
-def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed: int):
+def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     k_ceiling, _ = _codegree_ceiling(t, delta)
     bound = (k_ceiling - 1) * h.n
-    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta, seed=seed)
+    simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta)
     found = []
     for v in core.support():
         n1, _ = neighborhoods(core, v)
@@ -268,22 +259,22 @@ def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int, seed
             s = frozenset(counts[x_best])
             cert = None
             if len(s) >= k_ceiling:
-                cert = _try_build(_cert_via_links, h, v, x_best, s, t, delta, simultaneous)
+                cert = _cert_via_links(h, v, x_best, s, t, delta, simultaneous)
             found.append(((v,), total, bound, cert))
     return f"bound {bound}", found
 
 
-def _common_neighborhood(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
+def _common_neighborhood(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
     n1 = {v: hb.shadow_neighbors(v) for v in hb.support()}
     found = []
     for x, y in itertools.combinations(sorted(n1), 2):
         common = n1[x] & n1[y]
         if len(common) > 7:
-            found.append(((x, y), len(common), 7, _try_build(_cert_common_neighborhood, hb, x, y)))
+            found.append(((x, y), len(common), 7, _cert_common_neighborhood(hb, x, y)))
     return "bound 7", found
 
 
-def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
+def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
     found = []
     for e in hb.edges:
         for v in e:
@@ -292,14 +283,14 @@ def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, see
             _, vw = eu_vu(hb, v, w)
             overlap = vu & vw
             if len(overlap) > 7:
-                cert = _try_build(_cert_common_neighborhood, hb, min(u, w), max(u, w))
+                cert = _cert_common_neighborhood(hb, min(u, w), max(u, w))
                 if cert is None:
-                    cert = _try_build(_cert_shell_overlap, hb, h, v)
+                    cert = _cert_shell_overlap(hb, h, v)
                 found.append(((v, u, w), len(overlap), 7, cert))
     return "bound 7", found
 
 
-def _shell_size_floor(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
+def _shell_size_floor(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
     found = []
     for v in hb.support():
         n1, _ = neighborhoods(hb, v)
@@ -307,19 +298,19 @@ def _shell_size_floor(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed:
             _, vu = eu_vu(hb, v, u)
             du = hb.degree(u)
             if len(vu) < du - 16:
-                cert = _try_build(_cert_common_neighborhood, hb, min(u, v), max(u, v))
+                cert = _cert_common_neighborhood(hb, min(u, v), max(u, v))
                 found.append(((v, u), len(vu), du - 16, cert))
     return "slack 16", found
 
 
-def _shell_sum(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int, seed: int):
+def _shell_sum(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
     found = []
     for v in hb.support():
         n1, _ = neighborhoods(hb, v)
         total = sum(len(eu_vu(hb, v, u)[1]) for u in sorted(n1))
         bound = h.n + 14 * hb.degree(v)
         if total > bound:
-            found.append(((v,), total, bound, _try_build(_cert_shell_overlap, hb, h, v)))
+            found.append(((v,), total, bound, _cert_shell_overlap(hb, h, v)))
     return "n + 14 d(v)", found
 
 
@@ -339,9 +330,7 @@ _CHECKS = (
 )
 
 
-def lemma_status_report(
-    h: Hypergraph3, t: int, delta: int = 14, seed: int = 0
-) -> list[CheckStatus]:
+def lemma_status_report(h: Hypergraph3, t: int, delta: int = 14) -> list[CheckStatus]:
     """Run every structural check; one status entry per check, in table order."""
     t = _t_of(t)
     part = partition_edges(h, delta)
@@ -361,7 +350,7 @@ def lemma_status_report(
         elif g.edge_count == 0:
             report.append(CheckStatus(name, "vacuous", _EMPTY_PREMISE[premise]))
         else:
-            detail, found = check(h, g, t, delta, seed)
+            detail, found = check(h, g, t, delta)
             violations = [
                 _attach_certificate(h, LemmaViolation(name, subject, observed, bound), cert, detected)
                 for subject, observed, bound, cert in found

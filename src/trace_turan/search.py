@@ -50,9 +50,6 @@ class SearchResult:
     nodes_explored: int
     elapsed: float
 
-    def csv_row(self) -> str:
-        return f"{self.n},{self.t},{self.value},{len(self.witnesses)},{self.nodes_explored},{self.elapsed:.3f}"
-
 
 # both routes keep at most this many witness classes
 WITNESS_CAP = 100

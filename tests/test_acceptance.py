@@ -184,7 +184,7 @@ def test_criterion_6_dominated_set_guarantees(monkeypatch):
         n = rng.randint(2, 24)
         delta = rng.choice([2, 3, 4, 14])
         g = random_loop_graph(n, 0.45, rng, min_degree=delta)
-        r = dominated_min_degree(g, delta, seed=rng.randrange(2**30))
+        r = dominated_min_degree(g, delta)
         ok = ok and len(r) >= math.ceil((1 - epsilon(delta)) * n)
         ok = ok and is_dominated(g, r)
 
@@ -197,7 +197,7 @@ def test_criterion_6_dominated_set_guarantees(monkeypatch):
                 g = random_loop_graph(
                     n, 0.5, random.Random(n * 1000 + delta * 100 + case), min_degree=delta
                 )
-                r = dominated_min_degree(g, delta, seed=0)
+                r = dominated_min_degree(g, delta)
                 target = math.ceil((1 - epsilon(delta)) * n)
                 exhaustive_ok = exhaustive_ok and len(r) >= target
                 exhaustive_ok = exhaustive_ok and is_dominated(g, r)

@@ -180,7 +180,7 @@ def test_verify_exits_4_when_a_check_fires_on_a_trace_free_input(tmp_path, capsy
     assert contains_trace(h, 2) is None
     name, premise, extra, _ = lemma_checks._CHECKS[0]
 
-    def fires(h, g, t, delta, seed):
+    def fires(h, g, t, delta):
         return "bound 0", [((0, 1), 2, 0, None)]
 
     monkeypatch.setattr(
@@ -233,6 +233,12 @@ def test_usage_error_exit_2():
 def test_search_takes_no_such_flag(flag):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "4", "--t", "2", *flag])
+    assert exc.value.code == 2
+
+
+def test_verify_takes_no_seed_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--file", "unread.hg", "--t", "2", "--seed", "1"])
     assert exc.value.code == 2
 
 

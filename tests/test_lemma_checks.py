@@ -2,6 +2,7 @@
 violations on purpose-built ones."""
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -208,7 +209,7 @@ def test_unverified_constructive_certificate_takes_the_detector_answer(monkeypat
     assert not verify_certificate(h, bogus)
     name, premise, extra, _ = lemma_checks._CHECKS[0]
 
-    def fires(h, g, t, delta, seed):
+    def fires(h, g, t, delta):
         return "bound 0", [((0, 1), 3, 0, bogus), ((0, 2), 3, 0, None)]
 
     monkeypatch.setattr(
@@ -220,3 +221,30 @@ def test_unverified_constructive_certificate_takes_the_detector_answer(monkeypat
     assert [v.certificate for v in found] == [detected, detected]
     assert all(v.note == CERTIFIED for v in found)
 
+
+
+def test_a_failing_constructive_builder_raises(monkeypatch):
+    # the builders' preconditions hold at every call site, so an error in one
+    # is a bug: it must surface, not be replaced by the detector's answer
+    def broken(gx, gy):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(lemma_checks, "dominated_pair_min1", broken)
+    with pytest.raises(AssertionError, match="broken invariant"):
+        lemma_status_report(residual_codegree_instance(), 2, 14)
+
+
+def test_verify_and_library_print_the_same_dense_core_certificates(tmp_path, capsys, monkeypatch):
+    # K^(3)_18: co-degree 16 everywhere, so every pair crosses the core ceiling
+    h = Hypergraph3(18, itertools.combinations(range(18), 3))
+    core_row = [row for row in lemma_checks._CHECKS if row[0] == "core-codegree-cap"]
+    monkeypatch.setattr(lemma_checks, "_CHECKS", tuple(core_row))
+    path = tmp_path / "k18.hg"
+    write_hypergraph(h, str(path))
+    assert main(["verify", "--file", str(path), "--t", "2"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    printed = [v["certificate"] for v in json.loads(line)["violations"]]
+    (status,) = lemma_status_report(h, 2)
+    assert printed == [v.certificate.to_text() for v in status.violations]
+    assert len(printed) == 153
+    assert all(verify_certificate(h, v.certificate) for v in status.violations)

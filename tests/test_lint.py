@@ -1,14 +1,19 @@
 """Source checks that need no linter: every library module reads what it
 imports, every private module-level name is read somewhere in the package,
-and every package export is read by the package or the bench, or is public."""
+every package export is read by the package or the bench, or is public, and
+every command-line flag is read by its subcommand's handler."""
 
+import argparse
 import ast
+import inspect
+import textwrap
 import types
 from pathlib import Path
 
 import pytest
 
 import trace_turan
+from trace_turan import cli
 
 PACKAGE = Path(trace_turan.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -124,3 +129,37 @@ def test_every_export_is_read_or_public():
     }
     assert PUBLIC_EXPORTS <= exports
     assert sorted(exports - LIBRARY_AND_BENCH_READS - PUBLIC_EXPORTS) == []
+
+
+def unread_flags(parser: argparse.ArgumentParser, handlers: dict) -> list[str]:
+    """The ``subcommand dest`` pairs whose handler never reads ``args.<dest>``."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, p in sub.choices.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(handlers[name])))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        dests = [a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        unread += [f"{name} {dest}" for dest in dests if dest not in read]
+    return sorted(unread)
+
+
+def _reads_n(args):
+    return args.n
+
+
+def test_unread_flag_finder_sees_leftovers():
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers(dest="subcommand").add_parser("run")
+    p.add_argument("--n", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    assert unread_flags(parser, {"run": _reads_n}) == ["run seed"]
+
+
+def test_every_flag_is_read_by_its_handler():
+    assert unread_flags(cli.build_parser(), cli._COMMANDS) == []
