@@ -13,7 +13,6 @@ from .bounds import (
 )
 from .canon import canonical_form, canonical_index_sequence, is_canonical_labeling
 from .constructions import (
-    Graph,
     contains_c4,
     dumps_graph,
     greedy_lower_bound,
@@ -29,8 +28,8 @@ from .dominated import (
 from .hypergraph import (
     EdgePartition,
     FormatError,
+    Graph,
     Hypergraph3,
-    LoopGraph,
     dumps_hypergraph,
     eu_vu,
     link_graph,

@@ -122,11 +122,6 @@ def _three_term(t: Interval, g: Interval) -> Interval:
     return sparse + medium + dense
 
 
-def epsilon_interval(delta: float) -> Interval:
-    d1 = Interval.point(delta) + Interval.point(1.0)
-    return (d1.log() + Interval.point(1.0)) / d1
-
-
 @dataclass
 class DerivationPoint:
     """Interval comparison of the two upper bounds at one t."""

@@ -70,20 +70,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.kind == "polarity":
-        if args.q is None:
-            print("construct polarity needs --q", file=sys.stderr)
-            return 2
-        g = polarity_graph(args.q)
-        text = dumps_hypergraph(lift_to_trace_free(g)) if args.lift else dumps_graph(g)
-    else:
-        if args.n is None or args.t is None:
-            print("construct greedy needs --n and --t", file=sys.stderr)
-            return 2
-        h = greedy_lower_bound(args.n, args.t, seed=args.seed, restarts=args.restarts)
-        text = dumps_hypergraph(h)
-    _emit(text, args.output)
+def _cmd_polarity(args: argparse.Namespace) -> int:
+    g = polarity_graph(args.q)
+    _emit(dumps_hypergraph(lift_to_trace_free(g)) if args.lift else dumps_graph(g), args.output)
+    return 0
+
+
+def _cmd_greedy(args: argparse.Namespace) -> int:
+    h = greedy_lower_bound(args.n, args.t, seed=args.seed, restarts=args.restarts)
+    _emit(dumps_hypergraph(h), args.output)
     return 0
 
 
@@ -133,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("search", help="exact maximum edge count")
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="use the enumeration oracle (n <= 6)")
@@ -140,53 +136,56 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
 
     p = sub.add_parser("check", help="trace detection with certificate output")
+    p.set_defaults(handler=_cmd_check)
     p.add_argument("--file", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--time-budget", type=float, default=None)
     p.add_argument("--output")
 
     p = sub.add_parser("construct", help="lower-bound constructions")
-    p.add_argument("kind", choices=("polarity", "greedy"))
-    p.add_argument("--q", type=int, help="prime order for the polarity construction")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("polarity", help="C4-free polarity graph")
+    p.set_defaults(handler=_cmd_polarity)
+    p.add_argument("--q", type=int, required=True, help="prime order of the field")
     p.add_argument("--lift", action="store_true", help="lift the graph to a 3-uniform hypergraph")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--output")
+    p = kinds.add_parser("greedy", help="seeded random greedy trace-free packing")
+    p.set_defaults(handler=_cmd_greedy)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--output")
 
     p = sub.add_parser("verify", help="run the structural check suite on a hypergraph file")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--file", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--delta", type=int, default=14)
     p.add_argument("--output")
 
     p = sub.add_parser("bounds", help="derivation-check table over a t range")
+    p.set_defaults(handler=_cmd_bounds)
     p.add_argument("--t-range", default="14:1000000", help="lo:hi, log-uniform grid")
     p.add_argument("--points", type=int, default=1000)
     p.add_argument("--output")
     return parser
 
 
-_COMMANDS = {
-    "search": _cmd_search,
-    "check": _cmd_check,
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "bounds": _cmd_bounds,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand; its errors become one stderr line and an exit code.
 
-    ValueError (CapExceeded among them) exits 2, FormatError and OSError
-    exit 3; nothing else is caught, so a genuine bug still shows its
-    traceback.
+    A usage error exits 2 with argparse's message, and ``--help`` exits 0;
+    both return the code instead of raising SystemExit.  ValueError
+    (CapExceeded among them) exits 2, FormatError and OSError exit 3;
+    nothing else is caught, so a genuine bug still shows its traceback.
     """
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
+        return args.handler(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

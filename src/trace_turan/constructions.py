@@ -13,54 +13,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
 
-from .hypergraph import Hypergraph3
+from .hypergraph import Graph, Hypergraph3
 from .indexing import all_triples
 from .traces import _t_of, incremental_trace_check
 
 
-class Graph:
-    """A simple undirected graph on vertices 0..n-1."""
-
-    __slots__ = ("n", "_edges", "_adj")
-
-    def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = n
-        self._edges: set[tuple[int, int]] = set()
-        self._adj: dict[int, set[int]] = {}  # only vertices that have edges
-        for e in edges:
-            self.add_edge(*tuple(e))
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("simple graphs carry no loops")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        self._edges.add((min(u, v), max(u, v)))
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._edges))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return frozenset(self._adj.get(v, ()))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edges
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.edge_count})"
+def _loopless_order(g: Graph) -> int:
+    """n for a loopless graph on vertices 0..n-1; ValueError for any other."""
+    n = len(g.vertices)
+    if g.loop_count or (g.vertices != range(n) and g.vertices != frozenset(range(n))):
+        raise ValueError(f"needs a loopless graph on vertices 0..n-1, got {g!r}")
+    return n
 
 
 def _is_prime(q: int) -> bool:
@@ -86,7 +50,7 @@ def polarity_graph(q: int) -> Graph:
     points: list[tuple[int, int, int]] = [(0, 0, 1)]
     points.extend((0, 1, c) for c in range(q))
     points.extend((1, b, c) for b in range(q) for c in range(q))
-    g = Graph(len(points))
+    g = Graph(range(len(points)))
     for i, p in enumerate(points):
         for j in range(i + 1, len(points)):
             r = points[j]
@@ -97,7 +61,7 @@ def polarity_graph(q: int) -> Graph:
 
 def contains_c4(g: Graph) -> bool:
     """Subgraph 4-cycle test via common neighborhoods."""
-    for u, v in itertools.combinations(range(g.n), 2):
+    for u, v in itertools.combinations(sorted(g.vertices), 2):
         if len(g.neighbors(u) & g.neighbors(v)) >= 2:
             return True
     return False
@@ -109,9 +73,10 @@ def lift_to_trace_free(g: Graph) -> Hypergraph3:
     Preserves the edge count; a C4-free input yields a hypergraph free of
     4-cycle traces (any trace set either misses the apex, forcing a C4 in
     the graph, or contains it, which no exact pattern intersection allows).
+    Needs a loopless graph on vertices 0..n-1; the apex is n.
     """
-    apex = g.n
-    h = Hypergraph3(g.n + 1)
+    apex = _loopless_order(g)
+    h = Hypergraph3(apex + 1)
     for u, v in g.edges:
         h.add_edge((u, v, apex))
     return h
@@ -146,6 +111,8 @@ def greedy_lower_bound(n: int, t: int, seed: int = 0, restarts: int = 32) -> Hyp
 
 
 def dumps_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    """The ``n m`` text of a loopless graph on vertices 0..n-1."""
+    edges = g.edges
+    lines = [f"{_loopless_order(g)} {len(edges)}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"

@@ -28,14 +28,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from .bounds import epsilon
-from .hypergraph import LoopGraph
+from .hypergraph import Graph
 
 
 # random rounds before dominated_min_degree switches to the derandomized one
 _MAX_RETRIES = 100
 
 
-def star_loop_decomposition(g: LoopGraph) -> dict[int, frozenset[int]]:
+def star_loop_decomposition(g: Graph) -> dict[int, frozenset[int]]:
     """Greedy spanning decomposition for graphs of minimum degree >= 1.
 
     The result maps each component's center to its leaves: a star of >= 2
@@ -121,7 +121,7 @@ def _star_union_colouring(
     return colour
 
 
-def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> frozenset[int]:
+def dominated_pair_min1(gx: Graph, gy: Graph) -> frozenset[int]:
     """A set dominated in both graphs of size >= ceil(|S|/3).
 
     |S| = 3 is special: a non-adjacent pair when the simple-edge union is
@@ -145,19 +145,19 @@ def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> frozenset[int]:
     looped singletons have their loop.  The largest class is
     dominated in both graphs and has >= ceil(|S|/3) members.
     """
-    if gx.vertices != gy.vertices:
-        raise ValueError("graphs must share a vertex set")
     verts = sorted(gx.vertices)
+    if verts != sorted(gy.vertices):
+        raise ValueError("graphs must share a vertex set")
     if not verts:
         return frozenset()
     if gx.min_degree() < 1 or gy.min_degree() < 1:
         raise ValueError("both graphs need minimum degree >= 1")
     if len(verts) == 3:
-        union = gx.simple_edges() | gy.simple_edges()
+        union = {*gx.edges, *gy.edges}
         if len(union) == 3:
             return frozenset({min(verts)})
         for u, v in itertools.combinations(verts, 2):
-            if frozenset((u, v)) not in union:
+            if (u, v) not in union:
                 return frozenset({u, v})
         raise AssertionError("unreachable: fewer than 3 union edges")
 
@@ -170,7 +170,7 @@ def dominated_pair_min1(gx: LoopGraph, gy: LoopGraph) -> frozenset[int]:
     return frozenset(d)
 
 
-def _sample_round(g: LoopGraph, p: float, rng: random.Random) -> set[int]:
+def _sample_round(g: Graph, p: float, rng: random.Random) -> set[int]:
     verts = sorted(g.vertices)
     sampled = {v for v in verts if rng.random() < p}
     return {
@@ -180,7 +180,7 @@ def _sample_round(g: LoopGraph, p: float, rng: random.Random) -> set[int]:
     }
 
 
-def _derandomized_round(g: LoopGraph, p_float: float) -> set[int]:
+def _derandomized_round(g: Graph, p_float: float) -> set[int]:
     """Conditional-expectation greedy on E[|D|]; exact Fraction arithmetic.
 
     The estimator sums, per vertex, the probability of ending up sampled
@@ -222,7 +222,7 @@ def _derandomized_round(g: LoopGraph, p_float: float) -> set[int]:
     }
 
 
-def dominated_min_degree(g: LoopGraph, delta: float) -> frozenset[int]:
+def dominated_min_degree(g: Graph, delta: float) -> frozenset[int]:
     """A dominated set of size >= ceil((1 - eps_delta) n), min degree delta.
 
     Samples vertices with the standard inclusion probability and drops the
@@ -253,12 +253,12 @@ def dominated_min_degree(g: LoopGraph, delta: float) -> frozenset[int]:
     return frozenset(d)
 
 
-def simultaneous_dominated_min_degree(gx: LoopGraph, gy: LoopGraph, delta: float) -> frozenset[int]:
+def simultaneous_dominated_min_degree(gx: Graph, gy: Graph, delta: float) -> frozenset[int]:
     """Intersection of per-graph dominated sets: size >= ceil((1-2eps)|S|).
 
     Requires delta >= 14, which keeps eps <= 1/4 and the guarantee positive.
     """
-    if gx.vertices != gy.vertices:
+    if sorted(gx.vertices) != sorted(gy.vertices):
         raise ValueError("graphs must share a vertex set")
     if delta < 14:
         raise ValueError(f"simultaneous domination needs delta >= 14, got {delta}")

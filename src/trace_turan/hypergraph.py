@@ -1,7 +1,8 @@
-"""Core data structures: 3-uniform hypergraphs, graphs with loops, and the
-small/medium/large co-degree edge partition.
+"""Core data structures: 3-uniform hypergraphs, one graph type with loops
+for polarity and link graphs alike, and the small/medium/large co-degree
+edge partition.
 
-Vertices are dense integers 0..n-1.  Edges are stored as sorted triples and
+Hypergraph vertices are dense integers 0..n-1.  Edges are sorted triples
 indexed by vertex pair, so co-degree queries are O(1) and the index survives
 incremental edge insertion/removal (the extremal search mutates a hypergraph
 in place as the single owner).  A shadow adjacency rides along with the pair
@@ -14,8 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, TypeVar
 
+from .indexing import Triple
+
 T = TypeVar("T")
-Triple = tuple[int, int, int]
 Pair = tuple[int, int]
 
 
@@ -193,83 +195,77 @@ class Hypergraph3:
         return sorted(self._nbrs)
 
 
-class LoopGraph:
+class Graph:
     """A graph with simple edges plus loops counted with multiplicity.
 
-    degree(v) = number of simple edges at v + loop multiplicity at v.
+    degree(v) = number of simple edges at v + loop multiplicity at v.  A
+    ``range`` vertex set stays lazy, and adjacency and loop counts hold only
+    the vertices that have them, so ``Graph(range(10**5))`` allocates nothing
+    per vertex.
     """
 
-    __slots__ = ("_vertices", "_adj", "_loops")
+    __slots__ = ("vertices", "_adj", "_loops")
 
     def __init__(
         self,
         vertices: Iterable[int],
         edges: Iterable[Iterable[int]] = (),
-        loops: dict[int, int] | Iterable[int] | None = None,
+        loops: Mapping[int, int] | None = None,
     ):
-        self._vertices = frozenset(vertices)
-        self._adj: dict[int, set[int]] = {v: set() for v in self._vertices}
+        self.vertices = vertices if isinstance(vertices, range) else frozenset(vertices)
+        self._adj: dict[int, set[int]] = {}
         self._loops: dict[int, int] = {}
         for e in edges:
-            u, v = tuple(e)
-            self.add_edge(u, v)
-        if loops is not None:
-            items = loops.items() if isinstance(loops, dict) else ((v, 1) for v in loops)
-            for v, mult in items:
-                self.add_loop(v, mult)
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return self._vertices
+            self.add_edge(*e)
+        for v, mult in (loops or {}).items():
+            self.add_loop(v, mult)
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError("use add_loop for loops")
-        if u not in self._vertices or v not in self._vertices:
+        if u not in self.vertices or v not in self.vertices:
             raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        self._adj.setdefault(u, set()).add(v)
+        self._adj.setdefault(v, set()).add(u)
 
     def add_loop(self, v: int, mult: int = 1) -> None:
-        if v not in self._vertices:
+        if v not in self.vertices:
             raise ValueError(f"loop vertex {v} not in vertex set")
         if mult < 0:
             raise ValueError("loop multiplicity must be nonnegative")
         if mult:
             self._loops[v] = self._loops.get(v, 0) + mult
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._adj[v])
+    @property
+    def edges(self) -> tuple[Pair, ...]:
+        """The simple edges (u, v), u < v, sorted."""
+        return tuple(sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj.get(u, ())
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self._adj.values())) // 2
+
+    @property
+    def loop_count(self) -> int:
+        return sum(self._loops.values())
+
+    def neighbors(self, v: int) -> AbstractSet[int]:
+        """The simple-edge neighbours of v: a live view, not a copy."""
+        if v not in self.vertices:
+            raise ValueError(f"vertex {v} not in vertex set")
+        return self._adj.get(v, _NO_NEIGHBORS)
 
     def loops_at(self, v: int) -> int:
         return self._loops.get(v, 0)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v]) + self._loops.get(v, 0)
+        return len(self.neighbors(v)) + self._loops.get(v, 0)
 
     def min_degree(self) -> int:
-        return min((self.degree(v) for v in self._vertices), default=0)
-
-    def simple_edges(self) -> set[frozenset[int]]:
-        return {frozenset((u, v)) for u in self._adj for v in self._adj[u] if u < v}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LoopGraph):
-            return NotImplemented
-        return (
-            self._vertices == other._vertices
-            and self._adj == other._adj
-            and self._loops == other._loops
-        )
+        return min((self.degree(v) for v in self.vertices), default=0)
 
     def __repr__(self) -> str:
-        return (
-            f"LoopGraph(|V|={len(self._vertices)}, "
-            f"|E|={len(self.simple_edges())}, loops={sum(self._loops.values())})"
-        )
+        return f"Graph(|V|={len(self.vertices)}, |E|={self.edge_count}, loops={self.loop_count})"
 
 
 @dataclass(frozen=True)
@@ -302,8 +298,8 @@ def partition_edges(h: Hypergraph3, delta: float) -> EdgePartition:
     return EdgePartition(delta, frozenset(a), frozenset(b), frozenset(c))
 
 
-def link_graph(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> LoopGraph:
-    """The loop graph on S recording edges of h through x.
+def link_graph(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> Graph:
+    """The graph with loops on S recording edges of h through x.
 
     For an edge {x, u, v}: a simple edge uv when both u, v are in S, and a
     loop at u (multiplicity-counted) when v is outside S and v != y.  Edges
@@ -315,7 +311,7 @@ def link_graph(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> LoopGraph:
     s_set = frozenset(s)
     if x in s_set or y in s_set:
         raise ValueError("S must avoid x and y")
-    g = LoopGraph(s_set)
+    g = Graph(s_set)
     for u in s_set:
         for v in h.codegree_thirds(x, u):
             if v in s_set:

@@ -8,8 +8,11 @@ copy of the earlier scan over a sorted, re-validated edge list, 4-cycles are
 found by scanning 4-subsets, dominated sets by scanning all subsets, and the
 DIMACS formulas are decided by a tiny DPLL with unit propagation.  The edge
 partition, the link graphs and dominated sets are checked against their
-defining properties.  The one exception is ``loads_graph``: no command reads
-a graph file, so the graph reader lives here, on the library's line parser.
+defining properties.  ``epsilon_interval`` re-types the library's ε over
+outward-rounded intervals, as a certified reference for ``epsilon``.  The
+one exception is ``loads_graph``: no command reads a graph file, so the
+reader of the text that ``dumps_graph`` writes lives here, on the library's
+line parser, and returns the one ``Graph`` type on ``range(n)``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from trace_turan import (
     EdgePartition,
     Graph,
     Hypergraph3,
-    LoopGraph,
+    Interval,
     TraceCertificate,
     lift_to_trace_free,
     link_graph,
@@ -53,9 +56,9 @@ def relabelled_lift(q: int) -> Hypergraph3:
 
 def random_loop_graph(
     n: int, p: float, rng: random.Random, min_degree: int = 1
-) -> LoopGraph:
+) -> Graph:
     """Random simple graph with loops added until min_degree is reached."""
-    g = LoopGraph(range(n))
+    g = Graph(range(n))
     for u, v in itertools.combinations(range(n), 2):
         if rng.random() < p:
             g.add_edge(u, v)
@@ -343,10 +346,10 @@ def validate_partition(p: EdgePartition, h: Hypergraph3) -> None:
             assert e in p.C
 
 
-def is_dominated(g: LoopGraph, d: Iterable[int]) -> bool:
+def is_dominated(g: Graph, d: Iterable[int]) -> bool:
     """Every member of D has a loop or a neighbour outside D."""
     d_set = frozenset(d)
-    if not d_set <= g.vertices:
+    if not all(v in g.vertices for v in d_set):
         raise ValueError("D must be a subset of the vertex set")
     return all(
         g.loops_at(v) >= 1 or any(u not in d_set for u in g.neighbors(v)) for v in d_set
@@ -378,32 +381,39 @@ def verify_degree_inequality(h: Hypergraph3, x: int, s: Iterable[int], y: int) -
 
 
 def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
-    if g.has_edge(*edge):
+    u, v = edge
+    if v in g.neighbors(u):
         raise ValueError(f"duplicate edge {edge}")
-    g.add_edge(*edge)
+    g.add_edge(u, v)
 
 
 def loads_graph(text: str) -> Graph:
     """Read the graph text format that ``dumps_graph`` writes."""
-    return loads_edge_lines(text, 2, Graph, _add_new_edge)
+    return loads_edge_lines(text, 2, lambda n: Graph(range(n)), _add_new_edge)
 
 
 def four_subset_has_c4(g: Graph) -> bool:
     """4-cycle detection by enumerating vertex 4-subsets and pairings."""
-    for quad in itertools.combinations(range(g.n), 4):
+    for quad in itertools.combinations(sorted(g.vertices), 4):
         a, b, c, d = quad
         for p, q, r, s in ((a, b, c, d), (a, c, b, d), (a, b, d, c)):
             if (
-                g.has_edge(p, q)
-                and g.has_edge(q, r)
-                and g.has_edge(r, s)
-                and g.has_edge(s, p)
+                q in g.neighbors(p)
+                and r in g.neighbors(q)
+                and s in g.neighbors(r)
+                and p in g.neighbors(s)
             ):
                 return True
     return False
 
 
-def max_dominated_subset(g: LoopGraph) -> int:
+def epsilon_interval(delta: float) -> Interval:
+    """(1 + ln(delta+1))/(delta+1) over outward-rounded intervals."""
+    d1 = Interval.point(delta) + Interval.point(1.0)
+    return (d1.log() + Interval.point(1.0)) / d1
+
+
+def max_dominated_subset(g: Graph) -> int:
     """Largest dominated set size by scanning all subsets (|V| <= ~16)."""
     verts = sorted(g.vertices)
     best = 0

@@ -26,11 +26,11 @@ from trace_turan import (
     verify_certificate,
 )
 import trace_turan.dominated as dominated
-from trace_turan.bounds import epsilon_interval
 from trace_turan.lemma_checks import CERTIFIED
 
 from helpers import (
     dpll_satisfiable,
+    epsilon_interval,
     four_subset_has_c4,
     is_dominated,
     max_dominated_subset,
@@ -146,7 +146,7 @@ def test_criterion_4_construction_fidelity():
     detail = []
     for q in (2, 3, 5, 7):
         g = polarity_graph(q)
-        ok = ok and g.n == q * q + q + 1
+        ok = ok and g.vertices == range(q * q + q + 1)
         ok = ok and g.edge_count == q * (q + 1) ** 2 // 2
         ok = ok and not four_subset_has_c4(g)
         h = lift_to_trace_free(g)

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from trace_turan import Interval, derivation_check, epsilon, log_grid, ratio_table
-from trace_turan.bounds import _g, _single_formula, _three_term, epsilon_interval
+from trace_turan.bounds import _g, _single_formula, _three_term
+
+from helpers import epsilon_interval
 
 REL = 1e-9
 

@@ -129,6 +129,30 @@ def test_construct_polarity_requires_q(capsys):
     assert code == 2 and "--q" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "polarity", "--q", "2", "--n", "5", "--t", "2", "--seed", "1", "--restarts", "3"),
+        ("construct", "greedy", "--n", "5", "--t", "2", "--q", "7", "--lift"),
+    ],
+    ids=["polarity", "greedy"],
+)
+def test_construct_refuses_the_other_kinds_flags(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_construct_polarity_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for q in (2, 3, 5, 7, 11, 13):
+        for lift in ((), ("--lift",)):
+            code, out, _ = run(capsys, "construct", "polarity", "--q", str(q), *lift)
+            assert code == 0
+            digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == "6bfde7c0a1499417d886409e96db9fcb39f7be087d67984dc670a32d0cb2903f"
+
+
 def test_construct_polarity_non_prime_refused(capsys):
     code, _, err = run(capsys, "construct", "polarity", "--q", "6")
     assert code == 2 and "prime" in err
@@ -219,10 +243,10 @@ def test_bounds_output_is_pinned(capsys, t_range, points, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--n", "4"])  # missing --t
-    assert exc.value.code == 2
+def test_usage_error_exit_2(capsys):
+    code, out, err = run(capsys, "search", "--n", "4")  # missing --t
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --t" in err
 
 
 @pytest.mark.parametrize(
@@ -230,16 +254,16 @@ def test_usage_error_exit_2():
     [["--seed", "1"], ["--witness-cap", "5"], ["--cap", "13"]],
     ids=["seed", "witness-cap", "cap"],
 )
-def test_search_takes_no_such_flag(flag):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--n", "4", "--t", "2", *flag])
-    assert exc.value.code == 2
+def test_search_takes_no_such_flag(capsys, flag):
+    code, out, err = run(capsys, "search", "--n", "4", "--t", "2", *flag)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
-def test_verify_takes_no_seed_flag():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--file", "unread.hg", "--t", "2", "--seed", "1"])
-    assert exc.value.code == 2
+def test_verify_takes_no_seed_flag(capsys):
+    code, out, err = run(capsys, "verify", "--file", "unread.hg", "--t", "2", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_bounds_refuses_t_outside_the_domain_of_g(capsys):

@@ -21,7 +21,7 @@ from helpers import four_subset_has_c4, loads_graph
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_polarity_counts_and_c4_freeness(q):
     g = polarity_graph(q)
-    assert g.n == q * q + q + 1
+    assert g.vertices == range(q * q + q + 1)
     assert g.edge_count == q * (q + 1) ** 2 // 2
     assert not four_subset_has_c4(g)
     assert not contains_c4(g)
@@ -47,7 +47,7 @@ def test_graph_header_allocates_nothing_per_vertex():
 
 
 def test_lift_single_edge():
-    h = lift_to_trace_free(Graph(2, [(0, 1)]))
+    h = lift_to_trace_free(Graph(range(2), [(0, 1)]))
     assert h.edges == ((0, 1, 2),)
     assert contains_trace(h, 2) is None
 
@@ -56,12 +56,34 @@ def test_lift_single_edge():
 def test_lift_of_polarity_is_trace_free(q):
     g = polarity_graph(q)
     h = lift_to_trace_free(g)
-    assert h.n == g.n + 1 and h.edge_count == g.edge_count
+    assert h.n == len(g.vertices) + 1 and h.edge_count == g.edge_count
     assert contains_trace(h, 2) is None
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(range(3), [(0, 1)], loops={2: 1}),
+        Graph(range(1, 4), [(1, 2)]),
+        Graph([0, 2], [(0, 2)]),
+    ],
+    ids=["loop", "shifted-range", "gap"],
+)
+def test_lift_and_text_format_refuse_other_graphs(g):
+    with pytest.raises(ValueError):
+        lift_to_trace_free(g)
+    with pytest.raises(ValueError):
+        dumps_graph(g)
+
+
+def test_lift_and_text_format_take_any_set_equal_to_range():
+    g = Graph([2, 0, 1], [(2, 0)])
+    assert dumps_graph(g) == "3 1\n0 2\n"
+    assert lift_to_trace_free(g).edges == ((0, 2, 3),)
+
+
 def test_lift_of_4_cycle_contains_trace():
-    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     h = lift_to_trace_free(c4)
     assert contains_trace(h, 2) is not None
 
@@ -96,7 +118,7 @@ def test_greedy_deterministic_per_seed():
 
 
 def test_graph_text_round_trip():
-    g = Graph(4, [(3, 1), (0, 2)])
+    g = Graph(range(4), [(3, 1), (0, 2)])
     text = dumps_graph(g)
     assert text == "4 2\n0 2\n1 3\n"
     assert dumps_graph(loads_graph(text)) == text

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from trace_turan import (
-    LoopGraph,
+    Graph,
     dominated_min_degree,
     dominated_pair_min1,
     epsilon,
@@ -22,7 +22,7 @@ from helpers import is_dominated, max_dominated_subset, random_loop_graph
 
 
 def triangle():
-    return LoopGraph(range(3), [(0, 1), (1, 2), (0, 2)])
+    return Graph(range(3), [(0, 1), (1, 2), (0, 2)])
 
 
 def check_decomposition(g, stars):
@@ -37,25 +37,25 @@ def check_decomposition(g, stars):
             assert not (members & verts)
             verts |= members
             for leaf in leaves:
-                assert g.has_edge(center, leaf)
-    assert verts == g.vertices
+                assert leaf in g.neighbors(center)
+    assert verts == set(g.vertices)
 
 
 # -- is_dominated ---------------------------------------------------------------
 
 
 def test_single_edge_one_endpoint_dominated():
-    g = LoopGraph([0, 1], [(0, 1)])
+    g = Graph([0, 1], [(0, 1)])
     assert is_dominated(g, {0})
 
 
 def test_single_edge_both_endpoints_not_dominated():
-    g = LoopGraph([0, 1], [(0, 1)])
+    g = Graph([0, 1], [(0, 1)])
     assert not is_dominated(g, {0, 1})
 
 
 def test_loop_dominates_itself():
-    g = LoopGraph([0], loops={0: 1})
+    g = Graph([0], loops={0: 1})
     assert is_dominated(g, {0})
 
 
@@ -63,14 +63,14 @@ def test_loop_dominates_itself():
 
 
 def test_path_decomposes_into_single_star():
-    g = LoopGraph(range(3), [(0, 1), (1, 2)])
+    g = Graph(range(3), [(0, 1), (1, 2)])
     stars = star_loop_decomposition(g)
     check_decomposition(g, stars)
     assert len(stars) == 1
 
 
 def test_edge_plus_loop():
-    g = LoopGraph(range(3), [(0, 1)], loops={2: 1})
+    g = Graph(range(3), [(0, 1)], loops={2: 1})
     stars = star_loop_decomposition(g)
     check_decomposition(g, stars)
     assert stars == {0: frozenset({1}), 2: frozenset()}
@@ -81,7 +81,7 @@ def test_triangle_greedy_from_lowest_id():
 
 
 def test_isolated_vertex_rejected():
-    g = LoopGraph(range(2), [], loops={0: 1})
+    g = Graph(range(2), [], loops={0: 1})
     with pytest.raises(ValueError):
         star_loop_decomposition(g)
 
@@ -105,14 +105,14 @@ def test_k3_exception_returns_singleton():
 
 def test_k3_union_across_two_paths():
     # union of two different paths is a triangle: no 2-set is dominated in both
-    gx = LoopGraph(range(3), [(0, 1), (1, 2)])
-    gy = LoopGraph(range(3), [(1, 0), (0, 2)])
+    gx = Graph(range(3), [(0, 1), (1, 2)])
+    gy = Graph(range(3), [(1, 0), (0, 2)])
     r = dominated_pair_min1(gx, gy)
     assert len(r) == 1
 
 
 def test_path_pair_returns_endpoints():
-    g = LoopGraph(range(3), [(0, 1), (1, 2)])
+    g = Graph(range(3), [(0, 1), (1, 2)])
     r = dominated_pair_min1(g, g)
     assert r == frozenset({0, 2})
 
@@ -123,13 +123,13 @@ def test_three_vertex_non_triangle_always_size_2():
     for mask in range(8):
         edges = [e for i, e in enumerate([(0, 1), (0, 2), (1, 2)]) if mask >> i & 1]
         for loops in itertools.product((0, 1), repeat=3):
-            g = LoopGraph(range(3), edges, loops={v: m for v, m in enumerate(loops)})
+            g = Graph(range(3), edges, loops={v: m for v, m in enumerate(loops)})
             if g.min_degree() >= 1:
                 combos.append(g)
     for gx, gy in itertools.product(combos, repeat=2):
         r = dominated_pair_min1(gx, gy)
         assert is_dominated(gx, r) and is_dominated(gy, r)
-        union = gx.simple_edges() | gy.simple_edges()
+        union = {*gx.edges, *gy.edges}
         if len(union) == 3:
             assert len(r) >= 1
         else:
@@ -137,15 +137,15 @@ def test_three_vertex_non_triangle_always_size_2():
 
 
 def test_two_disjoint_paths_of_three():
-    g = LoopGraph(range(6), [(0, 1), (1, 2), (3, 4), (4, 5)])
+    g = Graph(range(6), [(0, 1), (1, 2), (3, 4), (4, 5)])
     r = dominated_pair_min1(g, g)
     assert len(r) >= 2
     assert is_dominated(g, r)
 
 
 def test_matching_vs_matching_meets_bound():
-    gx = LoopGraph(range(4), [(0, 1), (2, 3)])
-    gy = LoopGraph(range(4), [(0, 2), (1, 3)])
+    gx = Graph(range(4), [(0, 1), (2, 3)])
+    gy = Graph(range(4), [(0, 2), (1, 3)])
     r = dominated_pair_min1(gx, gy)
     assert len(r) >= 2
     assert is_dominated(gx, r) and is_dominated(gy, r)
@@ -160,8 +160,8 @@ def test_pair_bound_on_three_copies_of_a_seven_vertex_pair():
     # {0, 1, 2} + 7k is dominated in both graphs and has 9
     ex = [(0, 2), (0, 6), (1, 2), (1, 3), (1, 6), (2, 5), (4, 6)]
     ey = [(0, 1), (0, 3), (0, 6), (1, 3), (2, 5), (4, 5)]
-    gx = LoopGraph(range(21), shifted_copies(ex, 7, 3))
-    gy = LoopGraph(range(21), shifted_copies(ey, 7, 3))
+    gx = Graph(range(21), shifted_copies(ex, 7, 3))
+    gy = Graph(range(21), shifted_copies(ey, 7, 3))
     r = dominated_pair_min1(gx, gy)
     assert len(r) >= 7
     assert is_dominated(gx, r) and is_dominated(gy, r)
@@ -192,7 +192,7 @@ def test_star_union_colouring_is_proper_with_three_colours():
     for n, gx, gy in random_pair_corpus(rng, 300, 40, [0.03, 0.05, 0.1, 0.3]):
         decomps = (star_loop_decomposition(gx), star_loop_decomposition(gy))
         colour = _star_union_colouring(sorted(gx.vertices), decomps)
-        assert set(colour) == gx.vertices
+        assert set(colour) == set(gx.vertices)
         assert set(colour.values()) <= {0, 1, 2}
         for stars in decomps:
             for center, leaves in stars.items():
@@ -227,12 +227,12 @@ def test_decompositions_and_pair_answers_are_pinned():
 
 def test_pair_rejects_mismatched_vertex_sets():
     with pytest.raises(ValueError):
-        dominated_pair_min1(LoopGraph([0, 1], [(0, 1)]), LoopGraph([0, 2], [(0, 2)]))
+        dominated_pair_min1(Graph([0, 1], [(0, 1)]), Graph([0, 2], [(0, 2)]))
 
 
 def test_pair_rejects_degree_zero():
-    gx = LoopGraph(range(2), [(0, 1)])
-    gy = LoopGraph(range(2))
+    gx = Graph(range(2), [(0, 1)])
+    gy = Graph(range(2))
     with pytest.raises(ValueError):
         dominated_pair_min1(gx, gy)
 
@@ -241,7 +241,7 @@ def test_pair_rejects_degree_zero():
 
 
 def complete_graph(n):
-    return LoopGraph(range(n), itertools.combinations(range(n), 2))
+    return Graph(range(n), itertools.combinations(range(n), 2))
 
 
 def test_k5_meets_bound_and_subset_oracle_agrees():
@@ -261,7 +261,7 @@ def test_k16_delta_14():
 
 
 def test_star_with_looped_leaves():
-    g = LoopGraph(range(3), [(0, 1), (0, 2)], loops={1: 1, 2: 1})
+    g = Graph(range(3), [(0, 1), (0, 2)], loops={1: 1, 2: 1})
     r = dominated_min_degree(g, 2)
     assert is_dominated(g, r)
     assert {1, 2} <= r or len(r) >= math.ceil((1 - epsilon(2)) * 3)
@@ -312,8 +312,8 @@ def test_two_random_regular_graphs():
     nx = pytest.importorskip("networkx")
     gx_nx = nx.random_regular_graph(15, 100, seed=5)
     gy_nx = nx.random_regular_graph(15, 100, seed=6)
-    gx = LoopGraph(range(100), gx_nx.edges())
-    gy = LoopGraph(range(100), gy_nx.edges())
+    gx = Graph(range(100), gx_nx.edges())
+    gy = Graph(range(100), gy_nx.edges())
     r = simultaneous_dominated_min_degree(gx, gy, 14)
     assert len(r) >= 51
     assert is_dominated(gx, r) and is_dominated(gy, r)
@@ -326,7 +326,7 @@ def test_simultaneous_requires_delta_14():
 
 
 def test_empty_vertex_set_gives_empty_result():
-    g = LoopGraph([])
+    g = Graph([])
     assert dominated_pair_min1(g, g) == frozenset()
     assert dominated_min_degree(g, 2) == frozenset()
     assert simultaneous_dominated_min_degree(g, g, 14) == frozenset()

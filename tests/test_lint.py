@@ -1,7 +1,8 @@
 """Source checks that need no linter: every library module reads what it
 imports, every private module-level name is read somewhere in the package,
-every package export is read by the package or the bench, or is public, and
-every command-line flag is read by its subcommand's handler."""
+no module-level name is defined in two library modules, every package
+export is read by the package or the bench, or is public, and every
+command-line flag is read by its subcommand's handler."""
 
 import argparse
 import ast
@@ -61,8 +62,8 @@ def test_library_module_reads_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source: str) -> list[str]:
-    """The ``_name``s a module binds at top level by def, class or assignment."""
+def top_level_definitions(source: str) -> set[str]:
+    """The names a module binds at top level by def, class or assignment."""
     bound = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -70,7 +71,13 @@ def private_definitions(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound.update(t.id for t in targets if isinstance(t, ast.Name))
-    return sorted(n for n in bound if n.startswith("_") and not n.startswith("__"))
+    return bound
+
+
+def private_definitions(source: str) -> list[str]:
+    """The ``_name``s a module binds at top level by def, class or assignment."""
+    names = top_level_definitions(source)
+    return sorted(n for n in names if n.startswith("_") and not n.startswith("__"))
 
 
 def read_names(source: str) -> set[str]:
@@ -113,6 +120,29 @@ def test_library_module_private_names_are_read(path):
     assert [name for name in defined if name not in PACKAGE_READS] == []
 
 
+def defined_twice(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Each name defined at top level in two or more of the modules, with
+    the modules that define it; imports do not count."""
+    where: dict[str, list[str]] = {}
+    for module, source in sorted(sources.items()):
+        for name in top_level_definitions(source):
+            where.setdefault(name, []).append(module)
+    return {name: mods for name, mods in sorted(where.items()) if len(mods) > 1}
+
+
+def test_defined_twice_finder_sees_leftovers():
+    sources = {
+        "a": "from b import Pair\nTriple = tuple\nclass Graph:\n    pass\ndef _f():\n    pass\n",
+        "b": "Pair = tuple\nTriple = tuple\n_f = None\n",
+        "c": "from a import Graph\nclass Graph(Graph):\n    pass\n",
+    }
+    assert defined_twice(sources) == {"Graph": ["a", "c"], "Triple": ["a", "b"], "_f": ["a", "b"]}
+
+
+def test_each_library_name_is_defined_once():
+    assert defined_twice({p.name: p.read_text(encoding="utf-8") for p in MODULES}) == {}
+
+
 # exports that only users call: no library module or bench file reads them
 PUBLIC_EXPORTS = {"export_cnf", "ratio_table"}
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -131,12 +161,24 @@ def test_every_export_is_read_or_public():
     assert sorted(exports - LIBRARY_AND_BENCH_READS - PUBLIC_EXPORTS) == []
 
 
-def unread_flags(parser: argparse.ArgumentParser, handlers: dict) -> list[str]:
-    """The ``subcommand dest`` pairs whose handler never reads ``args.<dest>``."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+def _subparsers(parser: argparse.ArgumentParser) -> list[argparse._SubParsersAction]:
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+def unread_flags(parser: argparse.ArgumentParser, prefix: str = "") -> list[str]:
+    """The ``subcommand dest`` pairs whose handler (the ``handler`` default of
+    the subcommand's parser) never reads ``args.<dest>``.
+
+    A subcommand with its own subcommands is walked the same way, so each
+    leaf names its path (``construct polarity q``).
+    """
+    (sub,) = _subparsers(parser)
     unread = []
     for name, p in sub.choices.items():
-        tree = ast.parse(textwrap.dedent(inspect.getsource(handlers[name])))
+        if _subparsers(p):
+            unread += unread_flags(p, f"{prefix}{name} ")
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(p.get_default("handler"))))
         read = {
             node.attr
             for node in ast.walk(tree)
@@ -145,7 +187,7 @@ def unread_flags(parser: argparse.ArgumentParser, handlers: dict) -> list[str]:
             and node.value.id == "args"
         }
         dests = [a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)]
-        unread += [f"{name} {dest}" for dest in dests if dest not in read]
+        unread += [f"{prefix}{name} {dest}" for dest in dests if dest not in read]
     return sorted(unread)
 
 
@@ -156,10 +198,24 @@ def _reads_n(args):
 def test_unread_flag_finder_sees_leftovers():
     parser = argparse.ArgumentParser()
     p = parser.add_subparsers(dest="subcommand").add_parser("run")
+    p.set_defaults(handler=_reads_n)
     p.add_argument("--n", type=int)
     p.add_argument("--seed", type=int, default=0)
-    assert unread_flags(parser, {"run": _reads_n}) == ["run seed"]
+    assert unread_flags(parser) == ["run seed"]
+
+
+def test_unread_flag_finder_walks_nested_subcommands():
+    parser = argparse.ArgumentParser()
+    kinds = parser.add_subparsers(dest="subcommand").add_parser("make").add_subparsers(dest="kind")
+    p = kinds.add_parser("small")
+    p.set_defaults(handler=_reads_n)
+    p.add_argument("--n", type=int)
+    p = kinds.add_parser("large")
+    p.set_defaults(handler=_reads_n)
+    p.add_argument("--n", type=int)
+    p.add_argument("--lift", action="store_true")
+    assert unread_flags(parser) == ["make large lift"]
 
 
 def test_every_flag_is_read_by_its_handler():
-    assert unread_flags(cli.build_parser(), cli._COMMANDS) == []
+    assert unread_flags(cli.build_parser()) == []

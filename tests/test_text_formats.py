@@ -76,7 +76,7 @@ def graphs(draw):
     n = draw(st.integers(0, 7))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Graph(n, edges)
+    return Graph(range(n), edges)
 
 
 @st.composite
@@ -101,7 +101,7 @@ def test_hypergraph_write_read_identity(h):
 def test_graph_write_read_identity(g):
     text = dumps_graph(g)
     back = loads_graph(text)
-    assert (back.n, back.edges) == (g.n, g.edges)
+    assert (back.vertices, back.edges) == (g.vertices, g.edges)
     assert dumps_graph(back) == text
 
 
