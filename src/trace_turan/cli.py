@@ -9,6 +9,7 @@ left "certificate search exhausted" -- should never happen).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -120,7 +121,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: ``parse_args`` leaves it as
+    it was, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="trace-turan",
         description="Exact search, detection and verification for forbidden-pattern traces",

@@ -12,6 +12,7 @@ index, so the trace detectors visit only pairs and leaves that share an edge.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, TypeVar
 
@@ -36,7 +37,7 @@ _NO_NEIGHBORS: frozenset[int] = frozenset()
 
 def _as_triple(edge: Iterable[int]) -> Triple:
     t = tuple(sorted(edge))
-    if len(t) != 3 or len(set(t)) != 3:
+    if len(t) != 3 or not t[0] < t[1] < t[2]:
         raise ValueError(f"edge must have 3 distinct vertices, got {t}")
     return t  # type: ignore[return-value]
 
@@ -48,7 +49,9 @@ class Hypergraph3:
     complete it to an edge, so both co-degree counts and the edges through a
     pair are O(1) away.  Its keys, read as graph edges, form the shadow
     graph; ``_nbrs`` holds the shadow neighbours of each vertex that has an
-    edge (and no entry for any other vertex).
+    edge (and no entry for any other vertex).  It is a defaultdict, so only
+    ``add_edge`` indexes it by a vertex that may lack an entry; readers use
+    ``get``.
     """
 
     __slots__ = ("n", "_thirds", "_edges", "_nbrs")
@@ -59,7 +62,7 @@ class Hypergraph3:
         self.n = n
         self._thirds: dict[Pair, set[int]] = {}
         self._edges: set[Triple] = set()
-        self._nbrs: dict[int, set[int]] = {}
+        self._nbrs: defaultdict[int, set[int]] = defaultdict(set)
         for e in edges:
             self.add_edge(e)
 
@@ -76,22 +79,22 @@ class Hypergraph3:
         s = thirds.get((a, b))
         if s is None:
             thirds[a, b] = {c}
-            nbrs.setdefault(a, set()).add(b)
-            nbrs.setdefault(b, set()).add(a)
+            nbrs[a].add(b)
+            nbrs[b].add(a)
         else:
             s.add(c)
         s = thirds.get((a, c))
         if s is None:
             thirds[a, c] = {b}
-            nbrs.setdefault(a, set()).add(c)
-            nbrs.setdefault(c, set()).add(a)
+            nbrs[a].add(c)
+            nbrs[c].add(a)
         else:
             s.add(b)
         s = thirds.get((b, c))
         if s is None:
             thirds[b, c] = {a}
-            nbrs.setdefault(b, set()).add(c)
-            nbrs.setdefault(c, set()).add(b)
+            nbrs[b].add(c)
+            nbrs[c].add(b)
         else:
             s.add(a)
         return t
@@ -384,9 +387,13 @@ def loads_edge_lines(
 ) -> T:
     """Read the ``n m`` format with `arity` vertices per edge line into new(n).
 
-    Blank lines are skipped.  Every defect -- a missing, non-integer or
-    negative header, a wrong token count, an edge that add() refuses, or an
-    edge count other than m -- raises FormatError.
+    Lines are those of ``str.splitlines``, whitespace is what ``str.isspace``
+    accepts (as ``\\s`` matches in a str pattern) and a vertex is an ASCII
+    ``-?[0-9]+`` token.  Blank lines are skipped.  Every defect -- a missing,
+    non-integer or negative header, a wrong token count, an edge that add()
+    refuses, or an edge count other than m -- raises FormatError.  An edge
+    line is read by one pattern match, and only a line it refuses is split
+    into tokens, to name the defect.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -399,17 +406,20 @@ def loads_edge_lines(
     n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise FormatError(f"negative count in header {lines[0]!r}", 1)
+    edge_line = re.compile(r"\s*" + r"\s+".join([r"(-?[0-9]+)"] * arity) + r"\s*").fullmatch
     obj = new(n)
     seen = 0
     for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != arity:
-            raise FormatError(f"edge line must have {arity} vertices, got {line!r}", i)
-        edge = int_tokens(parts, line, i)
+        match = edge_line(line)
+        if match is None:
+            if not line.strip():
+                continue
+            if len(line.split()) != arity:
+                raise FormatError(f"edge line must have {arity} vertices, got {line!r}", i)
+            # the count is right, so the pattern refused some token
+            raise FormatError(f"non-integer vertex in {line!r}", i)
         try:
-            add(obj, edge)
+            add(obj, tuple(map(int, match.groups())))
         except ValueError as exc:
             raise FormatError(str(exc), i) from None
         seen += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
@@ -56,17 +57,21 @@ class TraceCertificate:
 
 
 def certificate_from_text(text: str) -> TraceCertificate:
-    """Read ``TraceCertificate.to_text`` output; malformed text raises FormatError."""
+    """Read ``TraceCertificate.to_text`` output; malformed text raises FormatError.
+
+    The header is exactly ``x y | leaves |``: two vertices, a bar, the
+    leaves, a closing bar and nothing but whitespace after it.
+    """
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FormatError("missing certificate header", 1)
     i, first = lines[0]
-    head, bar, tail = first.partition("|")
+    head, *fields = first.split("|")
     pair = head.split()
-    if not bar or len(pair) != 2:
+    if len(fields) != 2 or fields[1].strip() or len(pair) != 2:
         raise FormatError(f"bad certificate header {first!r}", i)
     x, y = int_tokens(pair, first, i)
-    d = int_tokens(tail.replace("|", "").split(), first, i)
+    d = int_tokens(fields[0].split(), first, i)
     assignment: dict[PatternEdge, Triple] = {}
     for i, line in lines[1:]:
         lhs, arrow, rhs = line.partition("->")
@@ -245,17 +250,21 @@ def contains_trace(
     sweep per row, a support vertex x with its partners y > x: each path
     x - u - y is walked once and gives the pair {x, y} the candidate u that
     ``_leaf_candidates`` would, so no pair without a common shadow
-    neighbour is touched.  The partners with at least t candidates are then
-    visited in ascending order.  A pair with exactly t candidates has a
-    forced leaf set, decided by one feasibility test; only a larger pool is
-    searched.  The certificate is ``least_third_certificate`` of the first
-    pair and leaves found.
+    neighbour is touched.  Each vertex u a row walks through gets its
+    shadow neighbours sorted once per call, on first use, each with the
+    thirds of its pair, so a row walks from u only to the partners past x.  The partners with at least t
+    candidates are then visited in ascending order.  A pair with exactly t
+    candidates has a forced leaf set, decided in the sweep by one
+    ``_leaves_fit`` test on the unsorted pool; only a larger pool is sorted
+    and searched by ``_choose_leaves``.  The certificate is
+    ``least_third_certificate`` of the first pair and leaves found.
 
     The optional wall-clock budget is checked once per row that has a later
-    partner and once per leaf-search step, so a zero budget times out as
-    soon as such a row is scanned.  Running out raises SearchTimeout, so a
-    timeout is never mistaken for trace-freeness; a budget that is not a
-    finite number >= 0 raises ValueError.
+    partner and once per leaf decision: a forced leaf set or a leaf-search
+    step.  So a zero budget times out as soon as such a row is scanned.
+    Running out raises SearchTimeout, so a timeout is never mistaken for
+    trace-freeness; a budget that is not a finite number >= 0 raises
+    ValueError.
     """
     t = _t_of(t)
     if time_budget is not None and not (math.isfinite(time_budget) and time_budget >= 0):
@@ -265,17 +274,29 @@ def contains_trace(
         return None
     nbrs = h.shadow_neighbors
     thirds = h.pair_index()
+
+    def partners(u: int) -> tuple[list[int], list[tuple[int, AbstractSet[int]]]]:
+        """u's shadow neighbours y ascending, and each with the thirds of {u, y}."""
+        ys = sorted(nbrs(u))
+        return ys, [(y, thirds[(u, y) if u < y else (y, u)]) for y in ys]
+
+    # u -> partners(u), built the first time a row walks through u
+    rows: dict[int, tuple[list[int], list[tuple[int, AbstractSet[int]]]]] = {}
     for x in h.support():
         cands_of: dict[int, list[_Candidate]] = {}  # partner y -> candidates
         partner = False
         for u in nbrs(x):
+            r = rows.get(u)
+            if r is None:
+                r = rows[u] = partners(u)
+            ys, row = r
+            k = bisect_right(ys, x)
+            if k == len(ys):
+                continue
+            partner = True
             sa = thirds[(x, u) if x < u else (u, x)]
             la = len(sa)
-            for y in nbrs(u):
-                if y <= x:
-                    continue
-                partner = True
-                sb = thirds[(y, u) if y < u else (u, y)]
+            for y, sb in row[k:]:
                 na = la - (y in sa)
                 nb = len(sb) - (x in sb)
                 if na and nb:
@@ -288,6 +309,11 @@ def contains_trace(
             _check_deadline(deadline)
         for y in sorted(y for y, cands in cands_of.items() if len(cands) >= t):
             cands = cands_of[y]
+            if len(cands) == t:
+                _check_deadline(deadline)
+                if _leaves_fit(x, y, cands):
+                    return least_third_certificate(h, x, y, [c[1] for c in cands])
+                continue
             cands.sort()  # u is unique, so no third set is ever compared
             leaves = _choose_leaves(x, y, t, cands, deadline)
             if leaves is not None:

@@ -12,19 +12,23 @@ defining properties.  ``epsilon_interval`` re-types the library's ε over
 outward-rounded intervals, as a certified reference for ``epsilon``.  The
 one exception is ``loads_graph``: no command reads a graph file, so the
 reader of the text that ``dumps_graph`` writes lives here, on the library's
-line parser, and returns the one ``Graph`` type on ``range(n)``.
+line parser, and returns the one ``Graph`` type on ``range(n)``.  That line
+parser is checked against ``reference_loads_edge_lines``, a frozen copy of
+the earlier token-by-token reader.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from trace_turan import (
     EdgePartition,
+    FormatError,
     Graph,
     Hypergraph3,
     Interval,
@@ -390,6 +394,67 @@ def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
 def loads_graph(text: str) -> Graph:
     """Read the graph text format that ``dumps_graph`` writes."""
     return loads_edge_lines(text, 2, lambda n: Graph(range(n)), _add_new_edge)
+
+
+# The edge-line reader as it was before it read each line by one pattern
+# match: token by token, with str.split.  Frozen as the reference that
+# ``loads_edge_lines`` must match, result for result and error for error.
+
+T = TypeVar("T")
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def _all_ints(parts: list[str]) -> bool:
+    # int() alone would also take 1_0, +2 and non-ASCII digits, which no writer emits
+    return all(_INT_TOKEN.fullmatch(p) for p in parts)
+
+
+def int_tokens(parts: list[str], line: str, lineno: int) -> tuple[int, ...]:
+    """The integers (ASCII ``-?[0-9]+``) of one text line; FormatError names
+    the line otherwise."""
+    if not _all_ints(parts):
+        raise FormatError(f"non-integer vertex in {line!r}", lineno)
+    return tuple(int(p) for p in parts)
+
+
+def reference_loads_edge_lines(
+    text: str, arity: int, new: Callable[[int], T], add: Callable[[T, tuple[int, ...]], object]
+) -> T:
+    """Read the ``n m`` format with `arity` vertices per edge line into new(n).
+
+    Blank lines are skipped.  Every defect -- a missing, non-integer or
+    negative header, a wrong token count, an edge that add() refuses, or an
+    edge count other than m -- raises FormatError.
+    """
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise FormatError("missing header", 1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"header must be 'n m', got {lines[0]!r}", 1)
+    if not _all_ints(head):
+        raise FormatError(f"non-integer header {lines[0]!r}", 1)
+    n, m = int(head[0]), int(head[1])
+    if n < 0 or m < 0:
+        raise FormatError(f"negative count in header {lines[0]!r}", 1)
+    obj = new(n)
+    seen = 0
+    for i, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != arity:
+            raise FormatError(f"edge line must have {arity} vertices, got {line!r}", i)
+        edge = int_tokens(parts, line, i)
+        try:
+            add(obj, edge)
+        except ValueError as exc:
+            raise FormatError(str(exc), i) from None
+        seen += 1
+    if seen != m:
+        raise FormatError(f"header promised {m} edges, found {seen}")
+    return obj
 
 
 def four_subset_has_c4(g: Graph) -> bool:

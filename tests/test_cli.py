@@ -1,10 +1,16 @@
 """Command line behaviors and exit codes."""
 
+import argparse
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import trace_turan
 
 from trace_turan import (
     Hypergraph3,
@@ -14,6 +20,7 @@ from trace_turan import (
     read_hypergraph,
     write_hypergraph,
 )
+from trace_turan import cli
 from trace_turan.cli import main
 
 from helpers import relabelled_lift
@@ -304,3 +311,54 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# four edges through the fifth vertex 4 form a K_{2,2} trace on {0, 1 | 2, 3}
+FIVE_VERTEX_TRACE = Hypergraph3(5, [(0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4)])
+
+
+def test_main_builds_one_parser_that_parses_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "trace.hg"
+    write_hypergraph(FIVE_VERTEX_TRACE, str(path))
+    runs = [
+        ("check", "--file", str(path)),
+        ("check", "--file", str(path), "--t", "2"),
+        ("check", "--file", str(path), "--t", "x"),
+    ]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [2, 0, 2]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *runs[0])]
+    tree = len(built)
+    shared += [run(capsys, *argv) for argv in runs[1:]]
+    # one parser tree, the top parser and its 7 subcommand parsers, serves all three
+    assert tree == 8 and len(built) == tree
+    assert shared == fresh
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    path = tmp_path / "trace.hg"
+    write_hypergraph(FIVE_VERTEX_TRACE, str(path))
+    src = Path(trace_turan.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "trace_turan", "check", "--file", str(path), "--t", "2"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == contains_trace(FIVE_VERTEX_TRACE, 2).to_text()
+    assert proc.stdout.startswith("0 1 | 2 3 |\n")

@@ -283,11 +283,12 @@ def _sweep_case(rng):
     return Hypergraph3(n, edges)
 
 
-def _expected_leaf_searches(h, t, choose):
-    """The (x, y, candidates) the scan must hand ``_choose_leaves``: every
-    pair x < y with at least t leaf candidates, ascending, up to the first
-    pair with a trace; and how many pairs have at least t common shadow
-    neighbours but fewer than t candidates."""
+def _expected_leaf_decisions(h, t, choose):
+    """The leaf decisions the scan must make: for every pair x < y with at
+    least t leaf candidates, ascending, up to the first pair with a trace,
+    ("fit", x, y, candidates) when there are exactly t of them and
+    ("choose", x, y, candidates) otherwise; and how many pairs have at least
+    t common shadow neighbours but fewer than t candidates."""
     nbrs, thirds = h.shadow_neighbors, h.pair_index()
     calls, short = [], 0
     for x, y in itertools.combinations(h.support(), 2):
@@ -296,7 +297,7 @@ def _expected_leaf_searches(h, t, choose):
         if len(cands) < t:
             short += len(common) >= t
             continue
-        calls.append((x, y, [c[:2] for c in cands]))
+        calls.append(("fit" if len(cands) == t else "choose", x, y, [c[:2] for c in cands]))
         if choose(x, y, t, cands, None) is not None:
             break
     return calls, short
@@ -304,30 +305,43 @@ def _expected_leaf_searches(h, t, choose):
 
 def test_row_sweep_matches_full_scan_reference_on_sparse_corpus(monkeypatch):
     # per row x the scan builds every pair's candidates in one neighbour
-    # sweep; each pair must get the candidates, in the order, that
-    # ``_leaf_candidates`` gives it, and the pairs must be visited ascending
-    choose, seen = traces._choose_leaves, []
+    # sweep; each pair must get the candidates that ``_leaf_candidates``
+    # gives it, a pool of exactly t decided by one ``_leaves_fit`` test and a
+    # larger pool handed to ``_choose_leaves`` in that order, and the pairs
+    # must be visited ascending
+    choose, fit, seen = traces._choose_leaves, traces._leaves_fit, []
 
-    def spy(a, b, t, cands, deadline, forced=None):
-        seen.append((a, b, [c[:2] for c in cands]))
+    def spy_choose(a, b, t, cands, deadline, forced=None):
+        seen.append(("choose", a, b, [c[:2] for c in cands]))
         return choose(a, b, t, cands, deadline, forced)
 
-    monkeypatch.setattr(traces, "_choose_leaves", spy)
+    def spy_fit(a, b, leaves):
+        seen.append(("fit", a, b, sorted(c[:2] for c in leaves)))
+        return fit(a, b, leaves)
+
     rng = random.Random(1919)
     found, short = dict.fromkeys((2, 3, 4), 0), dict.fromkeys((2, 3, 4), 0)
+    kinds = {t: set() for t in found}
     for case in range(24):
         h = _sweep_case(rng)
         for t in (2, 3, 4):
+            calls, pairs = _expected_leaf_decisions(h, t, choose)
+            kinds[t].update(kind for kind, *_ in calls)
+            expected = _text(reference_contains_trace(h, t))
             seen.clear()
-            cert = contains_trace(h, t)
-            assert _text(cert) == _text(reference_contains_trace(h, t)), f"case {case}, t={t}"
-            calls, pairs = _expected_leaf_searches(h, t, choose)
+            with monkeypatch.context() as m:
+                m.setattr(traces, "_choose_leaves", spy_choose)
+                m.setattr(traces, "_leaves_fit", spy_fit)
+                cert = contains_trace(h, t)
+            assert _text(cert) == expected, f"case {case}, t={t}"
             assert seen == calls, f"case {case}, t={t}"
             found[t] += cert is not None
             short[t] += pairs
-    # the corpus has traces and trace-free cases, and pairs whose common
-    # neighbours outnumber their candidates, at every t
+    # the corpus has traces and trace-free cases, pairs whose common
+    # neighbours outnumber their candidates, and both kinds of decision, at
+    # every t
     assert all(0 < found[t] < 24 and short[t] for t in found), (found, short)
+    assert all(kinds[t] == {"fit", "choose"} for t in found), kinds
 
 
 def test_greedy_edges_match_full_scan_reference(monkeypatch):
