@@ -109,8 +109,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    lo, _, hi = args.t_range.partition(":")
-    grid = log_grid(float(lo), float(hi), args.points)
+    try:
+        lo, hi = map(float, args.t_range.split(":"))
+    except ValueError:
+        raise ValueError(f"--t-range takes lo:hi, two numbers, got {args.t_range!r}") from None
+    grid = log_grid(lo, hi, args.points)
     rows = ["t,lhs_hi,rhs_lo,certified"]
     for point in derivation_check(grid):
         rows.append(

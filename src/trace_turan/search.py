@@ -9,8 +9,8 @@ Two independent routes to the same number:
 * ``turan_search`` -- orderly generation (Read 1978): grow
   canonically-labeled trace-free hypergraphs one colex-larger edge at a
   time, rejecting non-canonical children and pruning with the incremental
-  trace check of ``traces`` (``_trace_through_edge``), which only looks for
-  traces through the new edge (sound because the parent is trace-free);
+  trace check of ``traces`` (``_trace_through_edge``: a trace's pair and
+  leaves through the new edge, or None; sound as the parent is trace-free);
   the search adds and removes each child edge itself, capped at n <= 12.
   Traces are monotone under adding edges, so a child edge found trace-free
   below a sibling is trace-free at the parent too, and the parent skips

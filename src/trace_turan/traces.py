@@ -323,23 +323,17 @@ def contains_trace(
 
 def incremental_trace_check(
     h: Hypergraph3, new_edge: Triple, t: int
-) -> TraceCertificate | None:
-    """A trace certificate of h + new_edge, or None; h is restored.
-
-    A certificate it returns always passes ``verify_certificate`` in
-    h + new_edge.  None means that no trace of h + new_edge uses new_edge,
-    so for a trace-free h it means h + new_edge is trace-free.  A trace that
-    uses new_edge routes a pattern edge through it, so only pairs meeting
-    new_edge, with a leaf inside it, are scanned.  The certificate is
-    ``least_third_certificate`` of the pair and leaves ``_trace_through_edge``
-    finds, built while new_edge is still in h.
+) -> tuple[int, int, list[int]] | None:
+    """The pair p, q and the leaves of a trace of h + new_edge through
+    new_edge, or None; h is restored.  For a trace-free h, None means that
+    h + new_edge is trace-free.  No certificate is built: one that verifies
+    is ``least_third_certificate(h, p, q, leaves)`` with new_edge in h.
     """
     t = _t_of(t)
     e = tuple(sorted(new_edge))
     h.add_edge(e)
     try:
-        found = _trace_through_edge(h, e, t)
-        return None if found is None else least_third_certificate(h, *found)
+        return _trace_through_edge(h, e, t)
     finally:
         h.remove_edge(e)
 
@@ -348,9 +342,9 @@ def _trace_through_edge(
     h: Hypergraph3, e: Triple, t: int
 ) -> tuple[int, int, list[int]] | None:
     """The pair p, q and the leaves of a trace of h that its edge e could
-    serve, or None when no trace of h uses e.  It builds no certificate:
-    ``turan_search`` only asks whether there is a trace, and
-    ``incremental_trace_check`` builds one from the answer.
+    serve, or None when no trace of h uses e.  ``turan_search`` reads it
+    directly and ``incremental_trace_check`` returns it; neither builds a
+    certificate, which ``least_third_certificate`` makes from the answer.
 
     e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
     some q outside e, and u is a leaf adjacent to q in the shadow graph; q

@@ -14,7 +14,11 @@ one exception is ``loads_graph``: no command reads a graph file, so the
 reader of the text that ``dumps_graph`` writes lives here, on the library's
 line parser, and returns the one ``Graph`` type on ``range(n)``.  That line
 parser is checked against ``reference_loads_edge_lines``, a frozen copy of
-the earlier token-by-token reader.
+the earlier token-by-token reader.  ``incremental_certificate`` is a
+library wrapper too: the library's incremental check returns a pair and
+leaves, and tests that compare certificates build one from them.
+``brute_force_ex_c4`` computes the graph numbers ex(n, C4) by branch and
+bound over edge sets.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from trace_turan import (
     Hypergraph3,
     Interval,
     TraceCertificate,
+    incremental_trace_check,
+    least_third_certificate,
     lift_to_trace_free,
     link_graph,
     polarity_graph,
@@ -287,6 +293,21 @@ def reference_incremental_trace_check(
         h.remove_edge(e)
 
 
+def incremental_certificate(h: Hypergraph3, new_edge: Triple, t: int) -> TraceCertificate | None:
+    """The certificate of ``incremental_trace_check``'s answer, or None: the
+    ``least_third_certificate`` of its pair and leaves, built while new_edge
+    is in h; h is restored."""
+    found = incremental_trace_check(h, new_edge, t)
+    if found is None:
+        return None
+    e = tuple(sorted(new_edge))
+    h.add_edge(e)
+    try:
+        return least_third_certificate(h, *found)
+    finally:
+        h.remove_edge(e)
+
+
 # -- shell reference (sorted copy of the edges, re-validated) ------------------
 
 
@@ -470,6 +491,33 @@ def four_subset_has_c4(g: Graph) -> bool:
             ):
                 return True
     return False
+
+
+def brute_force_ex_c4(n: int) -> int:
+    """ex(n, C4), the most edges of a 4-cycle-free graph on n vertices, by
+    branch and bound over the pairs in order (practical to n = 8).  An edge
+    uv closes a 4-cycle exactly when a neighbour of u and v have a common
+    neighbour."""
+    pairs = list(itertools.combinations(range(n), 2))
+    adj = [0] * n  # neighbour bitmasks
+    best = 0
+
+    def grow(i: int, m: int) -> None:
+        nonlocal best
+        best = max(best, m)
+        if m + len(pairs) - i <= best:
+            return
+        u, v = pairs[i]
+        if not any(adj[w] & adj[v] for w in range(n) if adj[u] >> w & 1):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            grow(i + 1, m + 1)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        grow(i + 1, m)
+
+    grow(0, 0)
+    return best
 
 
 def epsilon_interval(delta: float) -> Interval:

@@ -279,6 +279,14 @@ def test_bounds_refuses_t_outside_the_domain_of_g(capsys):
     assert err == "refused: g(t) = sqrt(t ln t)/7 is defined only for t > 1, got t=1\n"
 
 
+@pytest.mark.parametrize("t_range", ["5", "5:", "1:2:3"])
+def test_bounds_names_the_range_form(capsys, t_range):
+    # no colon once read as "refused: could not convert string to float: ''"
+    code, out, err = run(capsys, "bounds", "--t-range", t_range)
+    assert code == 2 and out == ""
+    assert err == f"refused: --t-range takes lo:hi, two numbers, got '{t_range}'\n"
+
+
 def test_bounds_refuses_a_range_without_an_integer(capsys):
     code, out, err = run(capsys, "bounds", "--t-range", "20.5:20.7", "--points", "2")
     assert code == 2 and out == ""

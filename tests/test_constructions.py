@@ -1,5 +1,7 @@
 """Construction tests: polarity graphs, lifts, greedy packings."""
 
+import hashlib
+import itertools
 import tracemalloc
 
 import pytest
@@ -13,9 +15,10 @@ from trace_turan import (
     greedy_lower_bound,
     lift_to_trace_free,
     polarity_graph,
+    verify_certificate,
 )
 
-from helpers import four_subset_has_c4, loads_graph
+from helpers import four_subset_has_c4, incremental_certificate, loads_graph
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -94,15 +97,33 @@ def test_greedy_reaches_known_maxima():
 
 
 def test_greedy_is_maximal_and_trace_free():
-    import itertools
-
+    # every missing triple's pair and leaves give a certificate in h + e
     h = greedy_lower_bound(6, 2, seed=3, restarts=4)
     assert contains_trace(h, 2) is None
-    from trace_turan import incremental_trace_check
-
     for e in itertools.combinations(range(6), 3):
         if e not in h:
-            assert incremental_trace_check(h, e, 2) is not None
+            cert = incremental_certificate(h, e, 2)
+            assert cert is not None
+            h.add_edge(e)
+            assert verify_certificate(h, cert), e
+            h.remove_edge(e)
+
+
+# sha256 of the greedy's edges as "a,b,c a,b,c ...": (12, 2) and (12, 3) are
+# the bench's seed-3 construct jobs
+GREEDY_SHA256 = {
+    (12, 2, 249523): (19, "50991d090b661ec84869b9493466870efb9cfa294d692d62eab4464e8e5ea8d3"),
+    (12, 3, 621429): (27, "3ee6d32d3e17cba08fc2b8bfdb6ffd4a7279d8e1ff70324f7e5d183db04a55cf"),
+    (9, 2, 0): (13, "e556ad08414b251c29494626cdd03c2584ce1a681a06aff1ecd121f2091a68bb"),
+}
+
+
+@pytest.mark.parametrize("n, t, seed", sorted(GREEDY_SHA256))
+def test_greedy_edges_are_pinned(n, t, seed):
+    h = greedy_lower_bound(n, t, seed)
+    text = " ".join(f"{a},{b},{c}" for a, b, c in h.edges)
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    assert (h.edge_count, digest) == GREEDY_SHA256[n, t, seed]
 
 
 def test_greedy_never_exceeds_search_value(search_table):

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,14 @@ from trace_turan import traces as traces_module
 from trace_turan.canon import is_canonical_labeling
 from trace_turan.indexing import all_triples, triple_index
 
-from helpers import dpll_satisfiable, parse_dimacs, random_hypergraph, reference_is_canonical
+from helpers import (
+    brute_force_ex_c4,
+    dpll_satisfiable,
+    incremental_certificate,
+    parse_dimacs,
+    random_hypergraph,
+    reference_is_canonical,
+)
 
 # regression constants, produced by both routes below
 KNOWN_VALUES = {
@@ -190,6 +199,26 @@ def test_search_n7_regression(search_table):
         assert contains_trace(w, 2) is None
 
 
+def _readme_exact_values():
+    """The README's exact-value table: n -> its cells after n, as text."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^ *\| (\d+) \|(.*)\|$", text, re.MULTILINE)
+    return {int(n): [cell.strip() for cell in rest.split("|")] for n, rest in rows}
+
+
+def test_t2_column_equals_the_cited_ex_c4(search_table):
+    # ex(n, C4) from Clapham, Flockhart & Sheehan (1989), recomputed here
+    table = _readme_exact_values()
+    assert sorted(table) == list(range(4, 10))
+    column = {n: int(cells[2]) for n, cells in table.items()}
+    assert column == {4: 4, 5: 6, 6: 7, 7: 9, 8: 11, 9: 13}
+    assert all(cells[0].rstrip("†") == cells[2] for cells in table.values())
+    for n in range(4, 8):
+        assert brute_force_ex_c4(n) == column[n]
+    for n in range(4, 7):
+        assert search_table[(n, 2)].value == KNOWN_VALUES[(n, 2)] == column[n]
+
+
 def test_search_refuses_beyond_cap():
     with pytest.raises(CapExceeded):
         turan_search(40, 2)
@@ -331,7 +360,8 @@ def test_search_n8_regression():
 
 def test_incremental_completes_partial_trace():
     h = Hypergraph3(8, [(0, 2, 4), (0, 3, 5), (1, 2, 6)])
-    cert = incremental_trace_check(h, (1, 3, 7), 2)
+    assert incremental_trace_check(h, (1, 3, 7), 2) == (1, 0, [2, 3])  # pair, leaves
+    cert = incremental_certificate(h, (1, 3, 7), 2)
     assert cert is not None
     h.add_edge((1, 3, 7))
     assert verify_certificate(h, cert)
@@ -361,7 +391,7 @@ def test_incremental_equivalence_on_random_pairs():
         if not missing:
             continue
         e = missing[rng.randrange(len(missing))]
-        inc = incremental_trace_check(h, e, t)
+        inc = incremental_certificate(h, e, t)
         h.add_edge(e)
         full = contains_trace(h, t)
         assert (inc is None) == (full is None)
