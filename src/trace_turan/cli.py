@@ -44,6 +44,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "value": result.value,
             "witnesses": len(result.witnesses),
             "nodes": result.nodes_explored,
+            "stats": result.stats,
             "seconds": round(result.elapsed, 3),
         }
         _emit(json.dumps(payload) + "\n", args.output)

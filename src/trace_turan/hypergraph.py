@@ -68,12 +68,18 @@ class Hypergraph3:
 
     # -- mutation ---------------------------------------------------------
 
-    def add_edge(self, edge: Iterable[int]) -> Triple:
-        a, b, c = t = _as_triple(edge)
-        if not (0 <= a and c < self.n):
+    def new_edge(self, edge: Iterable[int]) -> Triple:
+        """edge as a sorted triple, checked as ``add_edge`` checks it: three
+        distinct vertices in range, not yet an edge; ValueError otherwise."""
+        t = _as_triple(edge)
+        if not (0 <= t[0] and t[2] < self.n):
             raise ValueError(f"edge {t} out of range for n={self.n}")
         if t in self._edges:
             raise ValueError(f"duplicate edge {t}")
+        return t
+
+    def add_edge(self, edge: Iterable[int]) -> Triple:
+        a, b, c = t = self.new_edge(edge)
         self._edges.add(t)
         thirds, nbrs = self._thirds, self._nbrs
         s = thirds.get((a, b))

@@ -10,8 +10,11 @@ Two independent routes to the same number:
   canonically-labeled trace-free hypergraphs one colex-larger edge at a
   time, rejecting non-canonical children and pruning with the incremental
   trace check of ``traces`` (``_trace_through_edge``: a trace's pair and
-  leaves through the new edge, or None; sound as the parent is trace-free);
-  the search adds and removes each child edge itself, capped at n <= 12.
+  leaves through the new edge, or None; sound as the parent is trace-free),
+  capped at n <= 12.  The check reads the parent alone, before the child
+  edge is added, so only trace-free children are added, tested for
+  canonicity and removed again.  ``SearchResult.stats`` counts what became
+  of each child.
   Traces are monotone under adding edges, so a child edge found trace-free
   below a sibling is trace-free at the parent too, and the parent skips
   the check for it.  A child edge f with a vertex v whose smaller twin w
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .canon import _twin_classes, canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
@@ -49,6 +52,10 @@ class SearchResult:
     witnesses: list[Hypergraph3]
     nodes_explored: int
     elapsed: float
+    # turan_search's run counts: child edges the twin rule skips unadded
+    # (twin_skips), and the children tried, each rejected by the trace check,
+    # rejected as non-canonical or recursed into; the oracle keeps none
+    stats: dict[str, int] = field(default_factory=dict)
 
 
 # both routes keep at most this many witness classes
@@ -204,6 +211,9 @@ def turan_search(n: int, t: int) -> SearchResult:
     sorted index sequence is smaller: h + f is not canonical.  Twin classes
     are computed once per node.  The children recursed into are the same,
     so nodes and witnesses do not change.
+
+    The trace check runs before a child edge is added, so a child with a
+    trace is never added; the result's ``stats`` count each outcome.
     """
     t = _t_of(t)
     if n > SEARCH_CAP:
@@ -218,6 +228,9 @@ def turan_search(n: int, t: int) -> SearchResult:
     witnesses: list[Hypergraph3] = []
     nodes = 0
     h = Hypergraph3(n)
+    stats = dict.fromkeys(
+        ("tried", "twin_skips", "trace_rejects", "noncanon_rejects", "recursed"), 0
+    )
 
     # returns, as a bitmask of edge indices, every edge this subtree found
     # trace-free when added; each is also trace-free added to this node alone
@@ -239,17 +252,24 @@ def turan_search(n: int, t: int) -> SearchResult:
                 break
             e = triples[idx]
             if _twin_lowers(below, e):
+                stats["twin_skips"] += 1
                 continue
+            stats["tried"] += 1
+            if not free >> idx & 1 and _trace_through_edge(h, e, t) is not None:
+                stats["trace_rejects"] += 1
+                continue
+            free |= 1 << idx
             h.add_edge(e)
-            if free >> idx & 1 or _trace_through_edge(h, e, t) is None:
-                free |= 1 << idx
-                if is_canonical_labeling(h):
-                    free |= rec(idx)
+            if is_canonical_labeling(h):
+                stats["recursed"] += 1
+                free |= rec(idx)
+            else:
+                stats["noncanon_rejects"] += 1
             h.remove_edge(e)
         return free
 
     rec(-1)
-    return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
+    return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start, stats)
 
 
 # -- DIMACS export ----------------------------------------------------------

@@ -121,9 +121,13 @@ _Candidate = tuple[int, int, AbstractSet[int], AbstractSet[int]]
 
 
 def _leaf_candidates(
-    thirds: Mapping[Pair, AbstractSet[int]], a: int, b: int, common: AbstractSet[int]
+    thirds: Mapping[Pair, AbstractSet[int]],
+    a: int,
+    b: int,
+    common: AbstractSet[int],
+    e: tuple[int, ...] = (),
 ) -> list[_Candidate]:
-    """The leaf candidates of the pair {a, b}, co-degree descending, then u.
+    """The leaf candidates of the pair {a, b}, unordered.
 
     thirds is the live pair index ``h.pair_index()`` and common is the common
     shadow neighbourhood of a and b: every other vertex lacks an edge with a
@@ -131,16 +135,23 @@ def _leaf_candidates(
     than b and a third of {b, u} other than a; its co-degree is the smaller
     count of such thirds.  ``contains_trace`` builds the same tuples in its
     row sweep.
+
+    e, if given, is an edge through a and not b that h lacks, and the
+    candidates are those of h + e, read from h alone: common is then the
+    common neighbourhood in h + e, where a also neighbours e's other two
+    vertices, and for such a vertex u the thirds of {a, u} gain e's third
+    vertex.  So no edge is added to h to ask about h + e.
     """
+    rest = sum(e) - a  # for u in e other than a, rest - u is e's third vertex
     cands = []
     for u in common:
-        sa = thirds[(a, u) if a < u else (u, a)]
+        pa = (a, u) if a < u else (u, a)
+        sa = thirds[pa] if u not in e else {*thirds.get(pa, ()), rest - u}
         sb = thirds[(b, u) if b < u else (u, b)]
         na = len(sa) - (b in sa)
         nb = len(sb) - (a in sb)
         if na and nb:
             cands.append((-na if na < nb else -nb, u, sa, sb))
-    cands.sort()  # u is unique, so no third set is ever compared
     return cands
 
 
@@ -325,33 +336,37 @@ def incremental_trace_check(
     h: Hypergraph3, new_edge: Triple, t: int
 ) -> tuple[int, int, list[int]] | None:
     """The pair p, q and the leaves of a trace of h + new_edge through
-    new_edge, or None; h is restored.  For a trace-free h, None means that
-    h + new_edge is trace-free.  No certificate is built: one that verifies
-    is ``least_third_certificate(h, p, q, leaves)`` with new_edge in h.
+    new_edge, or None; h is only read.  new_edge is checked as ``add_edge``
+    checks it, so an edge of h, an edge out of range or anything but three
+    distinct vertices raises the same ValueError.  For a trace-free h, None
+    means that h + new_edge is trace-free.  No certificate is built: one that
+    verifies is ``least_third_certificate(h, p, q, leaves)`` with new_edge
+    in h.
     """
     t = _t_of(t)
-    e = tuple(sorted(new_edge))
-    h.add_edge(e)
-    try:
-        return _trace_through_edge(h, e, t)
-    finally:
-        h.remove_edge(e)
+    return _trace_through_edge(h, h.new_edge(new_edge), t)
 
 
 def _trace_through_edge(
     h: Hypergraph3, e: Triple, t: int
 ) -> tuple[int, int, list[int]] | None:
-    """The pair p, q and the leaves of a trace of h that its edge e could
-    serve, or None when no trace of h uses e.  ``turan_search`` reads it
-    directly and ``incremental_trace_check`` returns it; neither builds a
-    certificate, which ``least_third_certificate`` makes from the answer.
+    """The pair p, q and the leaves of a trace of h + e that uses e, or
+    None, for a sorted edge e that h lacks; h is only read.  ``turan_search``
+    calls it before it adds a child edge and ``incremental_trace_check``
+    returns it; neither builds a certificate, which ``least_third_certificate``
+    makes from the answer with e in h.
 
     e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
     some q outside e, and u is a leaf adjacent to q in the shadow graph; q
-    ranges, ascending, over the shadow neighbours of e's other two vertices.
-    Each pair's leaf candidates are built once, and the vertices of e among
-    them are forced in turn, ascending.  With exactly t candidates the leaf
-    set is the same whichever vertex is forced, so it is tested once.
+    ranges, ascending, over the shadow neighbours of e's other two vertices,
+    which are the same in h and h + e outside e.  ``_leaf_candidates`` reads
+    each pair's candidates in h + e, and a pool without a vertex of e is
+    skipped unsorted.  With exactly t candidates the leaf set is forced, and
+    one ``_leaves_fit`` test decides it.  A larger pool is sorted, and the
+    vertices of e among its candidates are forced in turn, ascending.  When
+    the search forced on the first fails, no feasible leaf set holds it, and
+    feasibility only fails more as leaves are added, so the search forced on
+    the second drops it from the pool and finds the same leaves.
     """
     if h.n < t + 2:
         return None
@@ -359,17 +374,28 @@ def _trace_through_edge(
     thirds = h.pair_index()
     for p in e:
         others = [u for u in e if u != p]
-        p_nbrs = nbrs(p)
+        p_nbrs = nbrs(p).union(others)  # p's shadow neighbours in h + e
         for q in sorted((nbrs(others[0]) | nbrs(others[1])).difference(e)):
             common = p_nbrs & nbrs(q)
             if len(common) < t:
                 continue
-            cands = _leaf_candidates(thirds, p, q, common)
+            cands = _leaf_candidates(thirds, p, q, common, e)
+            if len(cands) < t:
+                continue
             forced = [c for u in others for c in cands if c[1] == u]
-            for c in forced[:1] if len(cands) == t else forced:
+            if not forced:
+                continue
+            if len(cands) == t:
+                if _leaves_fit(p, q, cands):
+                    cands.sort()
+                    return p, q, [c[1] for c in cands]
+                continue
+            cands.sort()  # u is unique, so no third set is ever compared
+            for c in forced:
                 leaves = _choose_leaves(p, q, t, cands, None, c)
                 if leaves is not None:
                     return p, q, leaves
+                cands = [d for d in cands if d is not c]
     return None
 
 

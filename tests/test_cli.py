@@ -56,6 +56,9 @@ def test_search_json_lines(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 4
+    stats = payload["stats"]
+    assert stats["tried"] == stats["trace_rejects"] + stats["noncanon_rejects"] + stats["recursed"] > 0
+    assert payload["nodes"] == stats["recursed"] + 1
 
 
 def test_check_trace_free_and_certificate(tmp_path, capsys):

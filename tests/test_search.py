@@ -311,7 +311,29 @@ def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t)
     monkeypatch.setattr(search_module, "_twin_lowers", spy_lowers)
     result = turan_search(n, t)
     assert skipped > 0
+    assert result.stats["twin_skips"] == skipped
     assert result.nodes_explored == {(6, 2): 82, (6, 3): 181, (7, 2): 394}[n, t]
+
+
+@pytest.mark.parametrize(
+    "n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips",
+    [(7, 2, 2363, 1593, 377, 393, 958), (6, 3, 377, 120, 77, 180, 126)],
+)
+def test_search_counts_its_children(n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips):
+    # every child tried is rejected by the trace check, rejected as
+    # non-canonical or recursed into; the first three counts are the
+    # bench's job lines at seed 3 from when the search added every child
+    # before its trace check, and each recursion is a node below the root
+    result = turan_search(n, t)
+    assert result.stats == {
+        "tried": tried,
+        "twin_skips": twin_skips,
+        "trace_rejects": trace_rejects,
+        "noncanon_rejects": noncanon_rejects,
+        "recursed": recursed,
+    }
+    assert tried == trace_rejects + noncanon_rejects + recursed
+    assert result.nodes_explored == recursed + 1
 
 
 def test_twin_rule_on_one_edge():
@@ -372,10 +394,58 @@ def test_incremental_disjoint_edge_absent():
     assert incremental_trace_check(h, (3, 4, 5), 2) is None
 
 
-def test_incremental_restores_hypergraph():
-    h = Hypergraph3(8, [(0, 2, 4)])
-    incremental_trace_check(h, (0, 3, 5), 2)
-    assert h.edge_count == 1
+def _snapshot(h):
+    """Copies of h's edges, pair index and shadow neighbourhoods."""
+    return (
+        h.edges,
+        {pair: set(thirds) for pair, thirds in h.pair_index().items()},
+        [set(h.shadow_neighbors(v)) for v in range(h.n)],
+    )
+
+
+def test_incremental_check_only_reads_the_hypergraph(monkeypatch):
+    # the check answers for h + e without adding e: whether it finds a
+    # trace, finds none or refuses the edge, h is unchanged and no edge is
+    # added or removed; a present, out-of-range or two-vertex edge raises
+    # add_edge's own message, from the validator the two share
+    h = Hypergraph3(8, [(0, 2, 4), (0, 3, 5), (1, 2, 6)])
+    bad = [(0, 2, 4), (1, 3, 8), (1, 3)]
+    messages = []
+    for e in bad:
+        with pytest.raises(ValueError) as refused:
+            h.copy().add_edge(e)
+        messages.append(str(refused.value))
+    assert len(set(messages)) == 3
+    before = _snapshot(h)
+    mutations, validated = 0, []
+    add, remove, new_edge = Hypergraph3.add_edge, Hypergraph3.remove_edge, Hypergraph3.new_edge
+
+    def counted(method):
+        def wrapper(self, edge):
+            nonlocal mutations
+            mutations += 1
+            return method(self, edge)
+
+        return wrapper
+
+    def spy_new_edge(self, edge):
+        validated.append(edge)
+        return new_edge(self, edge)
+
+    monkeypatch.setattr(Hypergraph3, "add_edge", counted(add))
+    monkeypatch.setattr(Hypergraph3, "remove_edge", counted(remove))
+    monkeypatch.setattr(Hypergraph3, "new_edge", spy_new_edge)
+    assert incremental_trace_check(h, (1, 3, 7), 2) == (1, 0, [2, 3])
+    assert _snapshot(h) == before
+    assert incremental_trace_check(h, (3, 4, 5), 2) is None
+    assert _snapshot(h) == before
+    for e, message in zip(bad, messages):
+        with pytest.raises(ValueError) as refused:
+            incremental_trace_check(h, e, 2)
+        assert str(refused.value) == message
+        assert _snapshot(h) == before
+    assert mutations == 0
+    assert validated == [(1, 3, 7), (3, 4, 5), *bad]
 
 
 def test_incremental_equivalence_on_random_pairs():

@@ -294,7 +294,7 @@ def _expected_leaf_decisions(h, t, choose):
     calls, short = [], 0
     for x, y in itertools.combinations(h.support(), 2):
         common = nbrs(x) & nbrs(y)
-        cands = traces._leaf_candidates(thirds, x, y, common)
+        cands = sorted(traces._leaf_candidates(thirds, x, y, common))
         if len(cands) < t:
             short += len(common) >= t
             continue
