@@ -132,9 +132,6 @@ class Hypergraph3:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def __len__(self) -> int:
-        return len(self._edges)
-
     def __contains__(self, edge: Iterable[int]) -> bool:
         try:
             return _as_triple(edge) in self._edges
@@ -145,9 +142,6 @@ class Hypergraph3:
         if not isinstance(other, Hypergraph3):
             return NotImplemented
         return self.n == other.n and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._edges)))
 
     def __repr__(self) -> str:
         return f"Hypergraph3(n={self.n}, m={len(self._edges)})"
@@ -314,8 +308,6 @@ def link_graph(h: Hypergraph3, x: int, s: Iterable[int], y: int) -> Graph:
     loop at u (multiplicity-counted) when v is outside S and v != y.  Edges
     {x, u, y} contribute nothing.
     """
-    if x == y:
-        raise ValueError("x and y must be distinct")
     h._check_pair(x, y)
     s_set = frozenset(s)
     if x in s_set or y in s_set:

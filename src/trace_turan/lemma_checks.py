@@ -3,13 +3,17 @@ per instance, with constructive certificates on violation.
 
 Each check mirrors a constructive argument: whenever the inequality fails,
 the same structure that witnesses the failure becomes a TraceCertificate.
-There is one builder, ``least_third_certificate``: a set dominated in both
-link graphs picks the leaves, and the builder picks each pattern edge's
-least third outside the core.  Only the 4-cycle cases add explicit
-four-edge assemblies.  Every certificate is verified once, when it is
-attached to its violation.  On a genuinely trace-free input, therefore,
-every check must pass; a violation on one is reported as "certificate
-search exhausted", never dropped.
+``least_third_certificate`` builds every constructive certificate but one:
+given a pair and its leaves, it gives each pattern edge its least third
+outside the core.  The leaves are a set dominated in both link graphs,
+two common neighbours of the pair not joined through it, or two shell
+roots whose shell sets meet.  The one exception is the triangle case at
+t = 2, where both link graphs on a 3-set union to a triangle and
+``_cert_triangle_links`` assembles four edges through one apex leaf.
+Every certificate is verified once, when it is attached to its violation.
+On a genuinely trace-free input, therefore, every check must pass; a
+violation on one is reported as "certificate search exhausted", never
+dropped.
 
 The checks form one table, ``_CHECKS``, in report order.  A row gives the
 check's name, its premise hypergraph (the residual edges B | C of the
@@ -72,22 +76,33 @@ class CheckStatus:
 
 
 def _cert_via_links(
-    h: Hypergraph3, x: int, y: int, s: frozenset[int], t: int, floor: int, dominate: Callable
+    h: Hypergraph3, x: int, y: int, s: frozenset[int], t: int, dominate: Callable
 ) -> TraceCertificate | None:
-    """Trace from a set dominated in both link graphs on S, each of minimum
-    degree >= floor; ``dominate(lx, ly)`` finds the set."""
+    """Trace from a set dominated in both link graphs on S, found by
+    ``dominate(lx, ly)``.
+
+    Each caller's premise gives the links the minimum degree ``dominate``
+    needs: u in S has degree at least codeg_h(x, u) - 1 in lx (and likewise
+    in ly), as each third other than y is a neighbour or a loop.  In
+    residual-codegree, {x, y, u} lies in B | C, so that co-degree is at
+    least 2.  In the core and shell checks, {x, u} and {y, u} each lie in
+    an edge of the dense core C, so it exceeds delta.  A broken premise
+    makes ``dominate`` raise.
+
+    The set has t or more vertices but in the triangle case.  In
+    residual-codegree |S| > 3t - 3 (> 2 at t = 2), and pair_min1 keeps
+    ceil(|S|/3) >= t vertices, except one when |S| = 3 and the links union
+    to a triangle.  Elsewhere |S| >= (1 + 4 eps) t, and the simultaneous set
+    keeps (1 - 2 eps) |S| >= t vertices, as eps < 1/4.
+    """
     lx = link_graph(h, x, s, y)
     ly = link_graph(h, y, s, x)
-    if lx.min_degree() < floor or ly.min_degree() < floor:
-        return None
     d = dominate(lx, ly)
-    if len(d) >= t:
-        # a subset of a dominated set stays dominated, and a leaf u dominated
-        # in both links has, on each side, a third outside {x, y} | D
-        return least_third_certificate(h, x, y, sorted(d)[:t])
-    if len(s) == 3 and t == 2:  # pair_min1 only: the simultaneous set keeps 2 of 3
+    if len(d) < t:
         return _cert_triangle_links(h, x, y, s)
-    return None
+    # a subset of a dominated set stays dominated, and a leaf u dominated
+    # in both links has, on each side, a third outside {x, y} | D
+    return least_third_certificate(h, x, y, sorted(d)[:t])
 
 
 def _cert_triangle_links(h: Hypergraph3, x: int, y: int, s: frozenset[int]) -> TraceCertificate | None:
@@ -134,39 +149,23 @@ def _cert_common_neighborhood(hb: Hypergraph3, x: int, y: int) -> TraceCertifica
     return None
 
 
-def _cert_shell_overlap(hb: Hypergraph3, h: Hypergraph3, v: int) -> TraceCertificate | None:
-    """4-cycle from two shell sets meeting at a distance-2 vertex, provided
-    both shell roots still have a link partner avoiding the other root."""
+def _cert_shell_overlap(hb: Hypergraph3, v: int) -> TraceCertificate | None:
+    """4-cycle on the pair {v, z} with leaves u, w: shell roots u, w in
+    N1(v) whose shell sets V_u, V_w share z, the least shared vertex.
+    ``least_third_certificate`` finds it when each root has a third with v
+    other than the other root: z, at distance 2, shares no edge with v, and
+    the E_u edge through z avoids v and w.  Failing that, eight or more
+    shared shell vertices give a common-neighbourhood 4-cycle on u, w."""
     n1, _ = neighborhoods(hb, v)
-    cache = {u: eu_vu(hb, v, u) for u in sorted(n1)}
+    vu = {u: eu_vu(hb, v, u)[1] for u in sorted(n1)}
     for u, w in itertools.combinations(sorted(n1), 2):
-        overlap = cache[u][1] & cache[w][1]
+        overlap = vu[u] & vu[w]
         if not overlap:
             continue
-        a_cands = [a for a in sorted(hb.codegree_thirds(v, u)) if a != w]
-        b_cands = [b for b in sorted(hb.codegree_thirds(v, w)) if b != u]
-        if not (a_cands and b_cands):
-            if len(overlap) >= 8:
-                cert = _cert_common_neighborhood(hb, min(u, w), max(u, w))
-                if cert is not None:
-                    return cert
-            continue
-        xv = min(overlap)
-        eu = sorted(e for e in cache[u][0] if xv in e)[0]
-        ew = sorted(e for e in cache[w][0] if xv in e)[0]
-        d = tuple(sorted((u, w)))
-        cert = TraceCertificate(
-            x=v,
-            y=xv,
-            D=d,
-            assignment={
-                ("x", u): tuple(sorted((v, u, a_cands[0]))),
-                ("x", w): tuple(sorted((v, w, b_cands[0]))),
-                ("y", u): eu,
-                ("y", w): ew,
-            },
-        )
-        if verify_certificate(h, cert):
+        cert = least_third_certificate(hb, v, min(overlap), (u, w))
+        if cert is None and len(overlap) >= 8:
+            cert = _cert_common_neighborhood(hb, u, w)
+        if cert is not None:
             return cert
     return None
 
@@ -198,7 +197,7 @@ def _residual_codegree(h: Hypergraph3, hma: Hypergraph3, t: int, delta: int):
     for x, y, d in hma.codegree_pairs():
         if d > bound:
             s = hma.codegree_thirds(x, y)
-            cert = _cert_via_links(h, x, y, s, t, 1, dominated_pair_min1)
+            cert = _cert_via_links(h, x, y, s, t, dominated_pair_min1)
             found.append(((x, y), d, bound, cert))
     return f"bound {bound}", found
 
@@ -216,7 +215,7 @@ def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     for x, y, d in core.codegree_pairs():
         if d >= k_ceiling:  # the integer reading the construction supports
             s = core.codegree_thirds(x, y)
-            cert = _cert_via_links(h, x, y, s, t, delta, simultaneous)
+            cert = _cert_via_links(h, x, y, s, t, simultaneous)
             found.append(((x, y), d, bound, cert))
     return f"bound {bound:.4f}", found
 
@@ -236,7 +235,7 @@ def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
             ]
             if len(hits) >= bound:
                 s = frozenset(w for e in hits for w in e if w != y)
-                cert = _cert_via_links(h, x, y, s, t, delta, simultaneous)
+                cert = _cert_via_links(h, x, y, s, t, simultaneous)
                 found.append(((x, y), len(hits), bound, cert))
     return f"bound {bound:.1f}", found
 
@@ -259,7 +258,7 @@ def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
             s = frozenset(counts[x_best])
             cert = None
             if len(s) >= k_ceiling:
-                cert = _cert_via_links(h, v, x_best, s, t, delta, simultaneous)
+                cert = _cert_via_links(h, v, x_best, s, t, simultaneous)
             found.append(((v,), total, bound, cert))
     return f"bound {bound}", found
 
@@ -283,9 +282,9 @@ def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
             _, vw = eu_vu(hb, v, w)
             overlap = vu & vw
             if len(overlap) > 7:
-                cert = _cert_common_neighborhood(hb, min(u, w), max(u, w))
+                cert = _cert_common_neighborhood(hb, u, w)
                 if cert is None:
-                    cert = _cert_shell_overlap(hb, h, v)
+                    cert = _cert_shell_overlap(hb, v)
                 found.append(((v, u, w), len(overlap), 7, cert))
     return "bound 7", found
 
@@ -310,7 +309,7 @@ def _shell_sum(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
         total = sum(len(eu_vu(hb, v, u)[1]) for u in sorted(n1))
         bound = h.n + 14 * hb.degree(v)
         if total > bound:
-            found.append(((v,), total, bound, _cert_shell_overlap(hb, h, v)))
+            found.append(((v,), total, bound, _cert_shell_overlap(hb, v)))
     return "n + 14 d(v)", found
 
 

@@ -87,7 +87,11 @@ def certificate_from_text(text: str) -> TraceCertificate:
 
 
 def verify_certificate(h: Hypergraph3, cert: TraceCertificate) -> bool:
-    """Check every certificate invariant against h; never raises."""
+    """Check every certificate invariant against h; never raises.
+
+    Distinct pattern edges have distinct exact intersections with the core,
+    so once each edge passes its intersection test no two share an edge.
+    """
     d = tuple(cert.D)
     core = {cert.x, cert.y, *d}
     if len(core) != len(d) + 2 or len(d) < 2:
@@ -97,16 +101,12 @@ def verify_certificate(h: Hypergraph3, cert: TraceCertificate) -> bool:
     wanted = {(side, u) for side in ("x", "y") for u in d}
     if set(cert.assignment) != wanted:
         return False
-    seen: set[Triple] = set()
     for (side, u), edge in cert.assignment.items():
         if edge not in h:
             return False
         pair_vertex = cert.x if side == "x" else cert.y
         if set(edge) & core != {pair_vertex, u}:
             return False
-        if edge in seen:
-            return False
-        seen.add(edge)
     return True
 
 
@@ -176,7 +176,8 @@ def _choose_leaves(
     deadline: float | None,
     forced: _Candidate | None = None,
 ) -> list[int] | None:
-    """The leaves of a trace on the pair {a, b}: t of the candidates, or None.
+    """The leaves of a trace on the pair {a, b}: t of the candidates, of
+    which there are at least t, or None.
 
     forced, if given, is one of the candidates and must be a leaf.  With
     exactly t candidates the leaf set is forced, and one ``_leaves_fit``
@@ -188,8 +189,6 @@ def _choose_leaves(
     candidate, so only v and the chosen leaves with v among their thirds are
     tested.  Each test first checks the deadline, if there is one.
     """
-    if len(cands) < t:
-        return None
     if len(cands) == t:
         _check_deadline(deadline)
         return [c[1] for c in cands] if _leaves_fit(a, b, cands) else None

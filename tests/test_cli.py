@@ -39,6 +39,12 @@ def test_search_oracle_csv(capsys):
     assert out.splitlines()[1].startswith("5,2,6,")
 
 
+def test_search_oracle_text_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "search", "--n", "5", "--t", "2", "--oracle", "--format", "text")
+    assert code == 0
+    assert out == "maximum edges for n=5, t=2: 6\n5 6\n0 1 2\n0 1 3\n0 1 4\n0 2 3\n1 2 3\n2 3 4\n"
+
+
 def test_search_regression_value(capsys):
     code, out, _ = run(capsys, "search", "--n", "4", "--t", "2")
     assert code == 0

@@ -30,6 +30,16 @@ def test_polarity_counts_and_c4_freeness(q):
     assert not contains_c4(g)
 
 
+def test_contains_c4_finds_four_cycles():
+    assert contains_c4(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    assert contains_c4(Graph(range(4), itertools.combinations(range(4), 2)))
+    assert not contains_c4(Graph(range(4), [(0, 1), (1, 2), (2, 3)]))
+    g = polarity_graph(3)
+    assert 2 not in g.neighbors(0)
+    g.add_edge(0, 2)  # a chord of the C4-free polarity graph closes a 4-cycle
+    assert contains_c4(g)
+
+
 @pytest.mark.parametrize("q", [4, 6, 1, 9])
 def test_polarity_rejects_non_primes(q):
     with pytest.raises(ValueError):

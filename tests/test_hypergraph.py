@@ -83,6 +83,13 @@ def test_remove_edge_updates_index():
     assert (0, 1, 2) not in h
 
 
+@pytest.mark.parametrize("edge", [(), (0, 1), (0, 1, 2, 3), (0, 0, 1), (1, 1, 1)])
+def test_membership_of_a_malformed_edge_is_false(edge):
+    h = Hypergraph3(4, [(0, 1, 2)])
+    assert (2, 0, 1) in h
+    assert edge not in h
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**20 - 1), st.integers(0, 10**6))
 def test_codegree_index_matches_brute_force(mask, _salt):

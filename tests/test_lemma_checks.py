@@ -11,6 +11,7 @@ from trace_turan import (
     Hypergraph3,
     TraceCertificate,
     contains_trace,
+    least_third_certificate,
     lemma_status_report,
     lift_to_trace_free,
     neighborhoods,
@@ -108,6 +109,66 @@ def test_common_neighborhood_certificate_skips_leaves_joined_through_the_pair():
     h = Hypergraph3(10, [(0, 2, 3)] + [(p, u, 8 + p) for u in range(2, 8) for p in (0, 1)])
     cert = lemma_checks._cert_common_neighborhood(h, 0, 1)
     assert cert is not None and cert.D == (2, 4) and verify_certificate(h, cert)
+
+
+def test_complete_5_takes_every_certificate_from_the_triangle_case(monkeypatch, detector_calls):
+    # K^(3)_5 at t = 2: each pair has co-degree 3 > 2, and both link graphs
+    # on its three thirds are triangles, so the dominated pair shrinks to one
+    # vertex and the four-edge triangle assembly certifies every violation
+    built = []
+    triangle = lemma_checks._cert_triangle_links
+
+    def spy(*args):
+        built.append(triangle(*args))
+        return built[-1]
+
+    monkeypatch.setattr(lemma_checks, "_cert_triangle_links", spy)
+    h = Hypergraph3(5, itertools.combinations(range(5), 3))
+    found = [v for st in lemma_status_report(h, 2) for v in st.violations]
+    assert [v.check for v in found] == ["residual-codegree-cap"] * 10
+    assert len(built) == 10 and all(v.certificate is c for v, c in zip(found, built))
+    assert all(v.note == CERTIFIED and verify_certificate(h, v.certificate) for v in found)
+    assert detector_calls == []
+    assert found[0].certificate.to_text() == (
+        "1 2 | 3 4 |\nx 3 -> 0 1 3\nx 4 -> 0 1 4\ny 3 -> 0 2 3\ny 4 -> 0 2 4\n"
+    )
+
+
+def test_triangle_case_needs_an_apex_leaf():
+    # {0, 1} has thirds {2, 3, 4}, but no edge joins two of them through 0 or 1
+    h = Hypergraph3(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    assert lemma_checks._cert_triangle_links(h, 0, 1, frozenset({2, 3, 4})) is None
+
+
+def test_shell_overlap_certificate_meets_at_a_shared_shell_vertex():
+    # N1(0) = {1, 2, 3, 4}; the shell sets V_1 = {5, 6} and V_2 = {5, 7} share 5
+    hb = Hypergraph3(8, [(0, 1, 3), (0, 2, 4), (1, 5, 6), (2, 5, 7)])
+    cert = lemma_checks._cert_shell_overlap(hb, 0)
+    assert cert.to_text() == "0 5 | 1 2 |\nx 1 -> 0 1 3\nx 2 -> 0 2 4\ny 1 -> 1 5 6\ny 2 -> 2 5 7\n"
+    assert verify_certificate(hb, cert)
+
+
+def test_shell_overlap_certificate_needs_shell_sets_that_meet():
+    hb = Hypergraph3(9, [(0, 1, 3), (0, 2, 4), (1, 5, 6), (2, 7, 8)])
+    assert lemma_checks._cert_shell_overlap(hb, 0) is None
+
+
+def test_shell_overlap_certificate_falls_back_to_common_neighbours():
+    # N1(0) = {1, 2} through {0, 1, 2} alone, so neither root has a third
+    # with 0 other than the other root; V_1 and V_2 share the eight
+    # vertices 3..10, which are clean common neighbours of 1 and 2
+    hb = Hypergraph3(13, [(0, 1, 2)] + [(p, z, 10 + p) for z in range(3, 11) for p in (1, 2)])
+    assert least_third_certificate(hb, 0, 3, (1, 2)) is None
+    cert = lemma_checks._cert_shell_overlap(hb, 0)
+    assert cert is not None and cert == lemma_checks._cert_common_neighborhood(hb, 1, 2)
+    assert verify_certificate(hb, cert)
+
+
+def test_common_neighborhood_certificate_gives_up_when_every_pair_is_joined_through_x():
+    # 0 and 1 share six clean neighbours 2..7, and 0's link holds every pair of them
+    joined = [(0, *p) for p in itertools.combinations(range(2, 8), 2)]
+    h = Hypergraph3(9, joined + [(1, u, 8) for u in range(2, 8)])
+    assert lemma_checks._cert_common_neighborhood(h, 0, 1) is None
 
 
 def test_dense_complete_instance_all_violations_certified(detector_calls):

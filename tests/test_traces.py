@@ -1,5 +1,6 @@
 """Trace detector tests."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -59,7 +60,21 @@ def test_verify_natural_certificate():
     assert verify_certificate(FOUR_EDGE_TRACE, natural_certificate())
 
 
+@pytest.mark.parametrize(
+    "change",
+    [{"y": 0}, {"D": (0, 3)}, {"D": (2, 1)}, {"D": (2, 2)}, {"D": (2,)}, {"x": 8}, {"x": -1}],
+    ids=["x-equals-y", "leaf-equals-x", "leaf-equals-y", "repeated-leaf", "single-leaf",
+         "vertex-at-n", "negative-vertex"],
+)
+def test_verify_rejects_a_degenerate_or_out_of_range_core(change):
+    cert = natural_certificate()
+    assert verify_certificate(FOUR_EDGE_TRACE, cert)
+    assert not verify_certificate(FOUR_EDGE_TRACE, dataclasses.replace(cert, **change))
+
+
 def test_verify_rejects_repeated_edge():
+    # the edge of ("x", 2) meets the core in {0, 2}, not {1, 2}: the exact
+    # intersection test is what keeps two pattern edges off one hyperedge
     cert = natural_certificate()
     cert.assignment[("y", 2)] = (0, 2, 4)
     assert not verify_certificate(FOUR_EDGE_TRACE, cert)
