@@ -203,7 +203,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

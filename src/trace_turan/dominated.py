@@ -154,12 +154,10 @@ def dominated_pair_min1(gx: Graph, gy: Graph) -> frozenset[int]:
         raise ValueError("both graphs need minimum degree >= 1")
     if len(verts) == 3:
         union = {*gx.edges, *gy.edges}
-        if len(union) == 3:
-            return frozenset({min(verts)})
         for u, v in itertools.combinations(verts, 2):
             if (u, v) not in union:
                 return frozenset({u, v})
-        raise AssertionError("unreachable: fewer than 3 union edges")
+        return frozenset({min(verts)})
 
     dx = star_loop_decomposition(gx)
     dy = star_loop_decomposition(gy)

@@ -135,7 +135,7 @@ class Hypergraph3:
     def __contains__(self, edge: Iterable[int]) -> bool:
         try:
             return _as_triple(edge) in self._edges
-        except ValueError:
+        except (TypeError, ValueError):
             return False
 
     def __eq__(self, other: object) -> bool:

@@ -7,7 +7,6 @@ colexicographically and makes the index independent of n.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 Triple = tuple[int, int, int]
@@ -18,7 +17,6 @@ def triple_index(a: int, b: int, c: int) -> int:
     return comb(c, 3) + comb(b, 2) + a
 
 
-@lru_cache(maxsize=32)
 def all_triples(n: int) -> tuple[Triple, ...]:
     """All sorted triples on 0..n-1 in colex (= index) order."""
     out = []

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .canon import _twin_classes, canonical_form, is_canonical_labeling
 from .hypergraph import Hypergraph3
 from .indexing import Triple, all_triples, triple_index
-from .traces import _t_of, _trace_through_edge
+from .traces import _t_of, _trace_fits, _trace_through_edge
 
 
 class CapExceeded(ValueError):
@@ -69,6 +69,8 @@ def trace_templates(n: int, t: int) -> list[frozenset[int]]:
     vertex outside the core per pattern edge; the 2t resulting triples are
     automatically distinct because their core intersections differ.
     """
+    if not _trace_fits(n, t):
+        return []
     templates: set[frozenset[int]] = set()
     verts = range(n)
     for x, y in itertools.combinations(verts, 2):
@@ -76,8 +78,6 @@ def trace_templates(n: int, t: int) -> list[frozenset[int]]:
         for d in itertools.combinations(others, t):
             core = {x, y, *d}
             outside = [w for w in verts if w not in core]
-            if not outside:
-                break
             choices = []
             for pv in (x, y):
                 for u in d:

@@ -4,7 +4,8 @@ A K_{2,t} trace on vertices {x, y} union D assigns to each pattern edge
 {x, u} (and {y, u}) a hyperedge whose intersection with {x, y} union D is
 exactly that pair.  Distinct pattern edges force distinct hyperedges on
 their own (two hyperedges with different exact intersections can never
-coincide), so the exact detector needs no matching step.
+coincide), so the exact detector needs no matching step.  Each hyperedge
+of a trace has a vertex outside its core of t + 2, so it needs n >= t + 3.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ PatternEdge = tuple[str, int]  # ("x" | "y", leaf vertex)
 
 class SearchTimeout(Exception):
     """Raised when a detector exceeds its time budget; distinct from absent."""
+
+
+def _trace_fits(n: int, t: int) -> bool:
+    """n >= t + 3: each pattern edge needs a third outside the core of t + 2."""
+    return n >= t + 3
 
 
 def _t_of(t: int) -> int:
@@ -93,10 +99,10 @@ def verify_certificate(h: Hypergraph3, cert: TraceCertificate) -> bool:
     so once each edge passes its intersection test no two share an edge.
     """
     d = tuple(cert.D)
+    if not all(isinstance(v, int) and 0 <= v < h.n for v in (cert.x, cert.y, *d)):
+        return False
     core = {cert.x, cert.y, *d}
     if len(core) != len(d) + 2 or len(d) < 2:
-        return False
-    if not all(0 <= v < h.n for v in core):
         return False
     wanted = {(side, u) for side in ("x", "y") for u in d}
     if set(cert.assignment) != wanted:
@@ -262,11 +268,11 @@ def contains_trace(
     ``_leaf_candidates`` would, so no pair without a common shadow
     neighbour is touched.  Each vertex u a row walks through gets its
     shadow neighbours sorted once per call, on first use, each with the
-    thirds of its pair, so a row walks from u only to the partners past x.  The partners with at least t
-    candidates are then visited in ascending order.  A pair with exactly t
-    candidates has a forced leaf set, decided in the sweep by one
-    ``_leaves_fit`` test on the unsorted pool; only a larger pool is sorted
-    and searched by ``_choose_leaves``.  The certificate is
+    thirds of its pair, so a row walks from u only to the partners past x.
+    The partners with at least t candidates are then visited in ascending
+    order.  A pair with exactly t candidates has a forced leaf set, decided
+    in the sweep by one ``_leaves_fit`` test on the unsorted pool; only a
+    larger pool is sorted and searched by ``_choose_leaves``.  It returns
     ``least_third_certificate`` of the first pair and leaves found.
 
     The optional wall-clock budget is checked once per row that has a later
@@ -280,7 +286,7 @@ def contains_trace(
     if time_budget is not None and not (math.isfinite(time_budget) and time_budget >= 0):
         raise ValueError(f"time budget must be a finite number >= 0, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    if h.n < t + 2:
+    if not _trace_fits(h.n, t):
         return None
     nbrs = h.shadow_neighbors
     thirds = h.pair_index()
@@ -367,7 +373,7 @@ def _trace_through_edge(
     feasibility only fails more as leaves are added, so the search forced on
     the second drops it from the pool and finds the same leaves.
     """
-    if h.n < t + 2:
+    if not _trace_fits(h.n, t):
         return None
     nbrs = h.shadow_neighbors
     thirds = h.pair_index()

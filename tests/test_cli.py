@@ -45,6 +45,13 @@ def test_search_oracle_text_output_is_pinned(capsys):
     assert out == "maximum edges for n=5, t=2: 6\n5 6\n0 1 2\n0 1 3\n0 1 4\n0 2 3\n1 2 3\n2 3 4\n"
 
 
+def test_search_oracle_answers_a_t_with_no_room_at_once(capsys):
+    # no trace fits on 5 vertices, so the complete hypergraph is the answer
+    code, out, _ = run(capsys, "search", "--n", "5", "--t", str(10**20), "--oracle")
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"5,{10**20},10,1,")
+
+
 def test_search_regression_value(capsys):
     code, out, _ = run(capsys, "search", "--n", "4", "--t", "2")
     assert code == 0

@@ -83,7 +83,10 @@ def test_remove_edge_updates_index():
     assert (0, 1, 2) not in h
 
 
-@pytest.mark.parametrize("edge", [(), (0, 1), (0, 1, 2, 3), (0, 0, 1), (1, 1, 1)])
+@pytest.mark.parametrize(
+    "edge",
+    [(), (0, 1), (0, 1, 2, 3), (0, 0, 1), (1, 1, 1), (0, 1, None), None, "012", ([0], [1], [2])],
+)
 def test_membership_of_a_malformed_edge_is_false(edge):
     h = Hypergraph3(4, [(0, 1, 2)])
     assert (2, 0, 1) in h

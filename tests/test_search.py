@@ -69,6 +69,18 @@ def test_template_minimality():
             assert contains_trace_naive(h, 2) is None
 
 
+def test_no_template_without_room_for_a_trace():
+    # a trace needs n >= t + 3; below that there is no template, and the
+    # rule is read before any leaf set is enumerated, so a huge t is cheap
+    for n in range(4, 9):
+        for t in (n - 2, n - 1, n, 10**20):
+            if t >= 2:
+                assert trace_templates(n, t) == [], (n, t)
+    assert [len(trace_templates(n, t)) for n, t in ((5, 2), (5, 3), (6, 3), (6, 4))] == [
+        15, 0, 60, 0
+    ]
+
+
 # -- oracle ----------------------------------------------------------------------
 
 
@@ -487,6 +499,18 @@ def test_cnf_sat_at_value_unsat_above(tmp_path, oracle_table):
 def test_cnf_trivially_unsat_when_m_exceeds_triples(tmp_path):
     path = tmp_path / "over.cnf"
     export_cnf(4, 5, 2, str(path))
+    assert not dpll_satisfiable(*parse_dimacs(str(path)))
+
+
+def test_cnf_for_a_t_with_no_room_has_only_cardinality_clauses(tmp_path):
+    # no trace fits on 5 vertices at this t, so there is no blocking clause
+    # and every hypergraph is trace-free
+    path = tmp_path / "room.cnf"
+    export_cnf(5, 10, 10**20, str(path))
+    num_vars, clauses = parse_dimacs(str(path))
+    assert clauses == [[v] for v in range(1, 11)]
+    assert dpll_satisfiable(num_vars, clauses)
+    export_cnf(5, 11, 10**20, str(path))
     assert not dpll_satisfiable(*parse_dimacs(str(path)))
 
 

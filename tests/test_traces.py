@@ -72,6 +72,22 @@ def test_verify_rejects_a_degenerate_or_out_of_range_core(change):
     assert not verify_certificate(FOUR_EDGE_TRACE, dataclasses.replace(cert, **change))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("y", "a"), ("D", (2, "3")), ("D", (2, [3])), (("x", 2), None), (("x", 2), (0, 2)),
+     (("x", 2), "024")],
+    ids=["str-pair-vertex", "str-leaf", "list-leaf", "none-edge", "pair-edge", "str-edge"],
+)
+def test_verify_rejects_a_malformed_field_without_raising(field, value):
+    cert = natural_certificate()
+    assert verify_certificate(FOUR_EDGE_TRACE, cert)
+    if isinstance(field, tuple):
+        cert.assignment[field] = value
+    else:
+        cert = dataclasses.replace(cert, **{field: value})
+    assert not verify_certificate(FOUR_EDGE_TRACE, cert)
+
+
 def test_verify_rejects_repeated_edge():
     # the edge of ("x", 2) meets the core in {0, 2}, not {1, 2}: the exact
     # intersection test is what keeps two pattern edges off one hyperedge
@@ -127,6 +143,18 @@ def test_pattern_t_must_be_an_integer(t):
         contains_trace(full_hypergraph(5), t)
     with pytest.raises(ValueError, match="integer"):
         incremental_trace_check(Hypergraph3(5), (0, 1, 2), t)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_no_trace_fits_on_t_plus_2_vertices(t):
+    # every pattern edge needs a third vertex outside the t + 2 core
+    h = full_hypergraph(t + 2)
+    assert contains_trace(h, t) is None
+    assert contains_trace_naive(h, t) is None
+    last = h.edges[-1]
+    h.remove_edge(last)
+    assert incremental_trace_check(h, last, t) is None
+    assert contains_trace(full_hypergraph(t + 3), t) is not None
 
 
 def test_timeout_is_distinct_from_absent():
