@@ -16,7 +16,14 @@ import random
 
 from .hypergraph import Graph, Hypergraph3
 from .indexing import all_triples
+from .search import CapExceeded
 from .traces import _t_of, incremental_trace_check
+
+# the largest inputs the builders take: each refuses more with CapExceeded
+# before it builds a point or a triple
+POLARITY_CAP = 43
+GREEDY_CAP = 30
+RESTARTS_CAP = 1000
 
 
 def _loopless_order(g: Graph) -> int:
@@ -43,8 +50,11 @@ def polarity_graph(q: int) -> Graph:
 
     Vertices are projective points (first nonzero coordinate scaled to 1),
     u ~ v iff their dot product vanishes mod q; self-orthogonal points keep
-    their other edges.  Prime q only.
+    their other edges.  Prime q only, up to ``POLARITY_CAP``; the cap is
+    checked first, so a huge q costs no trial division.
     """
+    if q > POLARITY_CAP:
+        raise CapExceeded(f"polarity graph capped at q <= {POLARITY_CAP}, got q={q}")
     if not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     points: list[tuple[int, int, int]] = [(0, 0, 1)]
@@ -86,10 +96,16 @@ def greedy_lower_bound(n: int, t: int, seed: int = 0, restarts: int = 32) -> Hyp
     """Best maximal trace-free hypergraph over seeded random greedy runs.
 
     Each run inserts the triples in a random order, keeping an edge exactly
-    when the incremental detector finds no trace through it.  t is checked
-    before any triple is tried, so a bad t is refused even when n < 3.
+    when the incremental detector finds no trace through it.  t, then n
+    against ``GREEDY_CAP`` and restarts against ``RESTARTS_CAP``, are
+    checked before any triple is built, so a bad t is refused even when
+    n < 3.
     """
     t = _t_of(t)
+    if n > GREEDY_CAP:
+        raise CapExceeded(f"greedy capped at n <= {GREEDY_CAP}, got n={n}")
+    if restarts > RESTARTS_CAP:
+        raise CapExceeded(f"greedy capped at restarts <= {RESTARTS_CAP}, got restarts={restarts}")
     if restarts < 1:
         raise ValueError("restarts must be positive")
     best: Hypergraph3 | None = None

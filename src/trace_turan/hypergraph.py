@@ -12,7 +12,6 @@ index, so the trace detectors visit only pairs and leaves that share an edge.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping, TypeVar
 
@@ -49,9 +48,9 @@ class Hypergraph3:
     complete it to an edge, so both co-degree counts and the edges through a
     pair are O(1) away.  Its keys, read as graph edges, form the shadow
     graph; ``_nbrs`` holds the shadow neighbours of each vertex that has an
-    edge (and no entry for any other vertex).  It is a defaultdict, so only
-    ``add_edge`` indexes it by a vertex that may lack an entry; readers use
-    ``get``.
+    edge (and no entry for any other vertex).  Only this module reads the
+    two indexes' layout; other modules read them through ``pair_index`` and
+    ``shadow_index``.
     """
 
     __slots__ = ("n", "_thirds", "_edges", "_nbrs")
@@ -62,7 +61,7 @@ class Hypergraph3:
         self.n = n
         self._thirds: dict[Pair, set[int]] = {}
         self._edges: set[Triple] = set()
-        self._nbrs: defaultdict[int, set[int]] = defaultdict(set)
+        self._nbrs: dict[int, set[int]] = {}
         for e in edges:
             self.add_edge(e)
 
@@ -85,22 +84,22 @@ class Hypergraph3:
         s = thirds.get((a, b))
         if s is None:
             thirds[a, b] = {c}
-            nbrs[a].add(b)
-            nbrs[b].add(a)
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
         else:
             s.add(c)
         s = thirds.get((a, c))
         if s is None:
             thirds[a, c] = {b}
-            nbrs[a].add(c)
-            nbrs[c].add(a)
+            nbrs.setdefault(a, set()).add(c)
+            nbrs.setdefault(c, set()).add(a)
         else:
             s.add(b)
         s = thirds.get((b, c))
         if s is None:
             thirds[b, c] = {a}
-            nbrs[b].add(c)
-            nbrs[c].add(b)
+            nbrs.setdefault(b, set()).add(c)
+            nbrs.setdefault(c, set()).add(b)
         else:
             s.add(a)
         return t
@@ -171,6 +170,12 @@ class Hypergraph3:
         """The pair index itself, live and read-only: each pair (x, y), x < y,
         with positive co-degree maps to the vertices w with {x, y, w} an edge."""
         return self._thirds
+
+    def shadow_index(self) -> Mapping[int, AbstractSet[int]]:
+        """The shadow adjacency itself, live and read-only: each vertex with
+        an edge maps to its shadow neighbours, and no other vertex has an
+        entry.  Unlike ``shadow_neighbors`` it checks no vertex."""
+        return self._nbrs
 
     def shadow_neighbors(self, v: int) -> AbstractSet[int]:
         """The vertices sharing an edge with v: a live view, not a copy."""

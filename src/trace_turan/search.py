@@ -214,6 +214,10 @@ def turan_search(n: int, t: int) -> SearchResult:
 
     The trace check runs before a child edge is added, so a child with a
     trace is never added; the result's ``stats`` count each outcome.
+
+    When no trace fits (t > n - 3) every hypergraph is trace-free, and the
+    search answers at once: value C(n, 3), the complete hypergraph as the
+    one witness, one node and zero counts.
     """
     t = _t_of(t)
     if n > SEARCH_CAP:
@@ -223,14 +227,17 @@ def turan_search(n: int, t: int) -> SearchResult:
     start = time.perf_counter()
     triples = all_triples(n)
     total = len(triples)
+    stats = dict.fromkeys(
+        ("tried", "twin_skips", "trace_rejects", "noncanon_rejects", "recursed"), 0
+    )
+    if not _trace_fits(n, t):
+        complete = Hypergraph3(n, triples)
+        return SearchResult(n, t, total, [complete], 1, time.perf_counter() - start, stats)
 
     best = -1
     witnesses: list[Hypergraph3] = []
     nodes = 0
     h = Hypergraph3(n)
-    stats = dict.fromkeys(
-        ("tried", "twin_skips", "trace_rejects", "noncanon_rejects", "recursed"), 0
-    )
 
     # returns, as a bitmask of edge indices, every edge this subtree found
     # trace-free when added; each is also trace-free added to this node alone

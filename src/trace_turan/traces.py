@@ -15,9 +15,9 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable
 
-from .hypergraph import FormatError, Hypergraph3, Pair, int_tokens
+from .hypergraph import FormatError, Hypergraph3, int_tokens
 from .indexing import Triple
 
 PatternEdge = tuple[str, int]  # ("x" | "y", leaf vertex)
@@ -121,44 +121,12 @@ def _check_deadline(deadline: float | None) -> None:
         raise SearchTimeout("trace search exceeded its time budget")
 
 
-# a leaf candidate of the pair {a, b}: (minus its co-degree, u, thirds of
-# {a, u}, thirds of {b, u}); the third sets are live sets of the pair index
+# a leaf candidate u of the pair {a, b}: (minus its co-degree, u, thirds of
+# {a, u}, thirds of {b, u}).  u is a common shadow neighbour of a and b that
+# keeps a third of {a, u} other than b and a third of {b, u} other than a;
+# its co-degree is the smaller count of such thirds.  The third sets are
+# live sets of the pair index, or copies where the pair gains a third.
 _Candidate = tuple[int, int, AbstractSet[int], AbstractSet[int]]
-
-
-def _leaf_candidates(
-    thirds: Mapping[Pair, AbstractSet[int]],
-    a: int,
-    b: int,
-    common: AbstractSet[int],
-    e: tuple[int, ...] = (),
-) -> list[_Candidate]:
-    """The leaf candidates of the pair {a, b}, unordered.
-
-    thirds is the live pair index ``h.pair_index()`` and common is the common
-    shadow neighbourhood of a and b: every other vertex lacks an edge with a
-    or with b, so it is no leaf.  A candidate u keeps a third of {a, u} other
-    than b and a third of {b, u} other than a; its co-degree is the smaller
-    count of such thirds.  ``contains_trace`` builds the same tuples in its
-    row sweep.
-
-    e, if given, is an edge through a and not b that h lacks, and the
-    candidates are those of h + e, read from h alone: common is then the
-    common neighbourhood in h + e, where a also neighbours e's other two
-    vertices, and for such a vertex u the thirds of {a, u} gain e's third
-    vertex.  So no edge is added to h to ask about h + e.
-    """
-    rest = sum(e) - a  # for u in e other than a, rest - u is e's third vertex
-    cands = []
-    for u in common:
-        pa = (a, u) if a < u else (u, a)
-        sa = thirds[pa] if u not in e else {*thirds.get(pa, ()), rest - u}
-        sb = thirds[(b, u) if b < u else (u, b)]
-        na = len(sa) - (b in sa)
-        nb = len(sb) - (a in sb)
-        if na and nb:
-            cands.append((-na if na < nb else -nb, u, sa, sb))
-    return cands
 
 
 def _leaves_fit(a: int, b: int, leaves: list[_Candidate]) -> bool:
@@ -198,13 +166,18 @@ def _choose_leaves(
     if len(cands) == t:
         _check_deadline(deadline)
         return [c[1] for c in cands] if _leaves_fit(a, b, cands) else None
-    pool = [c for c in cands if c is not forced]
-    chosen, core = ([], {a, b}) if forced is None else ([forced], {a, b, forced[1]})
+    if forced is None:
+        pool, chosen, core = cands, [], {a, b}
+    else:
+        pool = cands.copy()
+        pool.remove(forced)  # u is unique, so only forced itself compares equal
+        chosen, core = [forced], {a, b, forced[1]}
     picked: list[int] = []  # the pool index of each leaf taken from the pool
     need = t - len(chosen)
+    size = len(pool)
     i = 0
     while need:
-        if i > len(pool) - need:  # too few candidates left: backtrack
+        if i > size - need:  # too few candidates left: backtrack
             if not picked:
                 return None
             i = picked.pop() + 1
@@ -264,11 +237,11 @@ def contains_trace(
     Deterministic: pairs (x, y) are scanned in ascending order and leaf
     candidates in descending co-degree order.  The scan is one neighbour
     sweep per row, a support vertex x with its partners y > x: each path
-    x - u - y is walked once and gives the pair {x, y} the candidate u that
-    ``_leaf_candidates`` would, so no pair without a common shadow
-    neighbour is touched.  Each vertex u a row walks through gets its
-    shadow neighbours sorted once per call, on first use, each with the
-    thirds of its pair, so a row walks from u only to the partners past x.
+    x - u - y is walked once and gives the pair {x, y} the candidate u, so
+    no pair without a common shadow neighbour is touched.  Each vertex u a
+    row walks through gets its shadow neighbours sorted once per call, on
+    first use, each with the thirds of its pair, so a row walks from u only
+    to the partners past x.
     The partners with at least t candidates are then visited in ascending
     order.  A pair with exactly t candidates has a forced leaf set, decided
     in the sweep by one ``_leaves_fit`` test on the unsorted pool; only a
@@ -364,43 +337,70 @@ def _trace_through_edge(
     e serves a pattern edge {p, u} with p, u in e, so the pair is {p, q} for
     some q outside e, and u is a leaf adjacent to q in the shadow graph; q
     ranges, ascending, over the shadow neighbours of e's other two vertices,
-    which are the same in h and h + e outside e.  ``_leaf_candidates`` reads
-    each pair's candidates in h + e, and a pool without a vertex of e is
-    skipped unsorted.  With exactly t candidates the leaf set is forced, and
-    one ``_leaves_fit`` test decides it.  A larger pool is sorted, and the
-    vertices of e among its candidates are forced in turn, ascending.  When
-    the search forced on the first fails, no feasible leaf set holds it, and
-    feasibility only fails more as leaves are added, so the search forced on
-    the second drops it from the pool and finds the same leaves.
+    which are the same in h and h + e outside e.  Per p the h + e side of
+    every pool is built once: each shadow neighbour u of p in h + e, with
+    the thirds of {p, u} in h + e.  That is the live third set of h, except
+    for e's other two vertices, whose pairs with p gain e's third vertex and
+    so get a copy; the live set is never extended.  Each q reads its own
+    shadow neighbours against this side map, and the candidates that are
+    vertices of e are recorded as the pool is built; a pool without one is
+    skipped unsorted.  With exactly t candidates the leaf set is forced,
+    and one feasibility test, made inline, decides it.  A larger pool is
+    sorted, and the vertices of e among its candidates are forced in turn,
+    ascending.  When the search forced on the first fails, no feasible leaf
+    set holds it, and feasibility only fails more as leaves are added, so
+    the search forced on the second drops it from the pool and finds the
+    same leaves.
     """
     if not _trace_fits(h.n, t):
         return None
-    nbrs = h.shadow_neighbors
+    nbrs = h.shadow_index()
     thirds = h.pair_index()
-    for p in e:
-        others = [u for u in e if u != p]
-        p_nbrs = nbrs(p).union(others)  # p's shadow neighbours in h + e
-        for q in sorted((nbrs(others[0]) | nbrs(others[1])).difference(e)):
-            common = p_nbrs & nbrs(q)
-            if len(common) < t:
-                continue
-            cands = _leaf_candidates(thirds, p, q, common, e)
-            if len(cands) < t:
-                continue
-            forced = [c for u in others for c in cands if c[1] == u]
-            if not forced:
+    x, y, z = e
+    for p, u1, u2 in ((x, y, z), (y, x, z), (z, x, y)):
+        # u -> thirds of {p, u} in h + e, over p's shadow neighbours in h + e
+        side = {u: thirds[(p, u) if p < u else (u, p)] for u in nbrs.get(p, ())}
+        side[u1] = {*thirds.get((p, u1) if p < u1 else (u1, p), ()), u2}
+        side[u2] = {*thirds.get((p, u2) if p < u2 else (u2, p), ()), u1}
+        qs = {*nbrs.get(u1, ()), *nbrs.get(u2, ())}
+        qs.difference_update(e)
+        for q in sorted(qs):
+            cands = []
+            f1 = f2 = None  # u1 and u2 as candidates, if they are candidates
+            for u in nbrs[q]:
+                if u in side:
+                    sa = side[u]
+                    sb = thirds[(q, u) if q < u else (u, q)]
+                    na = len(sa) - (q in sa)
+                    nb = len(sb) - (p in sb)
+                    if na and nb:
+                        c = (-na if na < nb else -nb, u, sa, sb)
+                        cands.append(c)
+                        if u == u1:
+                            f1 = c
+                        elif u == u2:
+                            f2 = c
+            if len(cands) < t or (f1 is None and f2 is None):
                 continue
             if len(cands) == t:
-                if _leaves_fit(p, q, cands):
+                core = {c[1] for c in cands}
+                core.add(p)
+                core.add(q)
+                for _, _, sa, sb in cands:
+                    if sa <= core or sb <= core:
+                        break
+                else:
                     cands.sort()
                     return p, q, [c[1] for c in cands]
                 continue
             cands.sort()  # u is unique, so no third set is ever compared
-            for c in forced:
+            for c in (f1, f2):
+                if c is None:
+                    continue
                 leaves = _choose_leaves(p, q, t, cands, None, c)
                 if leaves is not None:
                     return p, q, leaves
-                cands = [d for d in cands if d is not c]
+                cands.remove(c)
     return None
 
 

@@ -14,7 +14,9 @@ one exception is ``loads_graph``: no command reads a graph file, so the
 reader of the text that ``dumps_graph`` writes lives here, on the library's
 line parser, and returns the one ``Graph`` type on ``range(n)``.  That line
 parser is checked against ``reference_loads_edge_lines``, a frozen copy of
-the earlier token-by-token reader.  ``incremental_certificate`` is a
+the earlier token-by-token reader.  ``leaf_candidates`` is a frozen copy
+of the library's earlier per-pair candidate builder, the reference for
+``contains_trace``'s row sweep.  ``incremental_certificate`` is a
 library wrapper too: the library's incremental check returns a pair and
 leaves, and tests that compare certificates build one from them.
 ``brute_force_ex_c4`` computes the graph numbers ex(n, C4) by branch and
@@ -249,6 +251,23 @@ def _reference_search_pair(
         assignment[("x", u)] = tuple(sorted((x, u, min(wx[u] - d_set))))
         assignment[("y", u)] = tuple(sorted((y, u, min(wy[u] - d_set))))
     return TraceCertificate(x, y, d, assignment)
+
+
+def leaf_candidates(h: Hypergraph3, a: int, b: int) -> list[tuple]:
+    """The leaf candidates of the pair {a, b}, unordered: each common shadow
+    neighbour u that keeps a third of {a, u} other than b and a third of
+    {b, u} other than a, as (minus the smaller count of such thirds, u,
+    thirds of {a, u}, thirds of {b, u})."""
+    thirds = h.pair_index()
+    cands = []
+    for u in h.shadow_neighbors(a) & h.shadow_neighbors(b):
+        sa = thirds[(a, u) if a < u else (u, a)]
+        sb = thirds[(b, u) if b < u else (u, b)]
+        na = len(sa) - (b in sa)
+        nb = len(sb) - (a in sb)
+        if na and nb:
+            cands.append((-min(na, nb), u, sa, sb))
+    return cands
 
 
 def reference_contains_trace(h: Hypergraph3, t: int) -> TraceCertificate | None:

@@ -65,10 +65,10 @@ def test_search_refusal_exit_code(capsys):
 
 
 def test_search_json_lines(capsys):
-    code, out, _ = run(capsys, "search", "--n", "4", "--t", "2", "--format", "json-lines")
+    code, out, _ = run(capsys, "search", "--n", "5", "--t", "2", "--format", "json-lines")
     assert code == 0
     payload = json.loads(out)
-    assert payload["value"] == 4
+    assert payload["value"] == 6
     stats = payload["stats"]
     assert stats["tried"] == stats["trace_rejects"] + stats["noncanon_rejects"] + stats["recursed"] > 0
     assert payload["nodes"] == stats["recursed"] + 1
@@ -326,6 +326,14 @@ def test_bounds_refuses_a_range_without_an_integer(capsys):
         (("bounds", "--t-range", "100:14"), 2, "refused: "),
         (("construct", "greedy", "--n", "2", "--t", "1"), 2, "refused: "),
         (("construct", "greedy", "--n", "0", "--t", "0"), 2, "refused: "),
+        (("construct", "greedy", "--n", "31", "--t", "2"), 2, "refused: greedy capped at n <= 30,"),
+        (("construct", "greedy", "--n", "99999999999999999999", "--t", "2"), 2,
+         "refused: greedy capped at n <= 30,"),
+        (("construct", "greedy", "--n", "6", "--t", "2", "--restarts", "1001"), 2,
+         "refused: greedy capped at restarts <= 1000,"),
+        (("construct", "polarity", "--q", "44"), 2, "refused: polarity graph capped at q <= 43,"),
+        (("construct", "polarity", "--q", "100000000000000000039"), 2,
+         "refused: polarity graph capped at q <= 43,"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from trace_turan import (
+    CapExceeded,
     FormatError,
     Graph,
     contains_c4,
@@ -17,6 +18,8 @@ from trace_turan import (
     polarity_graph,
     verify_certificate,
 )
+
+from trace_turan.constructions import GREEDY_CAP, POLARITY_CAP, RESTARTS_CAP
 
 from helpers import four_subset_has_c4, incremental_certificate, loads_graph
 
@@ -134,6 +137,33 @@ def test_greedy_edges_are_pinned(n, t, seed):
     text = " ".join(f"{a},{b},{c}" for a, b, c in h.edges)
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     assert (h.edge_count, digest) == GREEDY_SHA256[n, t, seed]
+
+
+def test_polarity_graph_runs_at_its_cap_and_refuses_above_it():
+    q = POLARITY_CAP
+    g = polarity_graph(q)
+    assert g.vertices == range(q * q + q + 1)
+    assert g.edge_count == q * (q + 1) ** 2 // 2
+    # above the cap no point is built and no divisor tried: trial division
+    # of a 20-digit q would take about 10**10 steps
+    for q in (POLARITY_CAP + 1, 1000003, 10**20 + 39):
+        with pytest.raises(CapExceeded, match=f"q <= {POLARITY_CAP}, got q={q}"):
+            polarity_graph(q)
+
+
+def test_greedy_runs_at_its_caps_and_refuses_above_them():
+    # at t = n - 2 no trace fits, so the one run keeps every triple
+    n = GREEDY_CAP
+    assert greedy_lower_bound(n, n - 2, restarts=1).edge_count == n * (n - 1) * (n - 2) // 6
+    assert greedy_lower_bound(3, 2, restarts=RESTARTS_CAP).edges == ((0, 1, 2),)
+    # above a cap no triple is built, however large the request
+    for n in (GREEDY_CAP + 1, 10**20):
+        with pytest.raises(CapExceeded, match=f"n <= {GREEDY_CAP}, got n={n}"):
+            greedy_lower_bound(n, 2, restarts=1)
+    for restarts in (RESTARTS_CAP + 1, 10**20):
+        refused = f"restarts <= {RESTARTS_CAP}, got restarts={restarts}"
+        with pytest.raises(CapExceeded, match=refused):
+            greedy_lower_bound(6, 2, restarts=restarts)
 
 
 def test_greedy_never_exceeds_search_value(search_table):

@@ -112,6 +112,7 @@ def _assert_shadow_index(h):
         expected.setdefault(a, set()).add(b)
         expected.setdefault(b, set()).add(a)
     assert h._nbrs == expected
+    assert h.shadow_index() is h._nbrs  # live, not a copy
     for v in range(h.n):
         assert set(h.shadow_neighbors(v)) == expected.get(v, set())
         scanned = [e for e in h.edges if v in e]

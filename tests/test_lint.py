@@ -1,8 +1,9 @@
 """Source checks that need no linter: every library module reads what it
 imports, every private module-level name is read somewhere in the package,
 no module-level name is defined in two library modules, every package
-export is read by the package or the bench, or is public, and every
-command-line flag is read by its subcommand's handler."""
+export is read by the package or the bench, or is public, no library module
+but ``hypergraph.py`` reads the private indexes of ``Hypergraph3``, and
+every command-line flag is read by its subcommand's handler."""
 
 import argparse
 import ast
@@ -141,6 +142,41 @@ def test_defined_twice_finder_sees_leftovers():
 
 def test_each_library_name_is_defined_once():
     assert defined_twice({p.name: p.read_text(encoding="utf-8") for p in MODULES}) == {}
+
+
+# the private attributes of Hypergraph3: the layout of its indexes, owned by
+# hypergraph.py; other modules read them through pair_index and shadow_index
+HYPERGRAPH_PRIVATES = {"_thirds", "_nbrs", "_edges"}
+
+
+def private_index_reads(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) of each read of a ``Hypergraph3`` private attribute,
+    on any object, in line order."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in HYPERGRAPH_PRIVATES
+    )
+
+
+def test_private_index_finder_sees_leftovers():
+    source = (
+        "def f(h, g):\n"
+        "    thirds = h.pair_index()\n"
+        "    n = len(h._edges)\n"
+        "    return thirds, g._nbrs.get(0), h._adj, getattr(h, 'edges')\n"
+        "def _thirds(h):\n"
+        "    return h._thirds\n"
+    )
+    assert private_index_reads(source) == [(3, "_edges"), (4, "_nbrs"), (6, "_thirds")]
+
+
+NOT_HYPERGRAPH = [p for p in MODULES if p.name != "hypergraph.py"]
+
+
+@pytest.mark.parametrize("path", NOT_HYPERGRAPH, ids=lambda p: p.name)
+def test_only_hypergraph_reads_the_private_indexes(path):
+    assert private_index_reads(path.read_text(encoding="utf-8")) == []
 
 
 # exports that only users call: no library module or bench file reads them

@@ -231,6 +231,18 @@ def test_t2_column_equals_the_cited_ex_c4(search_table):
         assert search_table[(n, 2)].value == KNOWN_VALUES[(n, 2)] == column[n]
 
 
+def test_search_answers_a_t_with_no_room_at_once():
+    # no trace fits unless n >= t + 3, so (12, 10) has the complete
+    # hypergraph as its one witness, found with no walk
+    result = turan_search(12, 10)
+    assert result.value == 220
+    assert [w.edges for w in result.witnesses] == [tuple(itertools.combinations(range(12), 3))]
+    assert result.nodes_explored == 1
+    assert result.stats == dict.fromkeys(
+        ("tried", "twin_skips", "trace_rejects", "noncanon_rejects", "recursed"), 0
+    )
+
+
 def test_search_refuses_beyond_cap():
     with pytest.raises(CapExceeded):
         turan_search(40, 2)
@@ -419,8 +431,12 @@ def test_incremental_check_only_reads_the_hypergraph(monkeypatch):
     # the check answers for h + e without adding e: whether it finds a
     # trace, finds none or refuses the edge, h is unchanged and no edge is
     # added or removed; a present, out-of-range or two-vertex edge raises
-    # add_edge's own message, from the validator the two share
+    # add_edge's own message, from the validator the two share.  In shared,
+    # 1 and 3 of the new edge (1, 3, 7) already lie in the edge (0, 1, 3):
+    # the thirds {0} of the pair {1, 3} gain 7 in h + e, and the trace found
+    # uses them, so they must be read from a copy, not extended in place
     h = Hypergraph3(8, [(0, 2, 4), (0, 3, 5), (1, 2, 6)])
+    shared = Hypergraph3(8, [*h.edges, (0, 1, 3)])
     bad = [(0, 2, 4), (1, 3, 8), (1, 3)]
     messages = []
     for e in bad:
@@ -428,7 +444,7 @@ def test_incremental_check_only_reads_the_hypergraph(monkeypatch):
             h.copy().add_edge(e)
         messages.append(str(refused.value))
     assert len(set(messages)) == 3
-    before = _snapshot(h)
+    before, shared_before = _snapshot(h), _snapshot(shared)
     mutations, validated = 0, []
     add, remove, new_edge = Hypergraph3.add_edge, Hypergraph3.remove_edge, Hypergraph3.new_edge
 
@@ -456,8 +472,10 @@ def test_incremental_check_only_reads_the_hypergraph(monkeypatch):
             incremental_trace_check(h, e, 2)
         assert str(refused.value) == message
         assert _snapshot(h) == before
+    assert incremental_trace_check(shared, (1, 3, 7), 2) == (1, 0, [2, 3])
+    assert _snapshot(shared) == shared_before
     assert mutations == 0
-    assert validated == [(1, 3, 7), (3, 4, 5), *bad]
+    assert validated == [(1, 3, 7), (3, 4, 5), *bad, (1, 3, 7)]
 
 
 def test_incremental_equivalence_on_random_pairs():

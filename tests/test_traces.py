@@ -25,6 +25,7 @@ from trace_turan import (
 from helpers import (
     incremental_certificate,
     is_dominated,
+    leaf_candidates,
     random_hypergraph,
     relabelled_lift,
     reference_contains_trace,
@@ -333,13 +334,12 @@ def _expected_leaf_decisions(h, t, choose):
     ("fit", x, y, candidates) when there are exactly t of them and
     ("choose", x, y, candidates) otherwise; and how many pairs have at least
     t common shadow neighbours but fewer than t candidates."""
-    nbrs, thirds = h.shadow_neighbors, h.pair_index()
+    nbrs = h.shadow_neighbors
     calls, short = [], 0
     for x, y in itertools.combinations(h.support(), 2):
-        common = nbrs(x) & nbrs(y)
-        cands = sorted(traces._leaf_candidates(thirds, x, y, common))
+        cands = sorted(leaf_candidates(h, x, y))
         if len(cands) < t:
-            short += len(common) >= t
+            short += len(nbrs(x) & nbrs(y)) >= t
             continue
         calls.append(("fit" if len(cands) == t else "choose", x, y, [c[:2] for c in cands]))
         if choose(x, y, t, cands, None) is not None:
@@ -349,7 +349,7 @@ def _expected_leaf_decisions(h, t, choose):
 
 def test_row_sweep_matches_full_scan_reference_on_sparse_corpus(monkeypatch):
     # per row x the scan builds every pair's candidates in one neighbour
-    # sweep; each pair must get the candidates that ``_leaf_candidates``
+    # sweep; each pair must get the candidates that ``leaf_candidates``
     # gives it, a pool of exactly t decided by one ``_leaves_fit`` test and a
     # larger pool handed to ``_choose_leaves`` in that order, and the pairs
     # must be visited ascending
@@ -410,10 +410,10 @@ def test_greedy_certificates_match_full_scan_reference(monkeypatch):
         return cert
 
     monkeypatch.setattr(constructions, "incremental_trace_check", both)
-    for t in (2, 3):
+    for t in (2, 3, 4):
         for seed in range(3):
             greedy_lower_bound(10, t, seed, restarts=2)
-    assert len(calls) == 6 * 2 * 120  # every triple of 10 vertices, each run
+    assert len(calls) == 9 * 2 * 120  # every triple of 10 vertices, each run
     assert 0 < sum(calls) < len(calls)
 
 
