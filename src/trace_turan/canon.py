@@ -29,7 +29,9 @@ unassigned member of each twin class -- vertices any two of which are
 swapped by an automorphism transposing just them.  The classes do not
 depend on the partial assignment, so they are computed once per call, and
 they collapse the blowup on highly symmetric inputs such as complete or
-empty hypergraphs.
+empty hypergraphs.  Each leaf a deciding walk reaches ties the input's own
+sequence, so its vertex order is an automorphism, which the orderly search
+reads to skip children.
 """
 
 from __future__ import annotations
@@ -75,12 +77,15 @@ def _min_index_sequence(
     edges: list[Triple],
     best: list[int],
     decide_only: bool,
+    leaves: list[list[int]] | None = None,
 ) -> bool:
     """Minimize the index sequence over relabelings, in place on ``best``.
 
     With decide_only=True, ``best`` is left untouched and the return value
     says whether some relabeling beats it strictly.  Otherwise ``best`` ends
     up holding the canonical sequence and the return value is meaningless.
+    ``leaves``, when given, gains the vertex order (label -> vertex) of
+    every leaf the walk reaches.
     """
     classes = _twin_classes(n, edges)
     thirds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
@@ -102,6 +107,8 @@ def _min_index_sequence(
 
     def rec(depth: int) -> bool:
         if depth == n:
+            if leaves is not None:
+                leaves.append(order[:])
             return False
         least = blocks[depth]
         ties: list[int] = []
@@ -159,7 +166,14 @@ def canonical_form(h: Hypergraph3) -> bytes:
     return f"{h.n};{len(seq)};{','.join(map(str, seq))}".encode("ascii")
 
 
-def is_canonical_labeling(h: Hypergraph3) -> bool:
-    """True iff h's own index sequence is already the canonical one."""
+def is_canonical_labeling(h: Hypergraph3, automorphisms: list[list[int]] | None = None) -> bool:
+    """True iff h's own index sequence is already the canonical one.
+
+    ``automorphisms``, when given, gains the permutation i -> order[i] of
+    every leaf the decide-only walk reaches.  Each such leaf ties h's own
+    sequence, so each permutation is an automorphism of h.  A walk that
+    answers False stops at the first smaller block, so it reaches only
+    some of them.
+    """
     best = list(edge_indices(h.edges))
-    return not _min_index_sequence(h.n, list(h.edges), best, decide_only=True)
+    return not _min_index_sequence(h.n, list(h.edges), best, decide_only=True, leaves=automorphisms)

@@ -23,6 +23,7 @@ from .traces import _t_of, incremental_trace_check
 # before it builds a point or a triple
 POLARITY_CAP = 43
 GREEDY_CAP = 30
+GREEDY_T_CAP = 8
 RESTARTS_CAP = 1000
 
 
@@ -96,12 +97,15 @@ def greedy_lower_bound(n: int, t: int, seed: int = 0, restarts: int = 32) -> Hyp
     """Best maximal trace-free hypergraph over seeded random greedy runs.
 
     Each run inserts the triples in a random order, keeping an edge exactly
-    when the incremental detector finds no trace through it.  t, then n
-    against ``GREEDY_CAP`` and restarts against ``RESTARTS_CAP``, are
-    checked before any triple is built, so a bad t is refused even when
-    n < 3.
+    when the incremental detector finds no trace through it.  t, also
+    against ``GREEDY_T_CAP``, then n against ``GREEDY_CAP`` and restarts
+    against ``RESTARTS_CAP``, are checked before any triple is built, so a
+    bad t is refused even when n < 3.  The leaf search tries more leaf sets
+    as t grows, so t is capped as well as n.
     """
     t = _t_of(t)
+    if t > GREEDY_T_CAP:
+        raise CapExceeded(f"greedy capped at t <= {GREEDY_T_CAP}, got t={t}")
     if n > GREEDY_CAP:
         raise CapExceeded(f"greedy capped at n <= {GREEDY_CAP}, got n={n}")
     if restarts > RESTARTS_CAP:

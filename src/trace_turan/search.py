@@ -4,8 +4,9 @@ Two independent routes to the same number:
 
 * ``turan_oracle`` -- subset enumeration over all triples in colex order
   against a precomputed table of minimal trace configurations (bitmask
-  inclusion tests), capped at n <= 6.  It canonicalizes only the masks it
-  keeps as witnesses, in order at the end, not every interim best;
+  inclusion tests), capped at n <= 6.  It keeps a mask reached at the best
+  iff the mask is a canonical labelling (see ``turan_oracle``), and tests
+  the masks at the best in batches, so an interim best costs no test;
 * ``turan_search`` -- orderly generation (Read 1978): grow
   canonically-labeled trace-free hypergraphs one colex-larger edge at a
   time, rejecting non-canonical children and pruning with the incremental
@@ -17,11 +18,11 @@ Two independent routes to the same number:
   of each child.
   Traces are monotone under adding edges, so a child edge found trace-free
   below a sibling is trace-free at the parent too, and the parent skips
-  the check for it.  A child edge f with a vertex v whose smaller twin w
-  (the transposition (v w) is an automorphism of the parent) lies outside f
-  is skipped unadded: the swap maps f to a colex-smaller edge, so the
-  child is isomorphic to one with a smaller index sequence and is not
-  canonical.
+  the check for it.  A child edge f that an automorphism of the parent
+  maps to a colex-smaller edge is skipped unadded: the child is
+  isomorphic to one with a smaller index sequence and is not canonical.
+  The automorphisms read are the transpositions of twins and the ones the
+  parent's own canonicity test found.
 
 ``export_cnf`` emits a DIMACS formula satisfiable iff a trace-free
 hypergraph with the requested edge count exists, for external cross-checks
@@ -52,9 +53,10 @@ class SearchResult:
     witnesses: list[Hypergraph3]
     nodes_explored: int
     elapsed: float
-    # turan_search's run counts: child edges the twin rule skips unadded
-    # (twin_skips), and the children tried, each rejected by the trace check,
-    # rejected as non-canonical or recursed into; the oracle keeps none
+    # turan_search's run counts: child edges the twin and automorphism rules
+    # skip unadded (twin_skips, automorphism_skips), and the children tried,
+    # each rejected by the trace check, rejected as non-canonical or
+    # recursed into; the oracle keeps none
     stats: dict[str, int] = field(default_factory=dict)
 
 
@@ -107,12 +109,20 @@ SEARCH_CAP = 12
 def turan_oracle(n: int, t: int) -> SearchResult:
     """Ground-truth maximum edge count by pruned subset enumeration.
 
-    The masks reached at the current best are kept as they come and
-    canonicalized in order at the end, so an interim best that a larger one
-    replaces costs no canonical form.  They are canonicalized earlier only
-    once they could hold ``WITNESS_CAP`` classes, which is when the cap
-    prune needs the exact class count; it then fires exactly where it would
-    if every mask were canonicalized on arrival.
+    The walk includes each edge before it excludes it, so it reaches masks
+    of equal size in lexicographic order of their sorted index sequences,
+    and it reaches every trace-free mask of the best size until the
+    ``WITNESS_CAP`` prune stops it.  A class's canonical labelling is its
+    least such sequence, so the first mask of each class reached at the
+    best is that class's canonical labelling: a mask is kept iff
+    ``is_canonical_labeling`` accepts it, and each kept mask is a new
+    class, keyed by its canonical form.
+
+    The masks reached at the current best are decided in batches: at the
+    end, or once they could hold ``WITNESS_CAP`` classes, which is when the
+    cap prune needs the exact class count.  An interim best that a larger
+    one replaces then costs no canonicity test, and the prune fires exactly
+    where it would if every mask were decided on arrival.
 
     Refuses n > 6 outright rather than degrading into an open-ended run.
     """
@@ -125,16 +135,18 @@ def turan_oracle(n: int, t: int) -> SearchResult:
     total, by_edge = _templates_by_edge(n, t)
     nodes = 0
     best = -1
-    witness_forms: dict[bytes, int] = {}  # first mask of each class, in order
-    pending: list[int] = []  # masks at best not yet canonicalized
+    witness_forms: dict[bytes, int] = {}  # the canonical mask of each class, in order
+    pending: list[int] = []  # masks at best not yet decided
     triples = all_triples(n)
 
     def to_graph(mask: int) -> Hypergraph3:
         return Hypergraph3(n, [triples[i] for i in range(total) if mask >> i & 1])
 
-    def canonicalize_pending() -> None:
+    def decide_pending() -> None:
         for mask in pending:
-            witness_forms.setdefault(canonical_form(to_graph(mask)), mask)
+            h = to_graph(mask)
+            if is_canonical_labeling(h):
+                witness_forms[canonical_form(h)] = mask
         pending.clear()
 
     def record(mask: int, m: int) -> None:
@@ -145,7 +157,7 @@ def turan_oracle(n: int, t: int) -> SearchResult:
             pending.clear()
         pending.append(mask)
         if len(witness_forms) + len(pending) >= WITNESS_CAP:
-            canonicalize_pending()
+            decide_pending()
 
     def rec(idx: int, mask: int, m: int) -> None:
         nonlocal nodes
@@ -166,7 +178,7 @@ def turan_oracle(n: int, t: int) -> SearchResult:
         rec(idx + 1, mask, m)
 
     rec(0, 0, 0)
-    canonicalize_pending()
+    decide_pending()
     witnesses = [to_graph(mask) for mask in witness_forms.values()]
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
@@ -189,6 +201,17 @@ def _twin_lowers(below: list[int], e: Triple) -> bool:
     return bool((below[a] | below[b] | below[c]) & ~(1 << a | 1 << b | 1 << c))
 
 
+def _automorphism_lowers(automorphisms: list[list[int]], e: Triple) -> bool:
+    """True when some permutation in automorphisms maps e to a colex-smaller
+    edge; triples compare in colex order as their (max, mid, min) lists."""
+    a, b, c = e
+    key = [c, b, a]
+    for p in automorphisms:
+        if sorted((p[a], p[b], p[c]), reverse=True) < key:
+            return True
+    return False
+
+
 def turan_search(n: int, t: int) -> SearchResult:
     """Exact maximum by isomorph-free orderly generation, for n <= 12.
 
@@ -209,8 +232,14 @@ def turan_search(n: int, t: int) -> SearchResult:
     (v w) is an automorphism of h, so it maps f to an edge f* outside h
     with a smaller colex index, and h + f is isomorphic to h + f*, whose
     sorted index sequence is smaller: h + f is not canonical.  Twin classes
-    are computed once per node.  The children recursed into are the same,
-    so nodes and witnesses do not change.
+    are computed once per node.
+
+    The same holds for any automorphism of h that maps f to a colex-smaller
+    edge, and the canonicity test that accepted h found some: every leaf of
+    its decide-only walk is one.  The node keeps them and skips, after the
+    twin rule and again with neither check, each child edge one of them
+    lowers.  Neither rule changes the children recursed into, so nodes and
+    witnesses do not change.
 
     The trace check runs before a child edge is added, so a child with a
     trace is never added; the result's ``stats`` count each outcome.
@@ -228,7 +257,8 @@ def turan_search(n: int, t: int) -> SearchResult:
     triples = all_triples(n)
     total = len(triples)
     stats = dict.fromkeys(
-        ("tried", "twin_skips", "trace_rejects", "noncanon_rejects", "recursed"), 0
+        ("tried", "twin_skips", "automorphism_skips", "trace_rejects", "noncanon_rejects", "recursed"),
+        0,
     )
     if not _trace_fits(n, t):
         complete = Hypergraph3(n, triples)
@@ -241,7 +271,7 @@ def turan_search(n: int, t: int) -> SearchResult:
 
     # returns, as a bitmask of edge indices, every edge this subtree found
     # trace-free when added; each is also trace-free added to this node alone
-    def rec(last_idx: int) -> int:
+    def rec(last_idx: int, automorphisms: list[list[int]]) -> int:
         nonlocal best, nodes, witnesses
         nodes += 1
         m = h.edge_count
@@ -261,21 +291,25 @@ def turan_search(n: int, t: int) -> SearchResult:
             if _twin_lowers(below, e):
                 stats["twin_skips"] += 1
                 continue
+            if _automorphism_lowers(automorphisms, e):
+                stats["automorphism_skips"] += 1
+                continue
             stats["tried"] += 1
             if not free >> idx & 1 and _trace_through_edge(h, e, t) is not None:
                 stats["trace_rejects"] += 1
                 continue
             free |= 1 << idx
             h.add_edge(e)
-            if is_canonical_labeling(h):
+            found: list[list[int]] = []
+            if is_canonical_labeling(h, found):
                 stats["recursed"] += 1
-                free |= rec(idx)
+                free |= rec(idx, found)
             else:
                 stats["noncanon_rejects"] += 1
             h.remove_edge(e)
         return free
 
-    rec(-1)
+    rec(-1, [])
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start, stats)
 
 

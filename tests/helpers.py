@@ -20,7 +20,10 @@ of the library's earlier per-pair candidate builder, the reference for
 library wrapper too: the library's incremental check returns a pair and
 leaves, and tests that compare certificates build one from them.
 ``brute_force_ex_c4`` computes the graph numbers ex(n, C4) by branch and
-bound over edge sets.
+bound over edge sets.  ``reference_turan_oracle`` is a frozen copy of the
+library's earlier oracle, which dedupes the masks it reaches at the best
+by canonical form; it shares the library's trace templates and
+``canonical_form``.
 """
 
 from __future__ import annotations
@@ -32,13 +35,16 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterable, TypeVar
 
+from trace_turan import search as search_module
 from trace_turan import (
     EdgePartition,
     FormatError,
     Graph,
     Hypergraph3,
     Interval,
+    SearchResult,
     TraceCertificate,
+    canonical_form,
     incremental_trace_check,
     least_third_certificate,
     lift_to_trace_free,
@@ -46,7 +52,7 @@ from trace_turan import (
     polarity_graph,
 )
 from trace_turan.hypergraph import _as_triple, loads_edge_lines
-from trace_turan.indexing import Triple, edge_indices
+from trace_turan.indexing import Triple, all_triples, edge_indices
 
 
 def random_hypergraph(n: int, p: float, rng: random.Random) -> Hypergraph3:
@@ -195,6 +201,59 @@ def reference_index_sequence(h: Hypergraph3) -> tuple[int, ...]:
 def reference_is_canonical(h: Hypergraph3) -> bool:
     best = list(edge_indices(h.edges))
     return not reference_min_index_sequence(h.n, list(h.edges), best, decide_only=True)
+
+
+def reference_turan_oracle(n: int, t: int) -> SearchResult:
+    """The earlier ``turan_oracle``: masks at the best are deduped by
+    canonical form, in order at the end or once they could hold
+    ``WITNESS_CAP`` classes (read from the library at call time)."""
+    t = search_module._t_of(t)
+    total, by_edge = search_module._templates_by_edge(n, t)
+    nodes = 0
+    best = -1
+    witness_forms: dict[bytes, int] = {}  # first mask of each class, in order
+    pending: list[int] = []  # masks at best not yet canonicalized
+    triples = all_triples(n)
+    cap = search_module.WITNESS_CAP
+
+    def to_graph(mask: int) -> Hypergraph3:
+        return Hypergraph3(n, [triples[i] for i in range(total) if mask >> i & 1])
+
+    def canonicalize_pending() -> None:
+        for mask in pending:
+            witness_forms.setdefault(canonical_form(to_graph(mask)), mask)
+        pending.clear()
+
+    def record(mask: int, m: int) -> None:
+        nonlocal best
+        if m > best:
+            best = m
+            witness_forms.clear()
+            pending.clear()
+        pending.append(mask)
+        if len(witness_forms) + len(pending) >= cap:
+            canonicalize_pending()
+
+    def rec(idx: int, mask: int, m: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if m + (total - idx) < best or (m + (total - idx) == best and len(witness_forms) >= cap):
+            return
+        if idx == total:
+            record(mask, m)
+            return
+        rest = ~mask
+        for res in by_edge[idx]:
+            if not res & rest:
+                break
+        else:
+            rec(idx + 1, mask | (1 << idx), m + 1)
+        rec(idx + 1, mask, m)
+
+    rec(0, 0, 0)
+    canonicalize_pending()
+    witnesses = [to_graph(mask) for mask in witness_forms.values()]
+    return SearchResult(n, t, best, witnesses, nodes, 0.0)
 
 
 # -- trace detector reference (full pair and leaf scan) ----------------------------

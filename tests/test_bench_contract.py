@@ -1,5 +1,5 @@
 """The bench's output contract, from short traced runs of the search,
-detect and construct workloads.
+detect and construct workloads, and the library bindings its tracer wraps.
 
 The bench reports through standard output: every line is a JSON object and
 the last one is the result.  A run that exits 0 with any other last line
@@ -7,6 +7,7 @@ reports nothing, so these tests run ``bench/run.py`` as the bench driver
 does and read its output the same strict way.
 """
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -44,6 +45,20 @@ def _traced_run(workload):
     assert metrics
     assert all(_is_finite_number(v) for v in metrics.values()), metrics
     return records, metrics
+
+
+def test_tracer_finds_every_binding_it_wraps(monkeypatch):
+    # a wrapped binding the library renames or drops is left out of the
+    # trace, and the per-layer metrics read from it vanish with it:
+    # canon.s, for one, needs both canon.is_canonical and canon.form
+    import trace_turan  # noqa: F401
+    import trace_turan.cli  # noqa: F401
+
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH_RUN.parent / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look their module up
+    spec.loader.exec_module(tracer)
+    assert tracer.Tracer().absent == []
 
 
 def test_traced_search_run_ends_with_a_result_line():

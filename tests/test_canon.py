@@ -199,3 +199,26 @@ def test_matches_reference_on_symmetric_inputs():
             assert canonical_index_sequence(g) == ref
             assert is_canonical_labeling(g) == reference_is_canonical(g)
             assert is_canonical_labeling(g) == (edge_indices(g.edges) == ref)
+
+
+def test_decide_walk_reports_automorphisms():
+    # each leaf the decide-only walk reaches ties h's own sequence, so each
+    # permutation it reports maps h's edges onto themselves; a canonical
+    # input reports the identity, and an input with no twins reports its
+    # whole group: 168 for the Fano plane, 2n for a tight cycle on n >= 7
+    rng = random.Random(577)
+    inputs = [_from_sequence(h.n, reference_index_sequence(h)) for h in _symmetric_inputs()]
+    inputs += [random_hypergraph(rng.randint(5, 8), rng.choice([0.15, 0.3]), rng) for _ in range(30)]
+    for h in inputs:
+        found = []
+        verdict = is_canonical_labeling(h, found)
+        assert verdict == reference_is_canonical(h)
+        assert all(set(_relabel(h, p).edges) == set(h.edges) for p in found)
+        if verdict:
+            assert list(range(h.n)) in found
+    sizes = []
+    for h in inputs[:5]:  # Fano, its complement, tight cycles on 6..8
+        found = []
+        is_canonical_labeling(h, found)
+        sizes.append(len(found))
+    assert sizes[0] == 168 and sizes[3:] == [14, 16]

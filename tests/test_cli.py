@@ -334,6 +334,7 @@ def test_bounds_refuses_a_range_without_an_integer(capsys):
         (("construct", "polarity", "--q", "44"), 2, "refused: polarity graph capped at q <= 43,"),
         (("construct", "polarity", "--q", "100000000000000000039"), 2,
          "refused: polarity graph capped at q <= 43,"),
+        (("construct", "greedy", "--n", "30", "--t", "12"), 2, "refused: greedy capped at t <= 8,"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from math import comb
 
 import pytest
 
@@ -19,7 +20,7 @@ from trace_turan import (
     verify_certificate,
 )
 
-from trace_turan.constructions import GREEDY_CAP, POLARITY_CAP, RESTARTS_CAP
+from trace_turan.constructions import GREEDY_CAP, GREEDY_T_CAP, POLARITY_CAP, RESTARTS_CAP
 
 from helpers import four_subset_has_c4, incremental_certificate, loads_graph
 
@@ -152,14 +153,20 @@ def test_polarity_graph_runs_at_its_cap_and_refuses_above_it():
 
 
 def test_greedy_runs_at_its_caps_and_refuses_above_them():
-    # at t = n - 2 no trace fits, so the one run keeps every triple
-    n = GREEDY_CAP
-    assert greedy_lower_bound(n, n - 2, restarts=1).edge_count == n * (n - 1) * (n - 2) // 6
+    # a trace fits on t + 3 vertices, so the one run at the t cap keeps
+    # some triples but not all
+    assert 0 < greedy_lower_bound(GREEDY_CAP, 2, restarts=1).edge_count
+    assert 0 < greedy_lower_bound(GREEDY_T_CAP + 3, GREEDY_T_CAP, restarts=1).edge_count < comb(
+        GREEDY_T_CAP + 3, 3
+    )
     assert greedy_lower_bound(3, 2, restarts=RESTARTS_CAP).edges == ((0, 1, 2),)
     # above a cap no triple is built, however large the request
     for n in (GREEDY_CAP + 1, 10**20):
         with pytest.raises(CapExceeded, match=f"n <= {GREEDY_CAP}, got n={n}"):
             greedy_lower_bound(n, 2, restarts=1)
+    for t in (GREEDY_T_CAP + 1, 12, 10**20):
+        with pytest.raises(CapExceeded, match=f"t <= {GREEDY_T_CAP}, got t={t}"):
+            greedy_lower_bound(GREEDY_CAP, t, restarts=1)
     for restarts in (RESTARTS_CAP + 1, 10**20):
         refused = f"restarts <= {RESTARTS_CAP}, got restarts={restarts}"
         with pytest.raises(CapExceeded, match=refused):

@@ -1,5 +1,6 @@
 """Extremal search, oracle, incremental check, and CNF export tests."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -33,6 +34,7 @@ from helpers import (
     parse_dimacs,
     random_hypergraph,
     reference_is_canonical,
+    reference_turan_oracle,
 )
 
 # regression constants, produced by both routes below
@@ -168,18 +170,58 @@ def test_oracle_regression_under_witness_cap(monkeypatch, cap, n, t):
 
 
 def test_oracle_canonicalizes_only_the_witnesses_it_keeps(monkeypatch):
-    # 141 forms when every mask reached at the current best was formed,
-    # 81 of them for interim 12- and 13-edge bests at (6, 3)
-    calls = 0
+    # one canonicity test per mask reached at the final best of (6, 3), and
+    # one form for the one class kept; 60 forms when each of those masks was
+    # formed, 141 tests if the 81 masks at interim 12- and 13-edge bests
+    # were tested as well
+    calls = {"decide": 0, "form": 0}
 
-    def counting(h):
-        nonlocal calls
-        calls += 1
+    def counting_decide(h):
+        calls["decide"] += 1
+        return is_canonical_labeling(h)
+
+    def counting_form(h):
+        calls["form"] += 1
         return canonical_form(h)
 
-    monkeypatch.setattr(search_module, "canonical_form", counting)
+    monkeypatch.setattr(search_module, "is_canonical_labeling", counting_decide)
+    monkeypatch.setattr(search_module, "canonical_form", counting_form)
     assert pin(turan_oracle(6, 3)) == ORACLE_PINS[6, 3]
-    assert calls == 60
+    assert calls == {"decide": 60, "form": 1}
+
+
+@functools.cache
+def _oracle(n, t):
+    return turan_oracle(n, t)
+
+
+def _witness_edges(result):
+    return [w.edges for w in result.witnesses]
+
+
+@pytest.mark.parametrize("n, t", [(n, t) for n in range(7) for t in (2, 3, 4)])
+def test_oracle_matches_reference_dedupe_by_canonical_form(n, t):
+    # keeping a mask iff it is a canonical labelling keeps the first mask
+    # of each class, as deduping every mask by its canonical form did
+    result, ref = _oracle(n, t), reference_turan_oracle(n, t)
+    assert (result.value, result.nodes_explored) == (ref.value, ref.nodes_explored)
+    assert _witness_edges(result) == _witness_edges(ref)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_oracle_matches_reference_under_witness_cap(monkeypatch, cap):
+    monkeypatch.setattr(search_module, "WITNESS_CAP", cap)
+    result, ref = turan_oracle(6, 2), reference_turan_oracle(6, 2)
+    assert (result.value, result.nodes_explored) == (ref.value, ref.nodes_explored)
+    assert _witness_edges(result) == _witness_edges(ref)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_oracle_witnesses_equal_the_searchs_in_order(n):
+    # both routes keep canonical labellings, each class's least index
+    # sequence, and both meet the masks of one size in lexicographic order
+    for t in (2, 3, 4):
+        assert _witness_edges(_oracle(n, t)) == _witness_edges(turan_search(n, t))
 
 
 # -- search ---------------------------------------------------------------------
@@ -239,7 +281,8 @@ def test_search_answers_a_t_with_no_room_at_once():
     assert [w.edges for w in result.witnesses] == [tuple(itertools.combinations(range(12), 3))]
     assert result.nodes_explored == 1
     assert result.stats == dict.fromkeys(
-        ("tried", "twin_skips", "trace_rejects", "noncanon_rejects", "recursed"), 0
+        ("tried", "twin_skips", "automorphism_skips", "trace_rejects", "noncanon_rejects", "recursed"),
+        0,
     )
 
 
@@ -265,16 +308,20 @@ def test_search_deterministic(search_table):
 
 @pytest.mark.parametrize(
     "n, t, calls, accepts, nodes",
-    [(7, 2, 770, 393, 394), (6, 3, 257, 180, 181)],
+    [
+        pytest.param(7, 2, 631, 393, 394, id="7-2"),
+        pytest.param(6, 3, 229, 180, 181, id="6-3"),
+    ],
 )
 def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
-    # every child that the twin rule keeps and that passes the trace check
-    # is tested once (1,257 and 359 calls without the twin rule), and each
-    # accept is one node below the empty root
+    # every child that the twin and automorphism rules keep and that passes
+    # the trace check is tested once (770 and 257 calls without the
+    # automorphism rule, 1,257 and 359 without either), and each accept is
+    # one node below the empty root
     counts = {"calls": 0, "accepts": 0}
 
-    def counting(h):
-        verdict = is_canonical_labeling(h)
+    def counting(h, automorphisms=None):
+        verdict = is_canonical_labeling(h, automorphisms)
         counts["calls"] += 1
         counts["accepts"] += verdict
         return verdict
@@ -288,14 +335,15 @@ def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
 @pytest.mark.parametrize(
     "n, t, calls, expected",
     [
-        (7, 2, 2153, (9, 394, 5, N7_T2_SHA256)),
-        (6, 3, 300, (14, 181, 1, N6_T3_SHA256)),
+        pytest.param(7, 2, 1787, (9, 394, 5, N7_T2_SHA256), id="7-2"),
+        pytest.param(6, 3, 266, (14, 181, 1, N6_T3_SHA256), id="6-3"),
     ],
 )
 def test_search_skips_the_kernel_for_children_proved_trace_free(monkeypatch, n, t, calls, expected):
     # 3,321 and 503 kernel calls when every child was tested, 2,812 and 350
-    # without the twin rule; a child edge trace-free over a sibling's larger
-    # hypergraph needs no second test, and a child the twin rule skips none
+    # without the twin rule, 2,153 and 300 without the automorphism rule; a
+    # child edge trace-free over a sibling's larger hypergraph needs no
+    # second test, and a child either rule skips none
     count = 0
     kernel = search_module._trace_through_edge
 
@@ -340,24 +388,80 @@ def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t)
 
 
 @pytest.mark.parametrize(
-    "n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips",
-    [(7, 2, 2363, 1593, 377, 393, 958), (6, 3, 377, 120, 77, 180, 126)],
+    "n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips",
+    [
+        pytest.param(7, 2, 1944, 1313, 238, 393, 958, 419, id="7-2"),
+        pytest.param(6, 3, 329, 100, 49, 180, 126, 48, id="6-3"),
+    ],
 )
-def test_search_counts_its_children(n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips):
+def test_search_counts_its_children(
+    n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips
+):
     # every child tried is rejected by the trace check, rejected as
-    # non-canonical or recursed into; the first three counts are the
-    # bench's job lines at seed 3 from when the search added every child
-    # before its trace check, and each recursion is a node below the root
+    # non-canonical or recursed into, and each recursion is a node below
+    # the root; the automorphism rule's skips are not tried (without it,
+    # (7, 2) tried 2,363 = 1,593 + 377 + 393 and (6, 3) 377 = 120 + 77 + 180)
     result = turan_search(n, t)
     assert result.stats == {
         "tried": tried,
         "twin_skips": twin_skips,
+        "automorphism_skips": automorphism_skips,
         "trace_rejects": trace_rejects,
         "noncanon_rejects": noncanon_rejects,
         "recursed": recursed,
     }
     assert tried == trace_rejects + noncanon_rejects + recursed
     assert result.nodes_explored == recursed + 1
+
+
+@pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
+def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatch, n, t):
+    # every child the automorphism rule skips, taken at the node that skips
+    # it, is non-canonical by the reference minimizer; every permutation
+    # the rule reads is an automorphism of that node, and the node counts hold
+    live = []
+    skipped = 0
+    smaller_twins, automorphism_lowers = search_module._smaller_twins, search_module._automorphism_lowers
+
+    def spy_twins(h):
+        live[:] = [h]  # the search's own hypergraph, at the node being expanded
+        return smaller_twins(h)
+
+    def spy_lowers(automorphisms, e):
+        nonlocal skipped
+        verdict = automorphism_lowers(automorphisms, e)
+        if verdict:
+            (h,) = live
+            assert e not in h
+            assert all(
+                {tuple(sorted(p[v] for v in f)) for f in h.edges} == set(h.edges)
+                for p in automorphisms
+            )
+            assert not reference_is_canonical(Hypergraph3(n, [*h.edges, e]))
+            skipped += 1
+        return verdict
+
+    monkeypatch.setattr(search_module, "_smaller_twins", spy_twins)
+    monkeypatch.setattr(search_module, "_automorphism_lowers", spy_lowers)
+    result = turan_search(n, t)
+    assert skipped > 0
+    assert result.stats["automorphism_skips"] == skipped
+    assert result.nodes_explored == {(6, 2): 82, (6, 3): 181, (7, 2): 394}[n, t]
+
+
+def test_automorphism_rule_on_two_edges_through_a_vertex():
+    # {0, 1, 2}, {0, 3, 4} on 5 vertices: the twin classes are {0}, {1, 2},
+    # {3, 4} and the block swap (1 3)(2 4), no product of twin swaps, is an
+    # automorphism; it maps the child edge {1, 3, 4} to the colex-smaller
+    # {1, 2, 3}, which the twin rule misses, and fixes {0, 1, 3}
+    h = Hypergraph3(5, [(0, 1, 2), (0, 3, 4)])
+    found = []
+    assert is_canonical_labeling(h, found)
+    assert sorted(found) == [[0, 1, 2, 3, 4], [0, 3, 4, 1, 2]]
+    assert search_module._automorphism_lowers(found, (1, 3, 4))
+    assert not search_module._twin_lowers(search_module._smaller_twins(h), (1, 3, 4))
+    assert not reference_is_canonical(Hypergraph3(5, [*h.edges, (1, 3, 4)]))
+    assert not search_module._automorphism_lowers(found, (0, 1, 3))
 
 
 def test_twin_rule_on_one_edge():
