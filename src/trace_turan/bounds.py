@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .search import CapExceeded
+
 
 def epsilon(delta: float) -> float:
     """Loss factor (1 + ln(delta+1))/(delta+1) of the dominated-set bound."""
@@ -132,27 +134,35 @@ class DerivationPoint:
     certified: bool
 
 
+# the most points a log grid takes: more raises CapExceeded
+POINTS_CAP = 10_000
+
+
 def log_grid(lo: float = 14.0, hi: float = 1e6, points: int = 1000) -> list[int]:
     """At least ``points`` distinct integer t values log-spread over [lo, hi].
 
-    Oversamples until rounding collisions no longer shrink the grid below
-    the requested size (or the integer range is exhausted).  Needs
-    0 < lo <= hi < inf with an integer in [lo, hi], and points >= 2;
-    raises ValueError otherwise.
+    When the range holds no more than ``points`` integers, that is all of
+    them.  Otherwise oversamples until rounding collisions no longer shrink
+    the grid below ``points``.  Needs 0 < lo <= hi < inf with an integer in
+    [lo, hi], and 2 <= points <= ``POINTS_CAP``; raises ValueError
+    (CapExceeded above the cap) otherwise.
     """
     if not 0 < lo <= hi < math.inf:
         raise ValueError(f"t range needs 0 < lo <= hi < inf, got {lo}:{hi}")
     if points < 2:
         raise ValueError(f"a log grid needs at least 2 points, got {points}")
+    if points > POINTS_CAP:
+        raise CapExceeded(f"log grid capped at points <= {POINTS_CAP}, got points={points}")
     ceil_lo, floor_hi = math.ceil(lo), math.floor(hi)
     if ceil_lo > floor_hi:
         raise ValueError(f"no integer t in {lo}:{hi}")
-    available = floor_hi - ceil_lo + 1
+    if points >= floor_hi - ceil_lo + 1:
+        return list(range(ceil_lo, floor_hi + 1))
     m = points
     while True:
         raw = (lo * (hi / lo) ** (i / (m - 1)) for i in range(m))
         grid = sorted({min(max(int(round(x)), ceil_lo), floor_hi) for x in raw})
-        if len(grid) >= min(points, available):
+        if len(grid) >= points:
             return grid
         m = m * 13 // 10 + 1
 

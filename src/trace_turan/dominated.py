@@ -168,14 +168,17 @@ def dominated_pair_min1(gx: Graph, gy: Graph) -> frozenset[int]:
     return frozenset(d)
 
 
-def _sample_round(g: Graph, p: float, rng: random.Random) -> set[int]:
-    verts = sorted(g.vertices)
-    sampled = {v for v in verts if rng.random() < p}
+def _dominated_part(g: Graph, sampled: set[int]) -> set[int]:
+    """The sampled vertices with a loop or an unsampled neighbour."""
     return {
         v
         for v in sampled
         if g.loops_at(v) >= 1 or any(u not in sampled for u in g.neighbors(v))
     }
+
+
+def _sample_round(g: Graph, p: float, rng: random.Random) -> set[int]:
+    return _dominated_part(g, {v for v in sorted(g.vertices) if rng.random() < p})
 
 
 def _derandomized_round(g: Graph, p_float: float) -> set[int]:
@@ -212,12 +215,7 @@ def _derandomized_round(g: Graph, p_float: float) -> set[int]:
         state[v] = False
         f_out = local(v)
         state[v] = f_in >= f_out
-    return {
-        v
-        for v in verts
-        if state[v]
-        and (g.loops_at(v) >= 1 or any(not state[u] for u in g.neighbors(v)))
-    }
+    return _dominated_part(g, {v for v in verts if state[v]})
 
 
 def dominated_min_degree(g: Graph, delta: float) -> frozenset[int]:

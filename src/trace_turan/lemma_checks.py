@@ -113,12 +113,7 @@ def _cert_triangle_links(h: Hypergraph3, x: int, y: int, s: frozenset[int]) -> T
         for u in sorted(s):
             rest = sorted(s - {u})
             v, w = rest
-            if (
-                tuple(sorted((p, u, v))) in h
-                and tuple(sorted((p, u, w))) in h
-                and tuple(sorted((p, o, v))) in h
-                and tuple(sorted((p, o, w))) in h
-            ):
+            if (p, u, v) in h and (p, u, w) in h and (p, o, v) in h and (p, o, w) in h:
                 return TraceCertificate(
                     x=o,
                     y=u,
@@ -137,11 +132,11 @@ def _cert_common_neighborhood(hb: Hypergraph3, x: int, y: int) -> TraceCertifica
     """4-cycle from eight common neighbors in the residual hypergraph; its
     edges are edges of hb, so it is a certificate for h too."""
     common = hb.shadow_neighbors(x) & hb.shadow_neighbors(y)
-    clean = [u for u in sorted(common) if tuple(sorted((x, y, u))) not in hb]
+    clean = [u for u in sorted(common) if (x, y, u) not in hb]
     if len(clean) < 6:
         return None
     for ui, uj in itertools.combinations(clean[:6], 2):
-        if tuple(sorted((x, ui, uj))) in hb or tuple(sorted((y, ui, uj))) in hb:
+        if (x, ui, uj) in hb or (y, ui, uj) in hb:
             continue  # ui, uj adjacent in the auxiliary graph
         cert = least_third_certificate(hb, x, y, (ui, uj))
         if cert is not None:

@@ -129,19 +129,6 @@ def _check_deadline(deadline: float | None) -> None:
 _Candidate = tuple[int, int, AbstractSet[int], AbstractSet[int]]
 
 
-def _leaves_fit(a: int, b: int, leaves: list[_Candidate]) -> bool:
-    """Every leaf keeps a third outside the core {a, b} union leaves on both
-    sides.  One core serves both: a third of {a, u} is never a, nor one of
-    {b, u} ever b."""
-    core = {a, b}
-    for c in leaves:
-        core.add(c[1])
-    for _, _, sa, sb in leaves:
-        if sa <= core or sb <= core:
-            return False
-    return True
-
-
 def _choose_leaves(
     a: int,
     b: int,
@@ -151,21 +138,34 @@ def _choose_leaves(
     forced: _Candidate | None = None,
 ) -> list[int] | None:
     """The leaves of a trace on the pair {a, b}: t of the candidates, of
-    which there are at least t, or None.
+    which there are at least t, in candidate order, or None.  Both kernels
+    make every leaf decision here.
 
-    forced, if given, is one of the candidates and must be a leaf.  With
-    exactly t candidates the leaf set is forced, and one ``_leaves_fit``
-    test decides it.  Otherwise a depth-first search takes the first
-    feasible set in candidate order.  Feasibility only fails more as leaves
-    are added, so both give the same answer.  The search grows the core
-    {a, b} union leaves in place: a candidate v joins it before its test and
+    A leaf set fits when each leaf keeps a third outside the core {a, b}
+    union leaves on both sides; one core serves both, since a third of
+    {a, u} is never a, nor one of {b, u} ever b.  forced, if given, is one
+    of the candidates and must be a leaf.  With exactly t candidates one fit
+    test decides the forced set, and cands is sorted in place only when it
+    fits: on a trace-free input no such pool does.  A larger pool is sorted
+    in place and searched depth-first for its first fitting set, which is
+    the answer, as fitting only fails more as leaves are added.  The search
+    grows the core in place: a candidate v joins it before its test and
     leaves it on backtrack.  The chosen leaves fit, as does any single
-    candidate, so only v and the chosen leaves with v among their thirds are
-    tested.  Each test first checks the deadline, if there is one.
+    candidate, so only v and the chosen leaves with v among their thirds
+    are tested.  The deadline, if any, is checked once for a forced set and
+    once per search step.
     """
     if len(cands) == t:
         _check_deadline(deadline)
-        return [c[1] for c in cands] if _leaves_fit(a, b, cands) else None
+        core = {a, b}
+        for c in cands:
+            core.add(c[1])
+        for _, _, sa, sb in cands:
+            if sa <= core or sb <= core:
+                return None
+        cands.sort()  # u is unique, so no third set is ever compared
+        return [c[1] for c in cands]
+    cands.sort()
     if forced is None:
         pool, chosen, core = cands, [], {a, b}
     else:
@@ -241,12 +241,9 @@ def contains_trace(
     no pair without a common shadow neighbour is touched.  Each vertex u a
     row walks through gets its shadow neighbours sorted once per call, on
     first use, each with the thirds of its pair, so a row walks from u only
-    to the partners past x.
-    The partners with at least t candidates are then visited in ascending
-    order.  A pair with exactly t candidates has a forced leaf set, decided
-    in the sweep by one ``_leaves_fit`` test on the unsorted pool; only a
-    larger pool is sorted and searched by ``_choose_leaves``.  It returns
-    ``least_third_certificate`` of the first pair and leaves found.
+    to the partners past x.  The partners with at least t candidates are
+    then visited ascending, each pool decided unsorted by ``_choose_leaves``,
+    and the first leaves found give ``least_third_certificate``.
 
     The optional wall-clock budget is checked once per row that has a later
     partner and once per leaf decision: a forced leaf set or a leaf-search
@@ -297,14 +294,7 @@ def contains_trace(
         if partner:
             _check_deadline(deadline)
         for y in sorted(y for y, cands in cands_of.items() if len(cands) >= t):
-            cands = cands_of[y]
-            if len(cands) == t:
-                _check_deadline(deadline)
-                if _leaves_fit(x, y, cands):
-                    return least_third_certificate(h, x, y, [c[1] for c in cands])
-                continue
-            cands.sort()  # u is unique, so no third set is ever compared
-            leaves = _choose_leaves(x, y, t, cands, deadline)
+            leaves = _choose_leaves(x, y, t, cands_of[y], deadline)
             if leaves is not None:
                 return least_third_certificate(h, x, y, leaves)
     return None
@@ -344,13 +334,12 @@ def _trace_through_edge(
     so get a copy; the live set is never extended.  Each q reads its own
     shadow neighbours against this side map, and the candidates that are
     vertices of e are recorded as the pool is built; a pool without one is
-    skipped unsorted.  With exactly t candidates the leaf set is forced,
-    and one feasibility test, made inline, decides it.  A larger pool is
-    sorted, and the vertices of e among its candidates are forced in turn,
-    ascending.  When the search forced on the first fails, no feasible leaf
-    set holds it, and feasibility only fails more as leaves are added, so
-    the search forced on the second drops it from the pool and finds the
-    same leaves.
+    skipped unsorted.  ``_choose_leaves`` decides the others, with the
+    vertices of e among the candidates forced as a leaf in turn.  When the
+    decision forced on the first fails, no fitting leaf set holds it, and
+    fitting only fails more as leaves are added, so the decision forced on
+    the second, if t candidates are left, drops it from the pool and finds
+    the same leaves.
     """
     if not _trace_fits(h.n, t):
         return None
@@ -382,20 +371,8 @@ def _trace_through_edge(
                             f2 = c
             if len(cands) < t or (f1 is None and f2 is None):
                 continue
-            if len(cands) == t:
-                core = {c[1] for c in cands}
-                core.add(p)
-                core.add(q)
-                for _, _, sa, sb in cands:
-                    if sa <= core or sb <= core:
-                        break
-                else:
-                    cands.sort()
-                    return p, q, [c[1] for c in cands]
-                continue
-            cands.sort()  # u is unique, so no third set is ever compared
             for c in (f1, f2):
-                if c is None:
+                if c is None or len(cands) < t:
                     continue
                 leaves = _choose_leaves(p, q, t, cands, None, c)
                 if leaves is not None:

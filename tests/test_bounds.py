@@ -78,11 +78,27 @@ def test_interval_arithmetic_outward():
         x / Interval(-1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "evaluate, message",
+    [
+        (lambda: Interval(-1.0, 4.0).sqrt(), "sqrt of an interval reaching below zero"),
+        (lambda: Interval(0.0, 4.0).log(), "log of an interval reaching zero"),
+    ],
+    ids=["sqrt-below-zero", "log-at-zero"],
+)
+def test_interval_refuses_a_domain_it_cannot_bound(evaluate, message):
+    with pytest.raises(ValueError, match=message):
+        evaluate()
+
+
 def test_log_grid_covers_range_with_enough_points():
     grid = log_grid(14, 10**6, 1000)
     assert len(grid) >= 1000
     assert grid[0] == 14 and grid[-1] == 10**6
     assert all(a < b for a, b in zip(grid, grid[1:]))
+    # points that cover the range take all of it, with no oversampling
+    assert log_grid(14, 10013, 10_000) == list(range(14, 10014))
+    assert log_grid(14, 20, 99) == list(range(14, 21))
 
 
 @pytest.mark.parametrize("lo, hi", [(14.2, 14.9), (1.5, 1.7), (0.5, 0.9)])

@@ -21,6 +21,7 @@ from trace_turan import (
     write_hypergraph,
 )
 from trace_turan import cli
+from trace_turan.bounds import POINTS_CAP
 from trace_turan.cli import main
 
 from helpers import relabelled_lift
@@ -303,6 +304,16 @@ def test_bounds_names_the_range_form(capsys, t_range):
     assert err == f"refused: --t-range takes lo:hi, two numbers, got '{t_range}'\n"
 
 
+def test_bounds_runs_at_its_points_cap_and_refuses_above_it(capsys):
+    code, out, err = run(capsys, "bounds", "--points", str(POINTS_CAP))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) > POINTS_CAP
+    for points in (POINTS_CAP + 1, 10**20):
+        code, out, err = run(capsys, "bounds", "--points", str(points))
+        assert (code, out) == (2, "")
+        assert err == f"refused: log grid capped at points <= {POINTS_CAP}, got points={points}\n"
+
+
 def test_bounds_refuses_a_range_without_an_integer(capsys):
     code, out, err = run(capsys, "bounds", "--t-range", "20.5:20.7", "--points", "2")
     assert code == 2 and out == ""
@@ -335,6 +346,10 @@ def test_bounds_refuses_a_range_without_an_integer(capsys):
         (("construct", "polarity", "--q", "100000000000000000039"), 2,
          "refused: polarity graph capped at q <= 43,"),
         (("construct", "greedy", "--n", "30", "--t", "12"), 2, "refused: greedy capped at t <= 8,"),
+        (("construct", "greedy", "--n", "6", "--t", "2", "--restarts", "0"), 2,
+         "refused: restarts must be positive"),
+        (("search", "--n", "-1", "--t", "2"), 2, "refused: n must be nonnegative"),
+        (("search", "--n", "-1", "--t", "2", "--oracle"), 2, "refused: n must be nonnegative"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):

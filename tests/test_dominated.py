@@ -228,6 +228,8 @@ def test_decompositions_and_pair_answers_are_pinned():
 def test_pair_rejects_mismatched_vertex_sets():
     with pytest.raises(ValueError):
         dominated_pair_min1(Graph([0, 1], [(0, 1)]), Graph([0, 2], [(0, 2)]))
+    with pytest.raises(ValueError, match="graphs must share a vertex set"):
+        simultaneous_dominated_min_degree(complete_graph(5), complete_graph(6), 14)
 
 
 def test_pair_rejects_degree_zero():

@@ -93,6 +93,29 @@ def test_membership_of_a_malformed_edge_is_false(edge):
     assert edge not in h
 
 
+def test_equality_is_by_vertex_count_and_edges():
+    h = Hypergraph3(4, [(0, 1, 2)])
+    assert h == Hypergraph3(4, [(2, 1, 0)])
+    assert h != Hypergraph3(5, [(0, 1, 2)]) and h != [(0, 1, 2)]
+    assert repr(h) == "Hypergraph3(n=4, m=1)"
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: Hypergraph3(-1), "vertex count must be nonnegative"),
+        (lambda: Hypergraph3(4, [(0, 1, 2)]).remove_edge((0, 1, 3)), r"no such edge \(0, 1, 3\)"),
+        (lambda: Graph(range(3)).add_loop(3), "loop vertex 3 not in vertex set"),
+        (lambda: Graph(range(3)).add_loop(0, -1), "loop multiplicity must be nonnegative"),
+        (lambda: neighborhoods(Hypergraph3(4), 4), "vertex 4 out of range"),
+    ],
+    ids=["negative-n", "remove-absent", "loop-outside", "loop-negative", "neighborhoods-outside"],
+)
+def test_out_of_domain_input_is_refused(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**20 - 1), st.integers(0, 10**6))
 def test_codegree_index_matches_brute_force(mask, _salt):

@@ -2,8 +2,9 @@
 imports, every private module-level name is read somewhere in the package,
 no module-level name is defined in two library modules, every package
 export is read by the package or the bench, or is public, no library module
-but ``hypergraph.py`` reads the private indexes of ``Hypergraph3``, and
-every command-line flag is read by its subcommand's handler."""
+but ``hypergraph.py`` reads the private indexes of ``Hypergraph3``, every
+command-line flag is read by its subcommand's handler, and every size cap
+is named in the README."""
 
 import argparse
 import ast
@@ -255,3 +256,50 @@ def test_unread_flag_finder_walks_nested_subcommands():
 
 def test_every_flag_is_read_by_its_handler():
     assert unread_flags(cli.build_parser()) == []
+
+
+def guarding_caps(source: str) -> list[str]:
+    """The module-level ``*_CAP`` names read in the test of an ``if`` whose
+    body raises ``CapExceeded``, sorted."""
+    caps = {name for name in top_level_definitions(source) if name.endswith("_CAP")}
+    guards = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and any(
+            isinstance(stmt, ast.Raise)
+            and isinstance(stmt.exc, ast.Call)
+            and isinstance(stmt.exc.func, ast.Name)
+            and stmt.exc.func.id == "CapExceeded"
+            for stmt in node.body
+        ):
+            read = {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}
+            guards.update(read & caps)
+    return sorted(guards)
+
+
+def unnamed_caps(caps: list[str], readme: str) -> list[str]:
+    """The caps that the README never names in backticks."""
+    return [cap for cap in caps if f"`{cap}`" not in readme]
+
+
+def test_cap_finder_sees_leftovers():
+    source = (
+        "from .search import CapExceeded\n"
+        "N_CAP = 3\n"
+        "T_CAP = 4\n"
+        "WITNESS_CAP = 100\n"
+        "def f(n, t, m):\n"
+        "    if n > N_CAP or t > T_CAP:\n"
+        "        raise CapExceeded('too large')\n"
+        "    if m > WITNESS_CAP:\n"
+        "        raise ValueError('not a size cap')\n"
+        "    return m < WITNESS_CAP\n"
+    )
+    assert guarding_caps(source) == ["N_CAP", "T_CAP"]
+    assert unnamed_caps(guarding_caps(source), "| n <= 3 (`N_CAP`) |\nT_CAP\n") == ["T_CAP"]
+
+
+def test_every_size_cap_is_named_in_the_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    caps = [cap for p in MODULES for cap in guarding_caps(p.read_text(encoding="utf-8"))]
+    assert "POINTS_CAP" in caps and "CNF_CAP" in caps
+    assert unnamed_caps(caps, readme) == []

@@ -49,6 +49,7 @@ FREE_TEXT = st.text(max_size=30)
         (certificate_from_text, "0 1 | 2 | 3 |\n"),
         (certificate_from_text, "0 1 || 2 3\n"),
         (certificate_from_text, "0 1 | 2 3 | 4\n"),
+        (certificate_from_text, "0 x | 2 3 |\n"),
         (
             certificate_from_text,
             "0 1 | 2 3 |\nx 2 -> 0 2 4\nx 3 -> 0 3 5\ny 2 -> 1 2 6\ny 3 -> 1 3 7\nx 2 -> 0 2 8\n",

@@ -331,9 +331,8 @@ def _sweep_case(rng):
 def _expected_leaf_decisions(h, t, choose):
     """The leaf decisions the scan must make: for every pair x < y with at
     least t leaf candidates, ascending, up to the first pair with a trace,
-    ("fit", x, y, candidates) when there are exactly t of them and
-    ("choose", x, y, candidates) otherwise; and how many pairs have at least
-    t common shadow neighbours but fewer than t candidates."""
+    (x, y, candidates); and how many pairs have at least t common shadow
+    neighbours but fewer than t candidates."""
     nbrs = h.shadow_neighbors
     calls, short = [], 0
     for x, y in itertools.combinations(h.support(), 2):
@@ -341,7 +340,7 @@ def _expected_leaf_decisions(h, t, choose):
         if len(cands) < t:
             short += len(nbrs(x) & nbrs(y)) >= t
             continue
-        calls.append(("fit" if len(cands) == t else "choose", x, y, [c[:2] for c in cands]))
+        calls.append((x, y, [c[:2] for c in cands]))
         if choose(x, y, t, cands, None) is not None:
             break
     return calls, short
@@ -349,19 +348,14 @@ def _expected_leaf_decisions(h, t, choose):
 
 def test_row_sweep_matches_full_scan_reference_on_sparse_corpus(monkeypatch):
     # per row x the scan builds every pair's candidates in one neighbour
-    # sweep; each pair must get the candidates that ``leaf_candidates``
-    # gives it, a pool of exactly t decided by one ``_leaves_fit`` test and a
-    # larger pool handed to ``_choose_leaves`` in that order, and the pairs
-    # must be visited ascending
-    choose, fit, seen = traces._choose_leaves, traces._leaves_fit, []
+    # sweep; each pool of at least t must reach ``_choose_leaves`` once,
+    # with the candidates that ``leaf_candidates`` gives its pair, and the
+    # pairs must be visited ascending
+    choose, seen = traces._choose_leaves, []
 
     def spy_choose(a, b, t, cands, deadline, forced=None):
-        seen.append(("choose", a, b, [c[:2] for c in cands]))
+        seen.append((a, b, sorted(c[:2] for c in cands)))
         return choose(a, b, t, cands, deadline, forced)
-
-    def spy_fit(a, b, leaves):
-        seen.append(("fit", a, b, sorted(c[:2] for c in leaves)))
-        return fit(a, b, leaves)
 
     rng = random.Random(1919)
     found, short = dict.fromkeys((2, 3, 4), 0), dict.fromkeys((2, 3, 4), 0)
@@ -370,22 +364,21 @@ def test_row_sweep_matches_full_scan_reference_on_sparse_corpus(monkeypatch):
         h = _sweep_case(rng)
         for t in (2, 3, 4):
             calls, pairs = _expected_leaf_decisions(h, t, choose)
-            kinds[t].update(kind for kind, *_ in calls)
+            kinds[t].update("exact" if len(c) == t else "larger" for *_, c in calls)
             expected = _text(reference_contains_trace(h, t))
             seen.clear()
             with monkeypatch.context() as m:
                 m.setattr(traces, "_choose_leaves", spy_choose)
-                m.setattr(traces, "_leaves_fit", spy_fit)
                 cert = contains_trace(h, t)
             assert _text(cert) == expected, f"case {case}, t={t}"
             assert seen == calls, f"case {case}, t={t}"
             found[t] += cert is not None
             short[t] += pairs
     # the corpus has traces and trace-free cases, pairs whose common
-    # neighbours outnumber their candidates, and both kinds of decision, at
-    # every t
+    # neighbours outnumber their candidates, and pools of exactly t and of
+    # more than t, at every t
     assert all(0 < found[t] < 24 and short[t] for t in found), (found, short)
-    assert all(kinds[t] == {"fit", "choose"} for t in found), kinds
+    assert all(kinds[t] == {"exact", "larger"} for t in found), kinds
 
 
 def test_greedy_edges_match_full_scan_reference(monkeypatch):
