@@ -78,6 +78,7 @@ def _min_index_sequence(
     best: list[int],
     decide_only: bool,
     leaves: list[list[int]] | None = None,
+    classes: list[list[int]] | None = None,
 ) -> bool:
     """Minimize the index sequence over relabelings, in place on ``best``.
 
@@ -85,9 +86,11 @@ def _min_index_sequence(
     says whether some relabeling beats it strictly.  Otherwise ``best`` ends
     up holding the canonical sequence and the return value is meaningless.
     ``leaves``, when given, gains the vertex order (label -> vertex) of
-    every leaf the walk reaches.
+    every leaf the walk reaches.  ``classes`` are the twin classes of the
+    edges, computed here unless given.
     """
-    classes = _twin_classes(n, edges)
+    if classes is None:
+        classes = _twin_classes(n, edges)
     thirds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
     for a, b, c in edges:
         thirds[a][b].append(c)
@@ -166,14 +169,23 @@ def canonical_form(h: Hypergraph3) -> bytes:
     return f"{h.n};{len(seq)};{','.join(map(str, seq))}".encode("ascii")
 
 
-def is_canonical_labeling(h: Hypergraph3, automorphisms: list[list[int]] | None = None) -> bool:
+def is_canonical_labeling(
+    h: Hypergraph3,
+    automorphisms: list[list[int]] | None = None,
+    classes: list[list[int]] | None = None,
+) -> bool:
     """True iff h's own index sequence is already the canonical one.
 
     ``automorphisms``, when given, gains the permutation i -> order[i] of
     every leaf the decide-only walk reaches.  Each such leaf ties h's own
     sequence, so each permutation is an automorphism of h.  A walk that
     answers False stops at the first smaller block, so it reaches only
-    some of them.
+    some of them.  ``classes``, when given, are h's twin classes as
+    ``_twin_classes`` returns them, so a caller that needs them too
+    computes them once.
     """
-    best = list(edge_indices(h.edges))
-    return not _min_index_sequence(h.n, list(h.edges), best, decide_only=True, leaves=automorphisms)
+    edges = list(h.edges)
+    best = list(edge_indices(edges))
+    return not _min_index_sequence(
+        h.n, edges, best, decide_only=True, leaves=automorphisms, classes=classes
+    )

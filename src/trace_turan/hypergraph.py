@@ -3,16 +3,18 @@ for polarity and link graphs alike, and the small/medium/large co-degree
 edge partition.
 
 Hypergraph vertices are dense integers 0..n-1.  Edges are sorted triples
-indexed by vertex pair, so co-degree queries are O(1) and the index survives
-incremental edge insertion/removal (the extremal search mutates a hypergraph
-in place as the single owner).  A shadow adjacency rides along with the pair
-index, so the trace detectors visit only pairs and leaves that share an edge.
+indexed by each vertex's link, so co-degree queries are O(1) and the index
+survives incremental edge insertion/removal (the extremal search mutates a
+hypergraph in place as the single owner).  The link's keys are the vertex's
+shadow neighbours, so the trace detectors visit only pairs and leaves that
+share an edge.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Mapping, TypeVar
 
 from .indexing import Triple
@@ -32,6 +34,7 @@ class FormatError(ValueError):
 
 
 _NO_NEIGHBORS: frozenset[int] = frozenset()
+_NO_LINK: Mapping[int, set[int]] = MappingProxyType({})
 
 
 def _as_triple(edge: Iterable[int]) -> Triple:
@@ -42,26 +45,25 @@ def _as_triple(edge: Iterable[int]) -> Triple:
 
 
 class Hypergraph3:
-    """A 3-uniform hypergraph on vertices 0..n-1 with a pair co-degree index.
+    """A 3-uniform hypergraph on vertices 0..n-1 with a link index.
 
-    The index maps each unordered pair to the set of "third" vertices that
-    complete it to an edge, so both co-degree counts and the edges through a
-    pair are O(1) away.  Its keys, read as graph edges, form the shadow
-    graph; ``_nbrs`` holds the shadow neighbours of each vertex that has an
-    edge (and no entry for any other vertex).  Only this module reads the
-    two indexes' layout; other modules read them through ``pair_index`` and
-    ``shadow_index``.
+    The index ``_link`` maps each vertex v to its link graph as an adjacency
+    map: each shadow neighbour u of v (a vertex sharing an edge with v) maps
+    to the set of "third" vertices w with {v, u, w} an edge.  ``_link[v][u]``
+    and ``_link[u][v]`` are one set object, and no vertex or pair has an
+    empty entry, so co-degrees, the edges through a pair and the shadow
+    neighbours of a vertex are all O(1) away.  Only this module reads the
+    index's layout; other modules read it through ``link_index``.
     """
 
-    __slots__ = ("n", "_thirds", "_edges", "_nbrs")
+    __slots__ = ("n", "_link", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self._thirds: dict[Pair, set[int]] = {}
+        self._link: dict[int, dict[int, set[int]]] = {}
         self._edges: set[Triple] = set()
-        self._nbrs: dict[int, set[int]] = {}
         for e in edges:
             self.add_edge(e)
 
@@ -80,28 +82,20 @@ class Hypergraph3:
     def add_edge(self, edge: Iterable[int]) -> Triple:
         a, b, c = t = self.new_edge(edge)
         self._edges.add(t)
-        thirds, nbrs = self._thirds, self._nbrs
-        s = thirds.get((a, b))
-        if s is None:
-            thirds[a, b] = {c}
-            nbrs.setdefault(a, set()).add(b)
-            nbrs.setdefault(b, set()).add(a)
+        link = self._link
+        la, lb, lc = link.setdefault(a, {}), link.setdefault(b, {}), link.setdefault(c, {})
+        if b in la:
+            la[b].add(c)
         else:
-            s.add(c)
-        s = thirds.get((a, c))
-        if s is None:
-            thirds[a, c] = {b}
-            nbrs.setdefault(a, set()).add(c)
-            nbrs.setdefault(c, set()).add(a)
+            la[b] = lb[a] = {c}
+        if c in la:
+            la[c].add(b)
         else:
-            s.add(b)
-        s = thirds.get((b, c))
-        if s is None:
-            thirds[b, c] = {a}
-            nbrs.setdefault(b, set()).add(c)
-            nbrs.setdefault(c, set()).add(b)
+            la[c] = lc[a] = {b}
+        if c in lb:
+            lb[c].add(a)
         else:
-            s.add(a)
+            lb[c] = lc[b] = {a}
         return t
 
     def remove_edge(self, edge: Iterable[int]) -> None:
@@ -109,17 +103,15 @@ class Hypergraph3:
         if t not in self._edges:
             raise ValueError(f"no such edge {t}")
         self._edges.discard(t)
-        thirds, nbrs = self._thirds, self._nbrs
-        for pair, w in (((a, b), c), ((a, c), b), ((b, c), a)):
-            s = thirds[pair]
+        link = self._link
+        for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+            s = link[u][v]
             s.discard(w)
             if not s:
-                del thirds[pair]
-                for u, v in (pair, pair[::-1]):
-                    nu = nbrs[u]
-                    nu.discard(v)
-                    if not nu:
-                        del nbrs[u]
+                del link[u][v], link[v][u]
+        for v in t:
+            if not link[v]:
+                del link[v]
 
     # -- queries ----------------------------------------------------------
 
@@ -157,50 +149,46 @@ class Hypergraph3:
     def codegree(self, x: int, y: int) -> int:
         """Number of edges containing both x and y."""
         self._check_pair(x, y)
-        pair = (x, y) if x < y else (y, x)
-        return len(self._thirds.get(pair, ()))
+        return len(self._link.get(x, _NO_LINK).get(y, ()))
 
     def codegree_thirds(self, x: int, y: int) -> frozenset[int]:
         """The vertices w with {x, y, w} an edge."""
         self._check_pair(x, y)
-        pair = (x, y) if x < y else (y, x)
-        return frozenset(self._thirds.get(pair, ()))
+        return frozenset(self._link.get(x, _NO_LINK).get(y, ()))
 
-    def pair_index(self) -> Mapping[Pair, AbstractSet[int]]:
-        """The pair index itself, live and read-only: each pair (x, y), x < y,
-        with positive co-degree maps to the vertices w with {x, y, w} an edge."""
-        return self._thirds
+    def link_index(self) -> Mapping[int, Mapping[int, AbstractSet[int]]]:
+        """The link index itself, live and read-only: each vertex v with an
+        edge maps each shadow neighbour u to the vertices w with {v, u, w} an
+        edge, one set shared by (v, u) and (u, v).  No other vertex or pair
+        has an entry, and unlike ``shadow_neighbors`` it checks no vertex."""
+        return self._link
 
-    def shadow_index(self) -> Mapping[int, AbstractSet[int]]:
-        """The shadow adjacency itself, live and read-only: each vertex with
-        an edge maps to its shadow neighbours, and no other vertex has an
-        entry.  Unlike ``shadow_neighbors`` it checks no vertex."""
-        return self._nbrs
+    def _link_of(self, v: int) -> Mapping[int, set[int]]:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
+        return self._link.get(v, _NO_LINK)
 
     def shadow_neighbors(self, v: int) -> AbstractSet[int]:
         """The vertices sharing an edge with v: a live view, not a copy."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return self._nbrs.get(v, _NO_NEIGHBORS)
+        return self._link_of(v).keys()
 
     def degree(self, v: int) -> int:
         """Half the sum of codeg(v, w) over the shadow neighbours w of v."""
-        return sum(self.codegree(v, w) for w in self.shadow_neighbors(v)) // 2
+        return sum(map(len, self._link_of(v).values())) // 2
 
     def edges_at(self, v: int) -> list[Triple]:
-        nbrs = self.shadow_neighbors(v)
-        return sorted(tuple(sorted((v, w, z))) for w in nbrs for z in self.codegree_thirds(v, w) if w < z)
+        return sorted(tuple(sorted((v, w, z))) for w, s in self._link_of(v).items() for z in s if w < z)
 
     def max_codegree(self) -> int:
-        return max((len(s) for s in self._thirds.values()), default=0)
+        return max((len(s) for row in self._link.values() for s in row.values()), default=0)
 
     def codegree_pairs(self) -> list[tuple[int, int, int]]:
         """All (x, y, codegree) with positive codegree, x < y, sorted."""
-        return sorted((a, b, len(s)) for (a, b), s in self._thirds.items())
+        return sorted((a, b, len(s)) for a, row in self._link.items() for b, s in row.items() if a < b)
 
     def support(self) -> list[int]:
         """Vertices incident to at least one edge."""
-        return sorted(self._nbrs)
+        return sorted(self._link)
 
 
 class Graph:
@@ -295,13 +283,14 @@ def partition_edges(h: Hypergraph3, delta: float) -> EdgePartition:
     """Partition the edges of h into the (A, B, C) co-degree classes."""
     if delta < 2:
         raise ValueError(f"delta must be >= 2, got {delta}")
-    thirds = h.pair_index()
+    link = h.link_index()
     a: set[Triple] = set()
     b: set[Triple] = set()
     c: set[Triple] = set()
     for e in h._edges:
         x, y, z = e
-        least = min(len(thirds[x, y]), len(thirds[x, z]), len(thirds[y, z]))
+        lx = link[x]
+        least = min(len(lx[y]), len(lx[z]), len(link[y][z]))
         (a if least == 1 else b if least <= delta else c).add(e)
     return EdgePartition(delta, frozenset(a), frozenset(b), frozenset(c))
 

@@ -183,10 +183,10 @@ def turan_oracle(n: int, t: int) -> SearchResult:
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start)
 
 
-def _smaller_twins(h: Hypergraph3) -> list[int]:
-    """Per vertex v, the bitmask of v's twins in h with smaller labels."""
-    below = [0] * h.n
-    for cls in _twin_classes(h.n, list(h.edges)):
+def _smaller_twins(n: int, classes: list[list[int]]) -> list[int]:
+    """Per vertex v, the bitmask of v's twins with smaller labels in classes."""
+    below = [0] * n
+    for cls in classes:
         mask = 0
         for v in cls:  # ascending
             below[v] = mask
@@ -232,7 +232,8 @@ def turan_search(n: int, t: int) -> SearchResult:
     (v w) is an automorphism of h, so it maps f to an edge f* outside h
     with a smaller colex index, and h + f is isomorphic to h + f*, whose
     sorted index sequence is smaller: h + f is not canonical.  Twin classes
-    are computed once per node.
+    are computed once per node: a child's, before its canonicity test, serve
+    that test and, if it passes, the child's own node.
 
     The same holds for any automorphism of h that maps f to a colex-smaller
     edge, and the canonicity test that accepted h found some: every leaf of
@@ -271,7 +272,7 @@ def turan_search(n: int, t: int) -> SearchResult:
 
     # returns, as a bitmask of edge indices, every edge this subtree found
     # trace-free when added; each is also trace-free added to this node alone
-    def rec(last_idx: int, automorphisms: list[list[int]]) -> int:
+    def rec(last_idx: int, automorphisms: list[list[int]], classes: list[list[int]]) -> int:
         nonlocal best, nodes, witnesses
         nodes += 1
         m = h.edge_count
@@ -281,7 +282,7 @@ def turan_search(n: int, t: int) -> SearchResult:
         elif m == best and len(witnesses) < WITNESS_CAP:
             witnesses.append(h.copy())
         free = 0
-        below = _smaller_twins(h)
+        below = _smaller_twins(n, classes)
         for idx in range(last_idx + 1, total):
             if m + (total - idx) < best or (
                 m + (total - idx) == best and len(witnesses) >= WITNESS_CAP
@@ -301,15 +302,16 @@ def turan_search(n: int, t: int) -> SearchResult:
             free |= 1 << idx
             h.add_edge(e)
             found: list[list[int]] = []
-            if is_canonical_labeling(h, found):
+            twins = _twin_classes(n, list(h.edges))
+            if is_canonical_labeling(h, found, twins):
                 stats["recursed"] += 1
-                free |= rec(idx, found)
+                free |= rec(idx, found, twins)
             else:
                 stats["noncanon_rejects"] += 1
             h.remove_edge(e)
         return free
 
-    rec(-1, [])
+    rec(-1, [], _twin_classes(n, []))
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start, stats)
 
 

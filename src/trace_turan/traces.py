@@ -125,7 +125,7 @@ def _check_deadline(deadline: float | None) -> None:
 # {a, u}, thirds of {b, u}).  u is a common shadow neighbour of a and b that
 # keeps a third of {a, u} other than b and a third of {b, u} other than a;
 # its co-degree is the smaller count of such thirds.  The third sets are
-# live sets of the pair index, or copies where the pair gains a third.
+# live sets of the link index, or copies where the pair gains a third.
 _Candidate = tuple[int, int, AbstractSet[int], AbstractSet[int]]
 
 
@@ -218,11 +218,12 @@ def least_third_certificate(
     x, y = min(x, y), max(x, y)
     d = tuple(sorted(D))
     core = {x, y, *d}
-    thirds = h.pair_index()
+    link = h.link_index()
     assignment: dict[PatternEdge, Triple] = {}
     for side, p in (("x", x), ("y", y)):
+        row = link.get(p, {})
         for u in d:
-            outside = thirds.get((p, u) if p < u else (u, p), frozenset()) - core
+            outside = row.get(u, frozenset()) - core
             if not outside:
                 return None
             assignment[(side, u)] = tuple(sorted((p, u, min(outside))))  # type: ignore[assignment]
@@ -239,11 +240,12 @@ def contains_trace(
     sweep per row, a support vertex x with its partners y > x: each path
     x - u - y is walked once and gives the pair {x, y} the candidate u, so
     no pair without a common shadow neighbour is touched.  Each vertex u a
-    row walks through gets its shadow neighbours sorted once per call, on
-    first use, each with the thirds of its pair, so a row walks from u only
-    to the partners past x.  The partners with at least t candidates are
-    then visited ascending, each pool decided unsorted by ``_choose_leaves``,
-    and the first leaves found give ``least_third_certificate``.
+    row walks through gets its link sorted once per call, on first use: its
+    shadow neighbours ascending, each with the thirds of its pair, so a row
+    walks from u only to the partners past x.  The partners with at least t
+    candidates are then visited ascending, each pool decided unsorted by
+    ``_choose_leaves``, and the first leaves found give
+    ``least_third_certificate``.
 
     The optional wall-clock budget is checked once per row that has a later
     partner and once per leaf decision: a forced leaf set or a leaf-search
@@ -258,29 +260,23 @@ def contains_trace(
     deadline = None if time_budget is None else time.monotonic() + time_budget
     if not _trace_fits(h.n, t):
         return None
-    nbrs = h.shadow_neighbors
-    thirds = h.pair_index()
-
-    def partners(u: int) -> tuple[list[int], list[tuple[int, AbstractSet[int]]]]:
-        """u's shadow neighbours y ascending, and each with the thirds of {u, y}."""
-        ys = sorted(nbrs(u))
-        return ys, [(y, thirds[(u, y) if u < y else (y, u)]) for y in ys]
-
-    # u -> partners(u), built the first time a row walks through u
+    link = h.link_index()
+    # u -> u's shadow neighbours y ascending, and each with the thirds of
+    # {u, y}, built the first time a row walks through u
     rows: dict[int, tuple[list[int], list[tuple[int, AbstractSet[int]]]]] = {}
     for x in h.support():
         cands_of: dict[int, list[_Candidate]] = {}  # partner y -> candidates
         partner = False
-        for u in nbrs(x):
+        for u, sa in link[x].items():
             r = rows.get(u)
             if r is None:
-                r = rows[u] = partners(u)
+                row = sorted(link[u].items())  # y is unique, so no set is compared
+                r = rows[u] = ([y for y, _ in row], row)
             ys, row = r
             k = bisect_right(ys, x)
             if k == len(ys):
                 continue
             partner = True
-            sa = thirds[(x, u) if x < u else (u, x)]
             la = len(sa)
             for y, sb in row[k:]:
                 na = la - (y in sa)
@@ -328,38 +324,38 @@ def _trace_through_edge(
     some q outside e, and u is a leaf adjacent to q in the shadow graph; q
     ranges, ascending, over the shadow neighbours of e's other two vertices,
     which are the same in h and h + e outside e.  Per p the h + e side of
-    every pool is built once: each shadow neighbour u of p in h + e, with
-    the thirds of {p, u} in h + e.  That is the live third set of h, except
-    for e's other two vertices, whose pairs with p gain e's third vertex and
-    so get a copy; the live set is never extended.  Each q reads its own
-    shadow neighbours against this side map, and the candidates that are
-    vertices of e are recorded as the pool is built; a pool without one is
-    skipped unsorted.  ``_choose_leaves`` decides the others, with the
-    vertices of e among the candidates forced as a leaf in turn.  When the
-    decision forced on the first fails, no fitting leaf set holds it, and
-    fitting only fails more as leaves are added, so the decision forced on
-    the second, if t candidates are left, drops it from the pool and finds
-    the same leaves.
+    every pool is built once: p's link in h + e, each shadow neighbour u of
+    p with the thirds of {p, u}.  It is a copy of p's link in h, whose third
+    sets are read live, except for e's other two vertices, whose pairs with
+    p gain e's third vertex and so get a copy; the live set is never
+    extended.  Each q walks its own link against this side map, reading a
+    neighbour u and the thirds of {q, u} in one step, and the candidates
+    that are vertices of e are recorded as the pool is built; a pool
+    without one is skipped unsorted.  ``_choose_leaves`` decides the
+    others, with the vertices of e among the candidates forced as a leaf in
+    turn.  When the decision forced on the first fails, no fitting leaf set
+    holds it, and fitting only fails more as leaves are added, so the
+    decision forced on the second, if t candidates are left, drops it from
+    the pool and finds the same leaves.
     """
     if not _trace_fits(h.n, t):
         return None
-    nbrs = h.shadow_index()
-    thirds = h.pair_index()
+    link = h.link_index()
     x, y, z = e
     for p, u1, u2 in ((x, y, z), (y, x, z), (z, x, y)):
         # u -> thirds of {p, u} in h + e, over p's shadow neighbours in h + e
-        side = {u: thirds[(p, u) if p < u else (u, p)] for u in nbrs.get(p, ())}
-        side[u1] = {*thirds.get((p, u1) if p < u1 else (u1, p), ()), u2}
-        side[u2] = {*thirds.get((p, u2) if p < u2 else (u2, p), ()), u1}
-        qs = {*nbrs.get(u1, ()), *nbrs.get(u2, ())}
+        lp = link.get(p, {})
+        side = dict(lp)
+        side[u1] = {*lp.get(u1, ()), u2}
+        side[u2] = {*lp.get(u2, ()), u1}
+        qs = {*link.get(u1, ()), *link.get(u2, ())}
         qs.difference_update(e)
         for q in sorted(qs):
             cands = []
             f1 = f2 = None  # u1 and u2 as candidates, if they are candidates
-            for u in nbrs[q]:
-                if u in side:
-                    sa = side[u]
-                    sb = thirds[(q, u) if q < u else (u, q)]
+            for u, sb in link[q].items():
+                sa = side.get(u)
+                if sa is not None:
                     na = len(sa) - (q in sa)
                     nb = len(sb) - (p in sb)
                     if na and nb:

@@ -317,11 +317,10 @@ def leaf_candidates(h: Hypergraph3, a: int, b: int) -> list[tuple]:
     neighbour u that keeps a third of {a, u} other than b and a third of
     {b, u} other than a, as (minus the smaller count of such thirds, u,
     thirds of {a, u}, thirds of {b, u})."""
-    thirds = h.pair_index()
     cands = []
     for u in h.shadow_neighbors(a) & h.shadow_neighbors(b):
-        sa = thirds[(a, u) if a < u else (u, a)]
-        sb = thirds[(b, u) if b < u else (u, b)]
+        sa = h.codegree_thirds(a, u)
+        sb = h.codegree_thirds(b, u)
         na = len(sa) - (b in sa)
         nb = len(sb) - (a in sb)
         if na and nb:

@@ -1,6 +1,7 @@
 """Bound expression, interval derivation and ratio table tests."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -116,6 +117,31 @@ def test_derivation_check_certifies_sample():
     points = derivation_check(log_grid(14, 10**6, 60))
     assert points and all(p.certified for p in points)
     assert all(p.lhs_hi <= p.rhs_lo for p in points)
+
+
+def _decimal_slack(t: int) -> Decimal:
+    """rhs - lhs of the derivation at t, in 50-digit decimal arithmetic:
+    the single formula minus the three-term bound at g = sqrt(t ln t)/7."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(float(t))  # the t the interval check reads
+        ln = x.ln()
+        g = (x * ln).sqrt() / 7
+        x32 = x * x.sqrt()
+        sparse = (x - 1).sqrt() / 2
+        medium = Decimal(6).sqrt() / 2 * x32 / g
+        dense = ((x + 5 * g * ln) ** 3).sqrt() / 6
+        return (x32 + 55 * x * ln.sqrt()) / 6 - (sparse + medium + dense)
+
+
+def test_derivation_verdict_is_the_sign_of_the_inequality():
+    # the chain holds up to ln t ~ 50.380 (t ~ 7.584e21) and fails beyond:
+    # the relative slack is +4.4e-11 at 5e21 and -4.5e-12 at 8e21, so the
+    # verdicts past it are the inequality's own, not the rounding's
+    ts = [10**6, 10**21, 5 * 10**21, 8 * 10**21, 10**22, 10**30]
+    points = derivation_check(ts)
+    assert [p.certified for p in points] == [_decimal_slack(t) > 0 for t in ts]
+    assert [p.certified for p in points] == [True, True, True, False, False, False]
 
 
 def test_ratio_table_rows():

@@ -127,23 +127,34 @@ def test_codegree_index_matches_brute_force(mask, _salt):
         assert h.codegree(x, y) == brute
 
 
-def _assert_shadow_index(h):
-    """_nbrs holds exactly the pair-index keys as graph edges, with no empty
-    entries, and degree/edges_at read off the index agree with an edge scan."""
-    expected: dict[int, set[int]] = {}
-    for a, b in h._thirds:
-        expected.setdefault(a, set()).add(b)
-        expected.setdefault(b, set()).add(a)
-    assert h._nbrs == expected
-    assert h.shadow_index() is h._nbrs  # live, not a copy
+def _assert_link_index(h):
+    """_link is symmetric with one shared set per pair, holds no empty entry,
+    and its pairs and thirds are exactly those of the edges; shadow
+    neighbours, degree and edges_at read off the index agree with an edge
+    scan."""
+    link = h._link
+    assert h.link_index() is link  # live, not a copy
+    expected: dict[tuple[int, int], set[int]] = {}
+    for a, b, c in h.edges:
+        for pair, w in (((a, b), c), ((a, c), b), ((b, c), a)):
+            expected.setdefault(pair, set()).add(w)
+    pairs = {}
+    for v, row in link.items():
+        assert row  # no empty link
+        for u, thirds in row.items():
+            assert thirds  # no empty pair
+            assert link[u][v] is thirds  # one set shared by (v, u) and (u, v)
+            if v < u:
+                pairs[v, u] = thirds
+    assert pairs == expected
     for v in range(h.n):
-        assert set(h.shadow_neighbors(v)) == expected.get(v, set())
+        assert set(h.shadow_neighbors(v)) == {u for pair in expected for u in pair if v in pair} - {v}
         scanned = [e for e in h.edges if v in e]
         assert h.edges_at(v) == scanned
         assert h.degree(v) == len(scanned)
 
 
-def test_shadow_index_matches_pair_keys_under_random_mutation():
+def test_link_index_matches_edges_under_random_mutation():
     rng = random.Random(5150)
     for _ in range(40):
         n = rng.randint(3, 10)
@@ -156,13 +167,13 @@ def test_shadow_index_matches_pair_keys_under_random_mutation():
                 e = rng.choice(triples)
                 if e not in h:
                     h.add_edge(e)
-            _assert_shadow_index(h)
+            _assert_link_index(h)
         c = h.copy()
-        _assert_shadow_index(c)
-        before = {v: set(s) for v, s in h._nbrs.items()}
+        _assert_link_index(c)
+        before = {v: {u: set(s) for u, s in row.items()} for v, row in h._link.items()}
         for e in c.edges:
             c.remove_edge(e)
-        assert c._nbrs == {} and h._nbrs == before
+        assert c._link == {} and h._link == before
         assert h.support() == sorted({v for e in h.edges for v in e})
 
 

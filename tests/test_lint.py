@@ -146,8 +146,8 @@ def test_each_library_name_is_defined_once():
 
 
 # the private attributes of Hypergraph3: the layout of its indexes, owned by
-# hypergraph.py; other modules read them through pair_index and shadow_index
-HYPERGRAPH_PRIVATES = {"_thirds", "_nbrs", "_edges"}
+# hypergraph.py; other modules read the link index through link_index
+HYPERGRAPH_PRIVATES = {"_link", "_edges"}
 
 
 def private_index_reads(source: str) -> list[tuple[int, str]]:
@@ -163,13 +163,13 @@ def private_index_reads(source: str) -> list[tuple[int, str]]:
 def test_private_index_finder_sees_leftovers():
     source = (
         "def f(h, g):\n"
-        "    thirds = h.pair_index()\n"
+        "    link = h.link_index()\n"
         "    n = len(h._edges)\n"
-        "    return thirds, g._nbrs.get(0), h._adj, getattr(h, 'edges')\n"
-        "def _thirds(h):\n"
-        "    return h._thirds\n"
+        "    return link, g._link.get(0), h._adj, getattr(h, 'edges')\n"
+        "def _link(h):\n"
+        "    return h.link_index()\n"
     )
-    assert private_index_reads(source) == [(3, "_edges"), (4, "_nbrs"), (6, "_thirds")]
+    assert private_index_reads(source) == [(3, "_edges"), (4, "_link")]
 
 
 NOT_HYPERGRAPH = [p for p in MODULES if p.name != "hypergraph.py"]

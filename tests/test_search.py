@@ -24,7 +24,7 @@ from trace_turan import (
 )
 from trace_turan import search as search_module
 from trace_turan import traces as traces_module
-from trace_turan.canon import is_canonical_labeling
+from trace_turan.canon import _twin_classes, is_canonical_labeling
 from trace_turan.indexing import all_triples, triple_index
 
 from helpers import (
@@ -320,8 +320,8 @@ def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
     # one node below the empty root
     counts = {"calls": 0, "accepts": 0}
 
-    def counting(h, automorphisms=None):
-        verdict = is_canonical_labeling(h, automorphisms)
+    def counting(h, automorphisms=None, classes=None):
+        verdict = is_canonical_labeling(h, automorphisms, classes)
         counts["calls"] += 1
         counts["accepts"] += verdict
         return verdict
@@ -357,17 +357,25 @@ def test_search_skips_the_kernel_for_children_proved_trace_free(monkeypatch, n, 
     assert count == calls
 
 
+def _record_search_hypergraph(monkeypatch, live):
+    """Make live hold the hypergraph turan_search mutates in place: while a
+    node expands its children, it is that node."""
+
+    class Recorded(Hypergraph3):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live[:] = [self]
+
+    monkeypatch.setattr(search_module, "Hypergraph3", Recorded)
+
+
 @pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
 def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t):
     # every child the twin rule skips, taken at the node that skips it, is
     # non-canonical by the reference minimizer, and the node counts hold
     live = []
     skipped = 0
-    smaller_twins, twin_lowers = search_module._smaller_twins, search_module._twin_lowers
-
-    def spy_twins(h):
-        live[:] = [h]  # the search's own hypergraph, at the node being expanded
-        return smaller_twins(h)
+    twin_lowers = search_module._twin_lowers
 
     def spy_lowers(below, e):
         nonlocal skipped
@@ -379,7 +387,7 @@ def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t)
             skipped += 1
         return verdict
 
-    monkeypatch.setattr(search_module, "_smaller_twins", spy_twins)
+    _record_search_hypergraph(monkeypatch, live)
     monkeypatch.setattr(search_module, "_twin_lowers", spy_lowers)
     result = turan_search(n, t)
     assert skipped > 0
@@ -421,11 +429,7 @@ def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatc
     # the rule reads is an automorphism of that node, and the node counts hold
     live = []
     skipped = 0
-    smaller_twins, automorphism_lowers = search_module._smaller_twins, search_module._automorphism_lowers
-
-    def spy_twins(h):
-        live[:] = [h]  # the search's own hypergraph, at the node being expanded
-        return smaller_twins(h)
+    automorphism_lowers = search_module._automorphism_lowers
 
     def spy_lowers(automorphisms, e):
         nonlocal skipped
@@ -441,12 +445,16 @@ def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatc
             skipped += 1
         return verdict
 
-    monkeypatch.setattr(search_module, "_smaller_twins", spy_twins)
+    _record_search_hypergraph(monkeypatch, live)
     monkeypatch.setattr(search_module, "_automorphism_lowers", spy_lowers)
     result = turan_search(n, t)
     assert skipped > 0
     assert result.stats["automorphism_skips"] == skipped
     assert result.nodes_explored == {(6, 2): 82, (6, 3): 181, (7, 2): 394}[n, t]
+
+
+def _smaller_twins_of(h):
+    return search_module._smaller_twins(h.n, _twin_classes(h.n, list(h.edges)))
 
 
 def test_automorphism_rule_on_two_edges_through_a_vertex():
@@ -459,7 +467,7 @@ def test_automorphism_rule_on_two_edges_through_a_vertex():
     assert is_canonical_labeling(h, found)
     assert sorted(found) == [[0, 1, 2, 3, 4], [0, 3, 4, 1, 2]]
     assert search_module._automorphism_lowers(found, (1, 3, 4))
-    assert not search_module._twin_lowers(search_module._smaller_twins(h), (1, 3, 4))
+    assert not search_module._twin_lowers(_smaller_twins_of(h), (1, 3, 4))
     assert not reference_is_canonical(Hypergraph3(5, [*h.edges, (1, 3, 4)]))
     assert not search_module._automorphism_lowers(found, (0, 1, 3))
 
@@ -467,7 +475,7 @@ def test_automorphism_rule_on_two_edges_through_a_vertex():
 def test_twin_rule_on_one_edge():
     # on 6 vertices, {0, 1, 2} has twin classes {0, 1, 2} and {3, 4, 5}
     h = Hypergraph3(6, [(0, 1, 2)])
-    below = search_module._smaller_twins(h)
+    below = _smaller_twins_of(h)
     assert below == [0, 0b1, 0b11, 0, 0b1000, 0b11000]
     assert search_module._twin_lowers(below, (0, 1, 4))  # 4 -> 3 gives {0, 1, 3}
     assert not search_module._twin_lowers(below, (0, 1, 3))
@@ -523,10 +531,10 @@ def test_incremental_disjoint_edge_absent():
 
 
 def _snapshot(h):
-    """Copies of h's edges, pair index and shadow neighbourhoods."""
+    """Copies of h's edges, link index and shadow neighbourhoods."""
     return (
         h.edges,
-        {pair: set(thirds) for pair, thirds in h.pair_index().items()},
+        {v: {u: set(thirds) for u, thirds in row.items()} for v, row in h.link_index().items()},
         [set(h.shadow_neighbors(v)) for v in range(h.n)],
     )
 
