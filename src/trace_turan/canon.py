@@ -16,9 +16,11 @@ keys: the incumbent's blocks, split once per call, and the list each
 unassigned vertex u keeps of the edges it would complete.  Plain list
 comparison is then the sequence order, and a longer block sorts before its
 own prefix, whose next entry falls at a later depth.  Giving v label d
-inserts C(d,2) + pos(w) before u's sentinel for each assigned w with
-{u, v, w} an edge; the new keys exceed all older ones, so the list stays
-sorted, and backtracking removes them.
+inserts C(d,2) + pos(w) before u's sentinel for each assigned w and each
+u in link[v][w], read from the hypergraph's own link index
+(``Hypergraph3.link_index``), so canonical labelling builds no index of
+its own; the new keys exceed all older ones, so the list stays sorted,
+and backtracking removes them.
 
 Each frame scans the candidates once.  Deciding, it returns at the first
 key below the incumbent block.  Forming, it takes the least key as the new
@@ -29,9 +31,11 @@ unassigned member of each twin class -- vertices any two of which are
 swapped by an automorphism transposing just them.  The classes do not
 depend on the partial assignment, so they are computed once per call, and
 they collapse the blowup on highly symmetric inputs such as complete or
-empty hypergraphs.  Each leaf a deciding walk reaches ties the input's own
-sequence, so its vertex order is an automorphism, which the orderly search
-reads to skip children.
+empty hypergraphs; twinship too is read off the link index.  Each leaf a
+deciding walk reaches ties the input's own sequence, so its vertex order
+is an automorphism, which the orderly search reads to skip children.  The
+walk starts from the input's own sequence and returns its verdict and its
+sequence, so each public entry point is one call.
 """
 
 from __future__ import annotations
@@ -39,31 +43,33 @@ from __future__ import annotations
 from math import comb
 
 from .hypergraph import Hypergraph3
-from .indexing import Triple, edge_indices
+from .indexing import edge_indices
 
 _BIG = 1 << 60
 _OPEN = [_BIG, _BIG]  # above every sentinel-terminated key list
 
 
-def _twin_classes(n: int, edges: list[Triple]) -> list[list[int]]:
+def _twin_classes(h: Hypergraph3) -> list[list[int]]:
     """Vertices grouped by mutual twinship, each class in ascending order.
 
     v and w are twins when transposing them maps the edge set to itself,
-    i.e. when their links agree once pairs containing the other are dropped.
-    Twinship is an equivalence, so one comparison per class suffices, and a
-    transposition keeps degrees, so only links of one size are compared.
+    i.e. when link[v][u] - {w} == link[w][u] - {v} for every other u, read
+    from h's link index.  Twinship is an equivalence, so one comparison per
+    class suffices, and a transposition keeps degrees, so only vertices of
+    one degree are compared.
     """
-    links: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    for a, b, c in edges:
-        links[a].add((b, c))
-        links[b].add((a, c))
-        links[c].add((a, b))
+    link = h.link_index()
+    degree = [h.degree(v) for v in range(h.n)]
     classes: list[list[int]] = []
-    for v in range(n):
+    for v in range(h.n):
+        row_v = link.get(v, {})
         for cls in classes:
             w = cls[0]
-            if len(links[v]) == len(links[w]) and (
-                {p for p in links[v] if w not in p} == {p for p in links[w] if v not in p}
+            row_w = link.get(w, {})
+            if degree[v] == degree[w] and all(
+                row_v.get(u, frozenset()) - {w} == row_w.get(u, frozenset()) - {v}
+                for u in row_v.keys() | row_w.keys()
+                if u != v and u != w
             ):
                 cls.append(v)
                 break
@@ -73,37 +79,30 @@ def _twin_classes(n: int, edges: list[Triple]) -> list[list[int]]:
 
 
 def _min_index_sequence(
-    n: int,
-    edges: list[Triple],
-    best: list[int],
+    h: Hypergraph3,
     decide_only: bool,
     leaves: list[list[int]] | None = None,
     classes: list[list[int]] | None = None,
-) -> bool:
-    """Minimize the index sequence over relabelings, in place on ``best``.
+) -> tuple[bool, tuple[int, ...]]:
+    """Minimize h's index sequence over relabelings, reading its link index.
 
-    With decide_only=True, ``best`` is left untouched and the return value
-    says whether some relabeling beats it strictly.  Otherwise ``best`` ends
-    up holding the canonical sequence and the return value is meaningless.
-    ``leaves``, when given, gains the vertex order (label -> vertex) of
-    every leaf the walk reaches.  ``classes`` are the twin classes of the
-    edges, computed here unless given.
+    The walk starts from h's own sequence as the incumbent and returns
+    (found_smaller, sequence).  With decide_only=True it stops at the first
+    relabeling that beats h's sequence strictly, and the sequence returned
+    is h's own.  Otherwise found_smaller is meaningless and the sequence is
+    the canonical one.  ``leaves``, when given, gains the vertex order
+    (label -> vertex) of every leaf the walk reaches.  ``classes`` are h's
+    twin classes, computed here unless given.
     """
+    n = h.n
+    link = h.link_index()
     if classes is None:
-        classes = _twin_classes(n, edges)
-    thirds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for a, b, c in edges:
-        thirds[a][b].append(c)
-        thirds[b][a].append(c)
-        thirds[a][c].append(b)
-        thirds[c][a].append(b)
-        thirds[b][c].append(a)
-        thirds[c][b].append(a)
-
+        classes = _twin_classes(h)
+    own = edge_indices(h.edges)
     c3 = [comb(d, 3) for d in range(n + 1)]
     c2 = [comb(d, 2) for d in range(n)]
     # the incumbent as one key block per depth
-    blocks = [[x - c3[d] for x in best if c3[d] <= x < c3[d + 1]] + [_BIG] for d in range(n)]
+    blocks = [[x - c3[d] for x in own if c3[d] <= x < c3[d + 1]] + [_BIG] for d in range(n)]
     pos = [-1] * n
     order: list[int] = []  # assigned vertices by label
     keys: list[list[int]] = [[_BIG] for _ in range(n)]
@@ -134,9 +133,9 @@ def _min_index_sequence(
         for v in ties:
             pos[v] = depth
             touched = []
-            row = thirds[v]
+            row = link.get(v, {})
             for i, w in enumerate(order):  # ascending labels keep keys sorted
-                for u in row[w]:
+                for u in row.get(w, ()):
                     if pos[u] < 0:
                         ku = keys[u]
                         ku.insert(-1, pair_base + i)
@@ -151,16 +150,14 @@ def _min_index_sequence(
         return False
 
     found_smaller = rec(0)
-    if not decide_only:
-        best[:] = [c3[d] + k for d, blk in enumerate(blocks) for k in blk[:-1]]
-    return found_smaller
+    if decide_only:
+        return found_smaller, own
+    return found_smaller, tuple(c3[d] + k for d, blk in enumerate(blocks) for k in blk[:-1])
 
 
 def canonical_index_sequence(h: Hypergraph3) -> tuple[int, ...]:
     """Lexicographically least colex index sequence over all relabelings."""
-    best = list(edge_indices(h.edges))
-    _min_index_sequence(h.n, list(h.edges), best, decide_only=False)
-    return tuple(best)
+    return _min_index_sequence(h, decide_only=False)[1]
 
 
 def canonical_form(h: Hypergraph3) -> bytes:
@@ -176,7 +173,8 @@ def is_canonical_labeling(
 ) -> bool:
     """True iff h's own index sequence is already the canonical one.
 
-    ``automorphisms``, when given, gains the permutation i -> order[i] of
+    One decide-only walk over h's link index answers; its verdict is
+    returned as is.  ``automorphisms``, when given, gains the permutation i -> order[i] of
     every leaf the decide-only walk reaches.  Each such leaf ties h's own
     sequence, so each permutation is an automorphism of h.  A walk that
     answers False stops at the first smaller block, so it reaches only
@@ -184,8 +182,4 @@ def is_canonical_labeling(
     ``_twin_classes`` returns them, so a caller that needs them too
     computes them once.
     """
-    edges = list(h.edges)
-    best = list(edge_indices(edges))
-    return not _min_index_sequence(
-        h.n, edges, best, decide_only=True, leaves=automorphisms, classes=classes
-    )
+    return not _min_index_sequence(h, True, automorphisms, classes)[0]

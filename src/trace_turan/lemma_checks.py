@@ -144,6 +144,13 @@ def _cert_common_neighborhood(hb: Hypergraph3, x: int, y: int) -> TraceCertifica
     return None
 
 
+def _shell_sets(g: Hypergraph3, v: int) -> dict[int, set[int]]:
+    """V_u for each u in N1(v), in ascending u: the distance-2 vertices
+    covered by the edges meeting N1(v) exactly in {u}."""
+    n1, _ = neighborhoods(g, v)
+    return {u: eu_vu(g, v, u)[1] for u in sorted(n1)}
+
+
 def _cert_shell_overlap(hb: Hypergraph3, v: int) -> TraceCertificate | None:
     """4-cycle on the pair {v, z} with leaves u, w: shell roots u, w in
     N1(v) whose shell sets V_u, V_w share z, the least shared vertex.
@@ -151,9 +158,8 @@ def _cert_shell_overlap(hb: Hypergraph3, v: int) -> TraceCertificate | None:
     other than the other root: z, at distance 2, shares no edge with v, and
     the E_u edge through z avoids v and w.  Failing that, eight or more
     shared shell vertices give a common-neighbourhood 4-cycle on u, w."""
-    n1, _ = neighborhoods(hb, v)
-    vu = {u: eu_vu(hb, v, u)[1] for u in sorted(n1)}
-    for u, w in itertools.combinations(sorted(n1), 2):
+    vu = _shell_sets(hb, v)
+    for u, w in itertools.combinations(vu, 2):
         overlap = vu[u] & vu[w]
         if not overlap:
             continue
@@ -241,8 +247,7 @@ def _shell_cover_sum(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta)
     found = []
     for v in core.support():
-        n1, _ = neighborhoods(core, v)
-        vu = {u: eu_vu(core, v, u)[1] for u in sorted(n1)}
+        vu = _shell_sets(core, v)
         total = sum(len(s) for s in vu.values())
         if total > bound:
             counts: dict[int, list[int]] = {}
@@ -287,9 +292,7 @@ def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
 def _shell_size_floor(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
     found = []
     for v in hb.support():
-        n1, _ = neighborhoods(hb, v)
-        for u in sorted(n1):
-            _, vu = eu_vu(hb, v, u)
+        for u, vu in _shell_sets(hb, v).items():
             du = hb.degree(u)
             if len(vu) < du - 16:
                 cert = _cert_common_neighborhood(hb, min(u, v), max(u, v))
@@ -300,8 +303,7 @@ def _shell_size_floor(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
 def _shell_sum(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
     found = []
     for v in hb.support():
-        n1, _ = neighborhoods(hb, v)
-        total = sum(len(eu_vu(hb, v, u)[1]) for u in sorted(n1))
+        total = sum(map(len, _shell_sets(hb, v).values()))
         bound = h.n + 14 * hb.degree(v)
         if total > bound:
             found.append(((v,), total, bound, _cert_shell_overlap(hb, v)))

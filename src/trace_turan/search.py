@@ -302,7 +302,7 @@ def turan_search(n: int, t: int) -> SearchResult:
             free |= 1 << idx
             h.add_edge(e)
             found: list[list[int]] = []
-            twins = _twin_classes(n, list(h.edges))
+            twins = _twin_classes(h)
             if is_canonical_labeling(h, found, twins):
                 stats["recursed"] += 1
                 free |= rec(idx, found, twins)
@@ -311,7 +311,7 @@ def turan_search(n: int, t: int) -> SearchResult:
             h.remove_edge(e)
         return free
 
-    rec(-1, [], _twin_classes(n, []))
+    rec(-1, [], _twin_classes(h))
     return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start, stats)
 
 

@@ -4,6 +4,8 @@ import itertools
 import random
 
 from trace_turan import Hypergraph3, canonical_form, canonical_index_sequence, is_canonical_labeling
+from trace_turan.canon import _twin_classes
+from trace_turan.constructions import lift_to_trace_free, polarity_graph
 from trace_turan.indexing import all_triples, edge_indices
 
 from helpers import (
@@ -11,6 +13,7 @@ from helpers import (
     random_hypergraph,
     reference_index_sequence,
     reference_is_canonical,
+    relabelled_lift,
 )
 
 
@@ -222,3 +225,31 @@ def test_decide_walk_reports_automorphisms():
         is_canonical_labeling(h, found)
         sizes.append(len(found))
     assert sizes[0] == 168 and sizes[3:] == [14, 16]
+
+
+def _brute_force_twin_classes(h):
+    """v and w share a class when swapping them maps the edge set onto
+    itself; every pair is tested, so no equivalence is assumed."""
+    edges = set(h.edges)
+
+    def swap_fixes(v, w):
+        swap = {v: w, w: v}
+        return all(tuple(sorted(swap.get(u, u) for u in e)) in edges for e in edges)
+
+    return sorted({tuple(w for w in range(h.n) if w == v or swap_fixes(v, w)) for v in range(h.n)})
+
+
+def test_twin_classes_match_brute_force():
+    rng = random.Random(2718)
+    inputs = [Hypergraph3(n) for n in range(10)]
+    inputs += [Hypergraph3(n, itertools.combinations(range(n), 3)) for n in range(10)]
+    # isolated vertices beside a complete part and beside a random part
+    inputs += [Hypergraph3(9, itertools.combinations(range(k), 3)) for k in (3, 5, 7)]
+    inputs += [Hypergraph3(9, random_hypergraph(6, 0.4, rng).edges) for _ in range(10)]
+    inputs += [lift_to_trace_free(polarity_graph(q)) for q in (2, 3)]
+    inputs += [relabelled_lift(q) for q in (2, 3)]
+    for _ in range(300):
+        n = rng.randrange(10)
+        inputs.append(random_hypergraph(n, rng.choice([0.05, 0.2, 0.5, 0.8, 0.95]), rng))
+    for h in inputs:
+        assert [tuple(c) for c in _twin_classes(h)] == _brute_force_twin_classes(h)

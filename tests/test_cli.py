@@ -350,11 +350,28 @@ def test_bounds_refuses_a_range_without_an_integer(capsys):
          "refused: restarts must be positive"),
         (("search", "--n", "-1", "--t", "2"), 2, "refused: n must be nonnegative"),
         (("search", "--n", "-1", "--t", "2", "--oracle"), 2, "refused: n must be nonnegative"),
+        (("verify", "--file", "{present}", "--t", "2", "--delta", "1"), 2,
+         "refused: delta must be >= 2"),
+        (("verify", "--file", "{present}", "--t", "2", "--delta", "-1"), 2,
+         "refused: delta must be >= 2"),
+        (("verify", "--file", "{present}", "--t", "1"), 2, "refused: pattern requires t >= 2"),
+        (("check", "--file", "{present}", "--t", "0"), 2, "refused: pattern requires t >= 2"),
+        (("check", "--file", "{present}", "--t", "1"), 2, "refused: pattern requires t >= 2"),
+        (("construct", "polarity", "--q", "1"), 2, "refused: q must be prime"),
+        (("construct", "polarity", "--q", "-7"), 2, "refused: q must be prime"),
+        (("construct", "polarity", "--q", "4", "--lift"), 2, "refused: q must be prime"),
+        (("construct", "greedy", "--n", "6", "--t", "2", "--restarts", "-1"), 2,
+         "refused: restarts must be positive"),
+        (("construct", "greedy", "--n", "-1", "--t", "2"), 2,
+         "refused: vertex count must be nonnegative"),
+        (("search", "--n", "13", "--t", "2"), 2, "refused: search capped at n <= 12,"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):
     missing = str(tmp_path / "missing.hg")
-    got, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    present = str(tmp_path / "present.hg")
+    write_hypergraph(Hypergraph3(5, [(0, 1, 2)]), present)
+    got, out, err = run(capsys, *(a.format(missing=missing, present=present) for a in argv))
     assert got == code
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1

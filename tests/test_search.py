@@ -454,7 +454,7 @@ def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatc
 
 
 def _smaller_twins_of(h):
-    return search_module._smaller_twins(h.n, _twin_classes(h.n, list(h.edges)))
+    return search_module._smaller_twins(h.n, _twin_classes(h))
 
 
 def test_automorphism_rule_on_two_edges_through_a_vertex():
