@@ -26,6 +26,7 @@ from .dominated import (
     star_loop_decomposition,
 )
 from .hypergraph import (
+    CapExceeded,
     EdgePartition,
     FormatError,
     Graph,
@@ -45,7 +46,6 @@ from .lemma_checks import (
     lemma_status_report,
 )
 from .search import (
-    CapExceeded,
     SearchResult,
     export_cnf,
     trace_templates,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .search import CapExceeded
+from .hypergraph import CapExceeded
 
 
 def epsilon(delta: float) -> float:

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .hypergraph import Graph, Hypergraph3
+from .hypergraph import CapExceeded, Graph, Hypergraph3
 from .indexing import all_triples
-from .search import CapExceeded
 from .traces import _t_of, incremental_trace_check
 
 # the largest inputs the builders take: each refuses more with CapExceeded

@@ -15,11 +15,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Iterable, Mapping, TypeVar
+from typing import AbstractSet, Iterable, Mapping
 
 from .indexing import Triple
 
-T = TypeVar("T")
 Pair = tuple[int, int]
 
 
@@ -31,6 +30,10 @@ class FormatError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+class CapExceeded(ValueError):
+    """Requested size is beyond a fixed exact-computation cap."""
 
 
 _NO_NEIGHBORS: frozenset[int] = frozenset()
@@ -374,18 +377,19 @@ def int_tokens(parts: list[str], line: str, lineno: int) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def loads_edge_lines(
-    text: str, arity: int, new: Callable[[int], T], add: Callable[[T, tuple[int, ...]], object]
-) -> T:
-    """Read the ``n m`` format with `arity` vertices per edge line into new(n).
+_EDGE_LINE = re.compile(r"\s*(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)\s*").fullmatch
+
+
+def loads_hypergraph(text: str) -> Hypergraph3:
+    """Read the ``n m`` format into a Hypergraph3 on n vertices.
 
     Lines are those of ``str.splitlines``, whitespace is what ``str.isspace``
     accepts (as ``\\s`` matches in a str pattern) and a vertex is an ASCII
     ``-?[0-9]+`` token.  Blank lines are skipped.  Every defect -- a missing,
-    non-integer or negative header, a wrong token count, an edge that add()
-    refuses, or an edge count other than m -- raises FormatError.  An edge
-    line is read by one pattern match, and only a line it refuses is split
-    into tokens, to name the defect.
+    non-integer or negative header, a wrong token count, an edge that
+    ``add_edge`` refuses, or an edge count other than m -- raises
+    FormatError.  An edge line is read by one pattern match, and only a line
+    it refuses is split into tokens, to name the defect.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -398,30 +402,25 @@ def loads_edge_lines(
     n, m = int(head[0]), int(head[1])
     if n < 0 or m < 0:
         raise FormatError(f"negative count in header {lines[0]!r}", 1)
-    edge_line = re.compile(r"\s*" + r"\s+".join([r"(-?[0-9]+)"] * arity) + r"\s*").fullmatch
-    obj = new(n)
+    h = Hypergraph3(n)
     seen = 0
     for i, line in enumerate(lines[1:], start=2):
-        match = edge_line(line)
+        match = _EDGE_LINE(line)
         if match is None:
             if not line.strip():
                 continue
-            if len(line.split()) != arity:
-                raise FormatError(f"edge line must have {arity} vertices, got {line!r}", i)
+            if len(line.split()) != 3:
+                raise FormatError(f"edge line must have 3 vertices, got {line!r}", i)
             # the count is right, so the pattern refused some token
             raise FormatError(f"non-integer vertex in {line!r}", i)
         try:
-            add(obj, tuple(map(int, match.groups())))
+            h.add_edge(map(int, match.groups()))
         except ValueError as exc:
             raise FormatError(str(exc), i) from None
         seen += 1
     if seen != m:
         raise FormatError(f"header promised {m} edges, found {seen}")
-    return obj
-
-
-def loads_hypergraph(text: str) -> Hypergraph3:
-    return loads_edge_lines(text, 3, Hypergraph3, Hypergraph3.add_edge)
+    return h
 
 
 def write_hypergraph(h: Hypergraph3, path: str) -> None:

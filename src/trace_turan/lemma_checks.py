@@ -192,15 +192,20 @@ def _attach_certificate(
 # row, and returns (detail, [(subject, observed, bound, certificate), ...]).
 
 
+def _codegree_cap(h: Hypergraph3, g: Hypergraph3, t: int, least: int, bound: float, dominate: Callable):
+    """The pairs of g with co-degree at least `least`, each certified from a
+    set ``dominate`` finds in the links on its thirds."""
+    found = []
+    for x, y, d in g.codegree_pairs():
+        if d >= least:
+            cert = _cert_via_links(h, x, y, g.codegree_thirds(x, y), t, dominate)
+            found.append(((x, y), d, bound, cert))
+    return found
+
+
 def _residual_codegree(h: Hypergraph3, hma: Hypergraph3, t: int, delta: int):
     bound = 2 if t == 2 else 3 * t - 3
-    found = []
-    for x, y, d in hma.codegree_pairs():
-        if d > bound:
-            s = hma.codegree_thirds(x, y)
-            cert = _cert_via_links(h, x, y, s, t, dominated_pair_min1)
-            found.append(((x, y), d, bound, cert))
-    return f"bound {bound}", found
+    return f"bound {bound}", _codegree_cap(h, hma, t, bound + 1, bound, dominated_pair_min1)
 
 
 def _codegree_ceiling(t: int, delta: int) -> tuple[int, float]:
@@ -212,13 +217,8 @@ def _codegree_ceiling(t: int, delta: int) -> tuple[int, float]:
 def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     k_ceiling, bound = _codegree_ceiling(t, delta)
     simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta)
-    found = []
-    for x, y, d in core.codegree_pairs():
-        if d >= k_ceiling:  # the integer reading the construction supports
-            s = core.codegree_thirds(x, y)
-            cert = _cert_via_links(h, x, y, s, t, simultaneous)
-            found.append(((x, y), d, bound, cert))
-    return f"bound {bound:.4f}", found
+    # the ceiling is the integer reading the construction supports
+    return f"bound {bound:.4f}", _codegree_cap(h, core, t, k_ceiling, bound, simultaneous)
 
 
 def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):

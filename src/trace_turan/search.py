@@ -36,13 +36,9 @@ import time
 from dataclasses import dataclass, field
 
 from .canon import _twin_classes, canonical_form, is_canonical_labeling
-from .hypergraph import Hypergraph3
+from .hypergraph import CapExceeded, Hypergraph3
 from .indexing import Triple, all_triples, triple_index
 from .traces import _t_of, _trace_fits, _trace_through_edge
-
-
-class CapExceeded(ValueError):
-    """Requested size is beyond a fixed exact-computation cap."""
 
 
 @dataclass
@@ -267,14 +263,12 @@ def turan_search(n: int, t: int) -> SearchResult:
 
     best = -1
     witnesses: list[Hypergraph3] = []
-    nodes = 0
     h = Hypergraph3(n)
 
     # returns, as a bitmask of edge indices, every edge this subtree found
     # trace-free when added; each is also trace-free added to this node alone
     def rec(last_idx: int, automorphisms: list[list[int]], classes: list[list[int]]) -> int:
-        nonlocal best, nodes, witnesses
-        nodes += 1
+        nonlocal best, witnesses
         m = h.edge_count
         if m > best:
             best = m
@@ -295,7 +289,6 @@ def turan_search(n: int, t: int) -> SearchResult:
             if _automorphism_lowers(automorphisms, e):
                 stats["automorphism_skips"] += 1
                 continue
-            stats["tried"] += 1
             if not free >> idx & 1 and _trace_through_edge(h, e, t) is not None:
                 stats["trace_rejects"] += 1
                 continue
@@ -312,7 +305,9 @@ def turan_search(n: int, t: int) -> SearchResult:
         return free
 
     rec(-1, [], _twin_classes(h))
-    return SearchResult(n, t, best, witnesses, nodes, time.perf_counter() - start, stats)
+    stats["tried"] = stats["trace_rejects"] + stats["noncanon_rejects"] + stats["recursed"]
+    # every node but the root was recursed into
+    return SearchResult(n, t, best, witnesses, stats["recursed"] + 1, time.perf_counter() - start, stats)
 
 
 # -- DIMACS export ----------------------------------------------------------

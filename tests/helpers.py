@@ -9,16 +9,17 @@ found by scanning 4-subsets, dominated sets by scanning all subsets, and the
 DIMACS formulas are decided by a tiny DPLL with unit propagation.  The edge
 partition, the link graphs and dominated sets are checked against their
 defining properties.  ``epsilon_interval`` re-types the library's ε over
-outward-rounded intervals, as a certified reference for ``epsilon``.  The
-one exception is ``loads_graph``: no command reads a graph file, so the
-reader of the text that ``dumps_graph`` writes lives here, on the library's
-line parser, and returns the one ``Graph`` type on ``range(n)``.  That line
-parser is checked against ``reference_loads_edge_lines``, a frozen copy of
-the earlier token-by-token reader.  ``leaf_candidates`` is a frozen copy
-of the library's earlier per-pair candidate builder, the reference for
-``contains_trace``'s row sweep.  ``incremental_certificate`` is a
-library wrapper too: the library's incremental check returns a pair and
-leaves, and tests that compare certificates build one from them.
+outward-rounded intervals, as a certified reference for ``epsilon``.
+``reference_loads_edge_lines`` is a frozen copy of the earlier
+token-by-token edge-line reader, for any number of vertices per line; the
+library's ``loads_hypergraph`` must match it at three.  No command reads a
+graph file, so ``loads_graph``, the reader of the text that ``dumps_graph``
+writes, lives here on that frozen reader and returns the one ``Graph`` type
+on ``range(n)``.  ``leaf_candidates`` is a frozen copy of the library's
+earlier per-pair candidate builder, the reference for ``contains_trace``'s
+row sweep.  ``incremental_certificate`` is a library wrapper: the
+library's incremental check returns a pair and leaves, and tests that
+compare certificates build one from them.
 ``brute_force_ex_c4`` computes the graph numbers ex(n, C4) by branch and
 bound over edge sets.  ``reference_turan_oracle`` is a frozen copy of the
 library's earlier oracle, which dedupes the masks it reaches at the best
@@ -51,7 +52,7 @@ from trace_turan import (
     link_graph,
     polarity_graph,
 )
-from trace_turan.hypergraph import _as_triple, loads_edge_lines
+from trace_turan.hypergraph import _as_triple
 from trace_turan.indexing import Triple, all_triples, edge_indices
 
 
@@ -482,21 +483,9 @@ def verify_degree_inequality(h: Hypergraph3, x: int, s: Iterable[int], y: int) -
     return DegreeInequalityReport(not failures, failures)
 
 
-def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
-    u, v = edge
-    if v in g.neighbors(u):
-        raise ValueError(f"duplicate edge {edge}")
-    g.add_edge(u, v)
-
-
-def loads_graph(text: str) -> Graph:
-    """Read the graph text format that ``dumps_graph`` writes."""
-    return loads_edge_lines(text, 2, lambda n: Graph(range(n)), _add_new_edge)
-
-
 # The edge-line reader as it was before it read each line by one pattern
 # match: token by token, with str.split.  Frozen as the reference that
-# ``loads_edge_lines`` must match, result for result and error for error.
+# ``loads_hypergraph`` must match, result for result and error for error.
 
 T = TypeVar("T")
 
@@ -553,6 +542,18 @@ def reference_loads_edge_lines(
     if seen != m:
         raise FormatError(f"header promised {m} edges, found {seen}")
     return obj
+
+
+def _add_new_edge(g: Graph, edge: tuple[int, ...]) -> None:
+    u, v = edge
+    if v in g.neighbors(u):
+        raise ValueError(f"duplicate edge {edge}")
+    g.add_edge(u, v)
+
+
+def loads_graph(text: str) -> Graph:
+    """Read the graph text format that ``dumps_graph`` writes."""
+    return reference_loads_edge_lines(text, 2, lambda n: Graph(range(n)), _add_new_edge)
 
 
 def four_subset_has_c4(g: Graph) -> bool:

@@ -6,6 +6,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -365,13 +366,16 @@ def test_bounds_refuses_a_range_without_an_integer(capsys):
         (("construct", "greedy", "--n", "-1", "--t", "2"), 2,
          "refused: vertex count must be nonnegative"),
         (("search", "--n", "13", "--t", "2"), 2, "refused: search capped at n <= 12,"),
+        (("search", "--n", "7", "--t", "2", "--oracle"), 2, "refused: oracle handles n <= 6,"),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):
     missing = str(tmp_path / "missing.hg")
     present = str(tmp_path / "present.hg")
     write_hypergraph(Hypergraph3(5, [(0, 1, 2)]), present)
+    start = time.perf_counter()
     got, out, err = run(capsys, *(a.format(missing=missing, present=present) for a in argv))
+    assert time.perf_counter() - start < 2
     assert got == code
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1

@@ -108,8 +108,14 @@ def test_equality_is_by_vertex_count_and_edges():
         (lambda: Graph(range(3)).add_loop(3), "loop vertex 3 not in vertex set"),
         (lambda: Graph(range(3)).add_loop(0, -1), "loop multiplicity must be nonnegative"),
         (lambda: neighborhoods(Hypergraph3(4), 4), "vertex 4 out of range"),
+        (lambda: Graph(range(3)).add_edge(1, 1), "use add_loop for loops"),
+        (lambda: Graph(range(3)).add_edge(0, 3), r"edge \(0, 3\) leaves the vertex set"),
+        (lambda: Graph(range(3)).neighbors(3), "vertex 3 not in vertex set"),
     ],
-    ids=["negative-n", "remove-absent", "loop-outside", "loop-negative", "neighborhoods-outside"],
+    ids=[
+        "negative-n", "remove-absent", "loop-outside", "loop-negative", "neighborhoods-outside",
+        "graph-loop-edge", "graph-edge-outside", "graph-neighbors-outside",
+    ],
 )
 def test_out_of_domain_input_is_refused(refused, message):
     with pytest.raises(ValueError, match=message):

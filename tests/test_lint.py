@@ -283,7 +283,7 @@ def unnamed_caps(caps: list[str], readme: str) -> list[str]:
 
 def test_cap_finder_sees_leftovers():
     source = (
-        "from .search import CapExceeded\n"
+        "from .hypergraph import CapExceeded\n"
         "N_CAP = 3\n"
         "T_CAP = 4\n"
         "WITNESS_CAP = 100\n"
