@@ -339,11 +339,11 @@ def neighborhoods(h: Hypergraph3, v: int) -> tuple[set[int], set[int]]:
     return n1, n2
 
 
-def eu_vu(h: Hypergraph3, v: int, u: int) -> tuple[set[Triple], set[int]]:
-    """Edges meeting N1(v) exactly in {u}, and the distance-2 vertices they cover."""
-    n1, n2 = neighborhoods(h, v)
+def eu_vu(h: Hypergraph3, u: int, n1: set[int], n2: set[int]) -> tuple[set[Triple], set[int]]:
+    """Edges meeting N1(v) exactly in {u}, and the distance-2 vertices they
+    cover; ``(n1, n2)`` is ``neighborhoods(h, v)``."""
     if u not in n1:
-        raise ValueError(f"{u} is not a distance-1 neighbor of {v}")
+        raise ValueError(f"{u} is not a distance-1 neighbor")
     eu = {e for e in h._edges if u in e and sum(1 for w in e if w in n1) == 1}
     vu = {w for e in eu for w in e if w in n2}
     return eu, vu

@@ -86,15 +86,17 @@ def trace_templates(n: int, t: int) -> list[frozenset[int]]:
 
 
 def _templates_by_edge(n: int, t: int) -> tuple[int, list[list[int]]]:
-    """Per-edge list of residual masks: template minus that edge, as bits."""
+    """Per-edge list of residual masks: each template minus its largest
+    edge, as bits, filed under that edge.  The oracle includes edges in
+    index order, so a template can only be completed by its largest edge."""
     total = len(all_triples(n))
     by_edge: list[list[int]] = [[] for _ in range(total)]
     for tmpl in trace_templates(n, t):
         mask = 0
         for idx in tmpl:
             mask |= 1 << idx
-        for idx in tmpl:
-            by_edge[idx].append(mask & ~(1 << idx))
+        top = max(tmpl)
+        by_edge[top].append(mask & ~(1 << top))
     return total, by_edge
 
 

@@ -323,20 +323,20 @@ def test_neighborhoods_ignores_other_component():
 
 def test_eu_vu_basic():
     h = Hypergraph3(5, [(0, 1, 2), (1, 3, 4)])
-    eu, vu = eu_vu(h, 0, 1)
+    eu, vu = eu_vu(h, 1, *neighborhoods(h, 0))
     assert eu == {(1, 3, 4)} and vu == {3, 4}
 
 
 def test_eu_vu_excludes_double_meeting():
     h = Hypergraph3(4, [(0, 1, 2), (1, 2, 3)])
-    eu, vu = eu_vu(h, 0, 1)
+    eu, vu = eu_vu(h, 1, *neighborhoods(h, 0))
     assert not eu and not vu
 
 
 def test_eu_vu_requires_neighbor():
     h = Hypergraph3(5, [(0, 1, 2)])
     with pytest.raises(ValueError):
-        eu_vu(h, 0, 3)
+        eu_vu(h, 3, *neighborhoods(h, 0))
 
 
 def test_eu_vu_disjointness_and_expansion():
@@ -348,10 +348,10 @@ def test_eu_vu_disjointness_and_expansion():
             continue
         k = h.max_codegree()
         v = rng.randrange(7)
-        n1, _ = neighborhoods(h, v)
+        n1, n2 = neighborhoods(h, v)
         seen = set()
         for u in sorted(n1):
-            eu, vu = eu_vu(h, v, u)
+            eu, vu = eu_vu(h, u, n1, n2)
             assert not (eu & seen)
             seen |= eu
             assert len(vu) * k >= 2 * len(eu)
@@ -375,7 +375,7 @@ def test_shells_match_reference_on_seeded_corpus():
             n1, n2 = neighborhoods(h, v)
             assert (n1, n2) == reference_neighborhoods(h, v), (h, v)
             for u in sorted(n1):
-                assert eu_vu(h, v, u) == reference_eu_vu(h, v, u), (h, v, u)
+                assert eu_vu(h, u, n1, n2) == reference_eu_vu(h, v, u), (h, v, u)
                 shells += 1
     assert shells > 2000
 

@@ -19,7 +19,7 @@ from trace_turan import (
     verify_certificate,
     write_hypergraph,
 )
-from trace_turan import cli, lemma_checks
+from trace_turan import cli, hypergraph, lemma_checks
 from trace_turan.cli import main
 from trace_turan.lemma_checks import CERTIFIED
 
@@ -190,10 +190,11 @@ def test_dense_complete_instance_all_violations_certified(detector_calls):
     assert total > 0
 
 
-def test_shell_pair_overlap_reads_n1_off_the_edge(monkeypatch):
+def test_shells_compute_each_neighbourhood_once(monkeypatch):
     # on the complete K^(3)_15 every co-degree is 13 <= delta, so the dense
-    # core is empty; shell-size-floor and shell-sum each take N1(v) once per
-    # vertex, and shell-pair-overlap reads its N1 membership off the edge
+    # core is empty; shell-size-floor and shell-sum take N1/N2 once per
+    # vertex (15 + 15) and shell-pair-overlap once per (edge, vertex)
+    # (455 * 3); eu_vu takes the pair from its caller and computes none
     calls = []
 
     def counted(h, v):
@@ -201,8 +202,9 @@ def test_shell_pair_overlap_reads_n1_off_the_edge(monkeypatch):
         return neighborhoods(h, v)
 
     monkeypatch.setattr(lemma_checks, "neighborhoods", counted)
+    monkeypatch.setattr(hypergraph, "neighborhoods", counted)
     lemma_status_report(Hypergraph3(15, itertools.combinations(range(15), 3)), 2, 14)
-    assert len(calls) == 30
+    assert len(calls) == 1395
 
 
 def test_higher_t_skips_c4_only_checks():

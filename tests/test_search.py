@@ -83,6 +83,20 @@ def test_no_template_without_room_for_a_trace():
     ]
 
 
+@pytest.mark.parametrize("n,t", [(5, 2), (6, 2), (6, 3)])
+def test_templates_filed_once_under_their_largest_edge(n, t):
+    total, by_edge = search_module._templates_by_edge(n, t)
+    assert total == len(all_triples(n))
+    filed = sorted(
+        tuple(sorted({idx for idx in range(top) if res >> idx & 1} | {top}))
+        for top, residuals in enumerate(by_edge)
+        for res in residuals
+        if not res >> top  # every residual bit is below its edge
+    )
+    assert sum(map(len, by_edge)) == len(filed)
+    assert filed == sorted(tuple(sorted(tmpl)) for tmpl in trace_templates(n, t))
+
+
 # -- oracle ----------------------------------------------------------------------
 
 
