@@ -341,10 +341,20 @@ def neighborhoods(h: Hypergraph3, v: int) -> tuple[set[int], set[int]]:
 
 def eu_vu(h: Hypergraph3, u: int, n1: set[int], n2: set[int]) -> tuple[set[Triple], set[int]]:
     """Edges meeting N1(v) exactly in {u}, and the distance-2 vertices they
-    cover; ``(n1, n2)`` is ``neighborhoods(h, v)``."""
+    cover; ``(n1, n2)`` is ``neighborhoods(h, v)``.
+
+    Only u's link row is read: such an edge is {u, a, b} with partner a and
+    third b both outside N1(v), so a partner in N1(v) is skipped with its
+    whole third set."""
     if u not in n1:
         raise ValueError(f"{u} is not a distance-1 neighbor")
-    eu = {e for e in h._edges if u in e and sum(1 for w in e if w in n1) == 1}
+    eu = {
+        tuple(sorted((u, a, b)))
+        for a, thirds in h._link.get(u, _NO_LINK).items()
+        if a not in n1
+        for b in thirds
+        if a < b and b not in n1
+    }
     vu = {w for e in eu for w in e if w in n2}
     return eu, vu
 

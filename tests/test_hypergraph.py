@@ -333,6 +333,34 @@ def test_eu_vu_excludes_double_meeting():
     assert not eu and not vu
 
 
+def test_eu_vu_sorts_each_edge_through_u_by_kind():
+    # v = 0, u = 1, N1 = {1, 2, 3, 4}, N2 = {5, 6, 7}; through u: {u, v, b},
+    # {u, a, b} with a = 3 in N1, and {u, a, b} with a, b in N2
+    h = Hypergraph3(8, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (1, 6, 7)])
+    n1, n2 = neighborhoods(h, 0)
+    assert (n1, n2) == ({1, 2, 3, 4}, {5, 6, 7})
+    assert eu_vu(h, 1, n1, n2) == ({(1, 6, 7)}, {6, 7})
+
+
+class _UnscannableEdges(set):
+    def __iter__(self):
+        raise AssertionError("the edge list was scanned")
+
+
+def test_eu_vu_reads_only_the_link_index():
+    rng = random.Random(34)
+    for _ in range(20):
+        h = random_hypergraph(rng.randint(5, 12), rng.choice((0.1, 0.3)), rng)
+        expected = {}
+        for v in range(h.n):
+            n1, n2 = neighborhoods(h, v)
+            for u in n1:
+                expected[v, u] = (n1, n2, reference_eu_vu(h, v, u))
+        h._edges = _UnscannableEdges(h._edges)
+        for (v, u), (n1, n2, shell) in expected.items():
+            assert eu_vu(h, u, n1, n2) == shell, (v, u)
+
+
 def test_eu_vu_requires_neighbor():
     h = Hypergraph3(5, [(0, 1, 2)])
     with pytest.raises(ValueError):
