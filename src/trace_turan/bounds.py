@@ -138,7 +138,7 @@ class DerivationPoint:
 POINTS_CAP = 10_000
 
 
-def log_grid(lo: float = 14.0, hi: float = 1e6, points: int = 1000) -> list[int]:
+def log_grid(lo: float, hi: float, points: int) -> list[int]:
     """At least ``points`` distinct integer t values log-spread over [lo, hi].
 
     When the range holds no more than ``points`` integers, that is all of
@@ -167,7 +167,7 @@ def log_grid(lo: float = 14.0, hi: float = 1e6, points: int = 1000) -> list[int]
         m = m * 13 // 10 + 1
 
 
-def derivation_check(t_values: Iterable[int] | None = None) -> list[DerivationPoint]:
+def derivation_check(t_values: Iterable[int]) -> list[DerivationPoint]:
     """Certify three_term(g = sqrt(t ln t)/7) <= single-formula bound per t.
 
     Compares outward-rounded interval expressions, so a True verdict is a
@@ -175,7 +175,7 @@ def derivation_check(t_values: Iterable[int] | None = None) -> list[DerivationPo
     factor cancels; the comparison is between coefficient intervals.
     """
     out = []
-    for t in t_values if t_values is not None else log_grid():
+    for t in t_values:
         ti = Interval.point(float(t))
         g = _g(ti)
         # Only the lower domain side matters for the comparison; the upper

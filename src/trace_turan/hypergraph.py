@@ -339,13 +339,15 @@ def neighborhoods(h: Hypergraph3, v: int) -> tuple[set[int], set[int]]:
     return n1, n2
 
 
-def eu_vu(h: Hypergraph3, u: int, n1: set[int], n2: set[int]) -> tuple[set[Triple], set[int]]:
+def eu_vu(h: Hypergraph3, u: int, n1: set[int]) -> tuple[set[Triple], set[int]]:
     """Edges meeting N1(v) exactly in {u}, and the distance-2 vertices they
-    cover; ``(n1, n2)`` is ``neighborhoods(h, v)``.
+    cover; ``n1`` is N1(v), the first set of ``neighborhoods(h, v)``.
 
     Only u's link row is read: such an edge is {u, a, b} with partner a and
     third b both outside N1(v), so a partner in N1(v) is skipped with its
-    whole third set."""
+    whole third set.  Neither a nor b is v, whose edges lie inside
+    N1(v) + v, and both share an edge with u, so both are at distance 2:
+    V_u is every vertex of E_u other than u."""
     if u not in n1:
         raise ValueError(f"{u} is not a distance-1 neighbor")
     eu = {
@@ -355,7 +357,7 @@ def eu_vu(h: Hypergraph3, u: int, n1: set[int], n2: set[int]) -> tuple[set[Tripl
         for b in thirds
         if a < b and b not in n1
     }
-    vu = {w for e in eu for w in e if w in n2}
+    vu = {w for e in eu for w in e if w != u}
     return eu, vu
 
 

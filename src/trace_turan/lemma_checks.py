@@ -147,8 +147,8 @@ def _cert_common_neighborhood(hb: Hypergraph3, x: int, y: int) -> TraceCertifica
 def _shell_sets(g: Hypergraph3, v: int) -> dict[int, set[int]]:
     """V_u for each u in N1(v), in ascending u: the distance-2 vertices
     covered by the edges meeting N1(v) exactly in {u}."""
-    n1, n2 = neighborhoods(g, v)
-    return {u: eu_vu(g, u, n1, n2)[1] for u in sorted(n1)}
+    n1, _ = neighborhoods(g, v)
+    return {u: eu_vu(g, u, n1)[1] for u in sorted(n1)}
 
 
 def _cert_shell_overlap(hb: Hypergraph3, v: int) -> TraceCertificate | None:
@@ -278,9 +278,9 @@ def _shell_pair_overlap(h: Hypergraph3, hb: Hypergraph3, t: int, delta: int):
     for e in hb.edges:
         for v in e:
             u, w = (a for a in e if a != v)  # both in N1(v): e is an edge of hb
-            n1, n2 = neighborhoods(hb, v)
-            _, vu = eu_vu(hb, u, n1, n2)
-            _, vw = eu_vu(hb, w, n1, n2)
+            n1, _ = neighborhoods(hb, v)
+            _, vu = eu_vu(hb, u, n1)
+            _, vw = eu_vu(hb, w, n1)
             overlap = vu & vw
             if len(overlap) > 7:
                 cert = _cert_common_neighborhood(hb, u, w)

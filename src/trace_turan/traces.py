@@ -247,9 +247,9 @@ def contains_trace(
     ``_choose_leaves``, and the first leaves found give
     ``least_third_certificate``.
 
-    The optional wall-clock budget is checked once per row that has a later
-    partner and once per leaf decision: a forced leaf set or a leaf-search
-    step.  So a zero budget times out as soon as such a row is scanned.
+    The optional wall-clock budget is checked once per support row and once
+    per leaf decision: a forced leaf set or a leaf-search step.  So a zero
+    budget times out as soon as the first row is scanned.
     Running out raises SearchTimeout, so a timeout is never mistaken for
     trace-freeness; a budget that is not a finite number >= 0 raises
     ValueError.
@@ -266,7 +266,6 @@ def contains_trace(
     rows: dict[int, tuple[list[int], list[tuple[int, AbstractSet[int]]]]] = {}
     for x in h.support():
         cands_of: dict[int, list[_Candidate]] = {}  # partner y -> candidates
-        partner = False
         for u, sa in link[x].items():
             r = rows.get(u)
             if r is None:
@@ -276,7 +275,6 @@ def contains_trace(
             k = bisect_right(ys, x)
             if k == len(ys):
                 continue
-            partner = True
             la = len(sa)
             for y, sb in row[k:]:
                 na = la - (y in sa)
@@ -287,8 +285,7 @@ def contains_trace(
                         cands_of[y].append(c)
                     else:
                         cands_of[y] = [c]
-        if partner:
-            _check_deadline(deadline)
+        _check_deadline(deadline)
         for y in sorted(y for y, cands in cands_of.items() if len(cands) >= t):
             leaves = _choose_leaves(x, y, t, cands_of[y], deadline)
             if leaves is not None:

@@ -113,7 +113,7 @@ def test_check_zero_budget_exits_2_in_the_pair_scan(tmp_path, capsys):
 
 def test_check_walks_only_the_support_of_a_huge_vertex_range(tmp_path, capsys):
     # one edge among 10**8 labels: the scan takes its rows from the support,
-    # and the one row with a later partner still checks a zero budget
+    # and its first row checks a zero budget
     path = tmp_path / "huge.hg"
     path.write_text("100000000 1\n0 1 2\n", encoding="ascii")
     assert run(capsys, "check", "--file", str(path), "--t", "2") == (0, "trace-free\n", "")

@@ -323,13 +323,13 @@ def test_neighborhoods_ignores_other_component():
 
 def test_eu_vu_basic():
     h = Hypergraph3(5, [(0, 1, 2), (1, 3, 4)])
-    eu, vu = eu_vu(h, 1, *neighborhoods(h, 0))
+    eu, vu = eu_vu(h, 1, neighborhoods(h, 0)[0])
     assert eu == {(1, 3, 4)} and vu == {3, 4}
 
 
 def test_eu_vu_excludes_double_meeting():
     h = Hypergraph3(4, [(0, 1, 2), (1, 2, 3)])
-    eu, vu = eu_vu(h, 1, *neighborhoods(h, 0))
+    eu, vu = eu_vu(h, 1, neighborhoods(h, 0)[0])
     assert not eu and not vu
 
 
@@ -339,7 +339,7 @@ def test_eu_vu_sorts_each_edge_through_u_by_kind():
     h = Hypergraph3(8, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (1, 6, 7)])
     n1, n2 = neighborhoods(h, 0)
     assert (n1, n2) == ({1, 2, 3, 4}, {5, 6, 7})
-    assert eu_vu(h, 1, n1, n2) == ({(1, 6, 7)}, {6, 7})
+    assert eu_vu(h, 1, n1) == ({(1, 6, 7)}, {6, 7})
 
 
 class _UnscannableEdges(set):
@@ -353,18 +353,18 @@ def test_eu_vu_reads_only_the_link_index():
         h = random_hypergraph(rng.randint(5, 12), rng.choice((0.1, 0.3)), rng)
         expected = {}
         for v in range(h.n):
-            n1, n2 = neighborhoods(h, v)
+            n1, _ = neighborhoods(h, v)
             for u in n1:
-                expected[v, u] = (n1, n2, reference_eu_vu(h, v, u))
+                expected[v, u] = (n1, reference_eu_vu(h, v, u))
         h._edges = _UnscannableEdges(h._edges)
-        for (v, u), (n1, n2, shell) in expected.items():
-            assert eu_vu(h, u, n1, n2) == shell, (v, u)
+        for (v, u), (n1, shell) in expected.items():
+            assert eu_vu(h, u, n1) == shell, (v, u)
 
 
 def test_eu_vu_requires_neighbor():
     h = Hypergraph3(5, [(0, 1, 2)])
     with pytest.raises(ValueError):
-        eu_vu(h, 3, *neighborhoods(h, 0))
+        eu_vu(h, 3, neighborhoods(h, 0)[0])
 
 
 def test_eu_vu_disjointness_and_expansion():
@@ -376,10 +376,10 @@ def test_eu_vu_disjointness_and_expansion():
             continue
         k = h.max_codegree()
         v = rng.randrange(7)
-        n1, n2 = neighborhoods(h, v)
+        n1, _ = neighborhoods(h, v)
         seen = set()
         for u in sorted(n1):
-            eu, vu = eu_vu(h, u, n1, n2)
+            eu, vu = eu_vu(h, u, n1)
             assert not (eu & seen)
             seen |= eu
             assert len(vu) * k >= 2 * len(eu)
@@ -403,9 +403,23 @@ def test_shells_match_reference_on_seeded_corpus():
             n1, n2 = neighborhoods(h, v)
             assert (n1, n2) == reference_neighborhoods(h, v), (h, v)
             for u in sorted(n1):
-                assert eu_vu(h, u, n1, n2) == reference_eu_vu(h, v, u), (h, v, u)
+                assert eu_vu(h, u, n1) == reference_eu_vu(h, v, u), (h, v, u)
                 shells += 1
     assert shells > 2000
+
+
+def test_shell_vertices_are_the_edges_vertices_other_than_u():
+    # an edge {u, a, b} of E_u has a, b outside N1(v) + v and shares an
+    # edge with u, so a, b are at distance 2: V_u needs no N2 filter
+    triples16 = list(itertools.combinations(range(16), 3))
+    random16 = Hypergraph3(16, random.Random(16).sample(triples16, 168))
+    for h in (*shell_corpus(), random16):
+        for v in range(h.n):
+            n1, n2 = neighborhoods(h, v)
+            for u in n1:
+                eu, vu = eu_vu(h, u, n1)
+                assert vu == {w for e in eu for w in e} - {u}, (h, v, u)
+                assert vu <= n2, (h, v, u)
 
 
 # -- text format ---------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_shells_compute_each_neighbourhood_once(monkeypatch):
     # on the complete K^(3)_15 every co-degree is 13 <= delta, so the dense
     # core is empty; shell-size-floor and shell-sum take N1/N2 once per
     # vertex (15 + 15) and shell-pair-overlap once per (edge, vertex)
-    # (455 * 3); eu_vu takes the pair from its caller and computes none
+    # (455 * 3); eu_vu takes N1 from its caller and computes none
     calls = []
 
     def counted(h, v):

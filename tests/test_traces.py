@@ -183,6 +183,17 @@ def test_zero_budget_times_out_in_the_pair_scan():
         contains_trace(h, 3, time_budget=0.0)
 
 
+def test_scan_checks_the_deadline_once_per_support_row(monkeypatch):
+    # at t = n - 3 no pool of the trace-free lift reaches t, so no leaf
+    # decision runs and every check comes from the scan, rows without a
+    # later partner included
+    h = relabelled_lift(5)
+    calls = []
+    monkeypatch.setattr(traces, "_check_deadline", calls.append)
+    assert contains_trace(h, h.n - 3, time_budget=60.0) is None
+    assert len(calls) == len(h.support())
+
+
 def test_scan_takes_rows_from_the_support_only():
     # one edge among 10**8 labels: the scan must not walk the isolated ones
     start = time.monotonic()
