@@ -47,7 +47,6 @@ from .lemma_checks import (
 )
 from .search import (
     SearchResult,
-    export_cnf,
     trace_templates,
     turan_oracle,
     turan_search,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -187,12 +188,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     both return the code instead of raising SystemExit.  ValueError
     (CapExceeded among them) exits 2, FormatError and OSError exit 3;
     nothing else is caught, so a genuine bug still shows its traceback.
+    An ``--output`` that cannot be written fails before the work starts.
     """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
+        if args.output:  # fail as the write would, before the work
+            existed = os.path.exists(args.output)
+            open(args.output, "a").close()
+            if not existed:
+                os.remove(args.output)
         return args.handler(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

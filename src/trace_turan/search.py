@@ -9,30 +9,23 @@ Two independent routes to the same number:
   the masks at the best in batches, so an interim best costs no test;
 * ``turan_search`` -- orderly generation (Read 1978): grow
   canonically-labeled trace-free hypergraphs one colex-larger edge at a
-  time, rejecting non-canonical children and pruning with the incremental
-  trace check of ``traces`` (``_trace_through_edge``: a trace's pair and
-  leaves through the new edge, or None; sound as the parent is trace-free),
-  capped at n <= 12.  The check reads the parent alone, before the child
-  edge is added, so only trace-free children are added, tested for
-  canonicity and removed again.  ``SearchResult.stats`` counts what became
-  of each child.
-  Traces are monotone under adding edges, so a child edge found trace-free
-  below a sibling is trace-free at the parent too, and the parent skips
-  the check for it.  A child edge f that an automorphism of the parent
-  maps to a colex-smaller edge is skipped unadded: the child is
-  isomorphic to one with a smaller index sequence and is not canonical.
-  The automorphisms read are the transpositions of twins and the ones the
-  parent's own canonicity test found.
-
-``export_cnf`` emits a DIMACS formula satisfiable iff a trace-free
-hypergraph with the requested edge count exists, for external cross-checks
-of both routes.
+  time, rejecting non-canonical children, capped at n <= 12.  Each node
+  first marks the later triples that close a trace (``_dead_past``, on the
+  incremental check ``_trace_through_edge`` of ``traces``), then stops its
+  children once its edges plus the alive triples left cannot reach the
+  best.  A child edge that an automorphism of the node maps to a
+  colex-smaller edge is skipped unadded: the child is isomorphic to one
+  with a smaller index sequence and is not canonical.  The automorphisms
+  read are the transpositions of twins and the ones the node's own
+  canonicity test found.  ``SearchResult.stats`` counts what became of
+  each child.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .canon import _twin_classes, canonical_form, is_canonical_labeling
@@ -50,9 +43,10 @@ class SearchResult:
     nodes_explored: int
     elapsed: float
     # turan_search's run counts: child edges the twin and automorphism rules
-    # skip unadded (twin_skips, automorphism_skips), and the children tried,
-    # each rejected by the trace check, rejected as non-canonical or
-    # recursed into; the oracle keeps none
+    # skip unadded (twin_skips, automorphism_skips), the children tried,
+    # each dead (trace_rejects), rejected as non-canonical or recursed into,
+    # and the child edges past a node's alive bound (bound_cuts); the
+    # oracle keeps none
     stats: dict[str, int] = field(default_factory=dict)
 
 
@@ -210,6 +204,58 @@ def _automorphism_lowers(automorphisms: list[list[int]], e: Triple) -> bool:
     return False
 
 
+def _lower_images(below: list[int], automorphisms: list[list[int]], e: Triple) -> Iterator[int]:
+    """The indices of the colex-smaller triples that a twin swap, read from
+    below, or a permutation in automorphisms maps e to."""
+    a, b, c = e
+    inside = 1 << a | 1 << b | 1 << c
+    for v in e:
+        lower = below[v] & ~inside
+        while lower:
+            w = (lower & -lower).bit_length() - 1
+            lower &= lower - 1
+            yield triple_index(*(w if u == v else u for u in e))
+    for p in automorphisms:
+        image = sorted((p[a], p[b], p[c]), reverse=True)
+        if image < [c, b, a]:
+            yield triple_index(*image)
+
+
+def _dead_past(
+    h: Hypergraph3,
+    t: int,
+    triples: tuple[Triple, ...],
+    last_idx: int,
+    dead: int,
+    below: list[int],
+    automorphisms: list[list[int]],
+) -> int:
+    """dead, a bitmask of triple indices, plus every triple past last_idx
+    that closes a trace when added to h.
+
+    dead holds triples that closed one added to a subgraph of h, so they
+    still do: traces are monotone.  In ascending order, a triple e not in
+    dead takes the status of a colex-smaller image e* under a twin swap or
+    a permutation in automorphisms, all automorphisms of h, once that is
+    known, as it is when e* lies past last_idx (decided already) or in
+    dead; the automorphism maps h + e onto h + e*.  Otherwise one trace
+    check decides e.
+    """
+    for idx in range(last_idx + 1, len(triples)):
+        if dead >> idx & 1:
+            continue
+        for j in _lower_images(below, automorphisms, triples[idx]):
+            if dead >> j & 1:
+                dead |= 1 << idx
+                break
+            if j > last_idx:
+                break
+        else:
+            if _trace_through_edge(h, triples[idx], t) is not None:
+                dead |= 1 << idx
+    return dead
+
+
 def turan_search(n: int, t: int) -> SearchResult:
     """Exact maximum by isomorph-free orderly generation, for n <= 12.
 
@@ -218,30 +264,32 @@ def turan_search(n: int, t: int) -> SearchResult:
     states by strictly larger edges and keeping only canonical children
     visits each isomorphism class exactly once.
 
-    Each node returns the child edges its subtree proved trace-free.  If
-    h + f + ... + e is trace-free, so is its subgraph h + e, so a node
-    skips the trace check for any later child e that an earlier child's
-    subtree returned.  That child is still added, tested for canonicity
-    and recursed into in the same order, so nodes and witnesses do not
-    change.
+    Before a node h expands its children, ``_dead_past`` decides for every
+    triple e past h's last edge whether h + e has a trace ("dead").  Every
+    node below child e is h + e plus alive triples after e, so the children
+    stop, in index order, at the first whose alive triples from its own on
+    cannot bring h to the best (or only tie it with ``WITNESS_CAP`` classes
+    kept).  Such a subtree holds no node at the best, so the value and the
+    witnesses, in order, do not depend on the bound.
 
-    A child edge f is skipped before it is added, with neither check, when
-    some vertex v of f has a smaller twin w outside f in h.  The swap
-    (v w) is an automorphism of h, so it maps f to an edge f* outside h
-    with a smaller colex index, and h + f is isomorphic to h + f*, whose
-    sorted index sequence is smaller: h + f is not canonical.  Twin classes
-    are computed once per node: a child's, before its canonicity test, serve
-    that test and, if it passes, the child's own node.
+    A child edge f that is not dead is skipped before it is added, with no
+    canonicity test, when some vertex v of f has a smaller twin w outside f
+    in h.  The swap (v w) is an automorphism of h, so it maps f to an edge
+    f* outside h with a smaller colex index, and h + f is isomorphic to
+    h + f*, whose sorted index sequence is smaller: h + f is not canonical.
+    Twin classes are computed once per node: a child's, before its
+    canonicity test, serve that test and, if it passes, the child's own
+    node.
 
     The same holds for any automorphism of h that maps f to a colex-smaller
     edge, and the canonicity test that accepted h found some: every leaf of
     its decide-only walk is one.  The node keeps them and skips, after the
-    twin rule and again with neither check, each child edge one of them
+    twin rule and again with no canonicity test, each child edge one of them
     lowers.  Neither rule changes the children recursed into, so nodes and
     witnesses do not change.
 
-    The trace check runs before a child edge is added, so a child with a
-    trace is never added; the result's ``stats`` count each outcome.
+    A dead child is never added.  The result's ``stats`` count each
+    outcome; ``bound_cuts`` counts the child edges past a node's stop.
 
     When no trace fits (t > n - 3) every hypergraph is trace-free, and the
     search answers at once: value C(n, 3), the complete hypergraph as the
@@ -255,10 +303,8 @@ def turan_search(n: int, t: int) -> SearchResult:
     start = time.perf_counter()
     triples = all_triples(n)
     total = len(triples)
-    stats = dict.fromkeys(
-        ("tried", "twin_skips", "automorphism_skips", "trace_rejects", "noncanon_rejects", "recursed"),
-        0,
-    )
+    keys = "tried twin_skips automorphism_skips trace_rejects noncanon_rejects recursed bound_cuts"
+    stats = dict.fromkeys(keys.split(), 0)
     if not _trace_fits(n, t):
         complete = Hypergraph3(n, triples)
         return SearchResult(n, t, total, [complete], 1, time.perf_counter() - start, stats)
@@ -267,9 +313,10 @@ def turan_search(n: int, t: int) -> SearchResult:
     witnesses: list[Hypergraph3] = []
     h = Hypergraph3(n)
 
-    # returns, as a bitmask of edge indices, every edge this subtree found
-    # trace-free when added; each is also trace-free added to this node alone
-    def rec(last_idx: int, automorphisms: list[list[int]], classes: list[list[int]]) -> int:
+    # dead: the triples an ancestor found to close a trace added to it
+    def rec(
+        last_idx: int, dead: int, automorphisms: list[list[int]], classes: list[list[int]]
+    ) -> None:
         nonlocal best, witnesses
         m = h.edge_count
         if m > best:
@@ -277,13 +324,18 @@ def turan_search(n: int, t: int) -> SearchResult:
             witnesses = [h.copy()]
         elif m == best and len(witnesses) < WITNESS_CAP:
             witnesses.append(h.copy())
-        free = 0
         below = _smaller_twins(n, classes)
+        dead = _dead_past(h, t, triples, last_idx, dead, below, automorphisms)
+        alive = total - 1 - last_idx - bin(dead >> (last_idx + 1)).count("1")
         for idx in range(last_idx + 1, total):
-            if m + (total - idx) < best or (
-                m + (total - idx) == best and len(witnesses) >= WITNESS_CAP
-            ):
+            # every node below child idx is h plus alive edges from idx on
+            if m + alive < best or (m + alive == best and len(witnesses) >= WITNESS_CAP):
+                stats["bound_cuts"] += total - idx
                 break
+            if dead >> idx & 1:
+                stats["trace_rejects"] += 1
+                continue
+            alive -= 1
             e = triples[idx]
             if _twin_lowers(below, e):
                 stats["twin_skips"] += 1
@@ -291,84 +343,18 @@ def turan_search(n: int, t: int) -> SearchResult:
             if _automorphism_lowers(automorphisms, e):
                 stats["automorphism_skips"] += 1
                 continue
-            if not free >> idx & 1 and _trace_through_edge(h, e, t) is not None:
-                stats["trace_rejects"] += 1
-                continue
-            free |= 1 << idx
             h.add_edge(e)
             found: list[list[int]] = []
             twins = _twin_classes(h)
             if is_canonical_labeling(h, found, twins):
                 stats["recursed"] += 1
-                free |= rec(idx, found, twins)
+                rec(idx, dead, found, twins)
             else:
                 stats["noncanon_rejects"] += 1
             h.remove_edge(e)
-        return free
 
-    rec(-1, [], _twin_classes(h))
+    rec(-1, 0, [], _twin_classes(h))
     stats["tried"] = stats["trace_rejects"] + stats["noncanon_rejects"] + stats["recursed"]
     # every node but the root was recursed into
     return SearchResult(n, t, best, witnesses, stats["recursed"] + 1, time.perf_counter() - start, stats)
 
-
-# -- DIMACS export ----------------------------------------------------------
-
-CNF_CAP = 7
-
-
-def export_cnf(n: int, m: int, t: int, path: str) -> tuple[int, int]:
-    """Write a DIMACS CNF satisfiable iff some n-vertex trace-free
-    hypergraph has at least m edges.
-
-    One variable per triple; a sequential-counter cardinality constraint
-    keeps at least m of them true; every minimal trace configuration
-    contributes a blocking clause.  Returns (variables, clauses).
-    """
-    t = _t_of(t)
-    if n > CNF_CAP:
-        raise CapExceeded(f"CNF export handles n <= {CNF_CAP}, got n={n}")
-    total = len(all_triples(n))
-    clauses: list[list[int]] = []
-    num_vars = max(total, 1)
-
-    if m > total:
-        clauses.append([1])
-        clauses.append([-1])
-    elif m > 0:
-        k = total - m  # allowed number of excluded triples
-        if k == 0:
-            for v in range(1, total + 1):
-                clauses.append([v])
-        else:
-            # sequential counter bounding the excluded literals y_i = -x_i,
-            # so -y_i below denotes the positive edge variable i
-            def y(i: int) -> int:  # 1-based
-                return -i
-
-            s = {}
-            for i in range(1, total):
-                for j in range(1, k + 1):
-                    num_vars += 1
-                    s[i, j] = num_vars
-            clauses.append([-y(1), s[1, 1]])
-            for j in range(2, k + 1):
-                clauses.append([-s[1, j]])
-            for i in range(2, total):
-                clauses.append([-y(i), s[i, 1]])
-                clauses.append([-s[i - 1, 1], s[i, 1]])
-                for j in range(2, k + 1):
-                    clauses.append([-y(i), -s[i - 1, j - 1], s[i, j]])
-                    clauses.append([-s[i - 1, j], s[i, j]])
-                clauses.append([-y(i), -s[i - 1, k]])
-            clauses.append([-y(total), -s[total - 1, k]])
-
-    for tmpl in trace_templates(n, t):
-        clauses.append([-(idx + 1) for idx in sorted(tmpl)])
-
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"c trace-free existence: n={n} m={m} t={t}\n")
-        fh.write(f"p cnf {num_vars} {len(clauses)}\n")
-        for cl in clauses:
-            fh.write(" ".join(map(str, cl)) + " 0\n")
-    return num_vars, len(clauses)

@@ -24,7 +24,8 @@ compare certificates build one from them.
 bound over edge sets.  ``reference_turan_oracle`` is a frozen copy of the
 library's earlier oracle, which dedupes the masks it reaches at the best
 by canonical form; it shares the library's trace templates and
-``canonical_form``.
+``canonical_form``.  ``export_cnf`` writes the DIMACS formula that the DPLL
+decides, with one blocking clause per library trace template.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Callable, Iterable, TypeVar
 
 from trace_turan import search as search_module
 from trace_turan import (
+    CapExceeded,
     EdgePartition,
     FormatError,
     Graph,
@@ -51,6 +53,7 @@ from trace_turan import (
     lift_to_trace_free,
     link_graph,
     polarity_graph,
+    trace_templates,
 )
 from trace_turan.hypergraph import _as_triple
 from trace_turan.indexing import Triple, all_triples, edge_indices
@@ -613,6 +616,66 @@ def max_dominated_subset(g: Graph) -> int:
         if len(d) > best and is_dominated(g, d):
             best = len(d)
     return best
+
+
+CNF_CAP = 7
+
+
+def export_cnf(n: int, m: int, t: int, path: str) -> tuple[int, int]:
+    """Write a DIMACS CNF satisfiable iff some n-vertex trace-free
+    hypergraph has at least m edges.
+
+    One variable per triple; a sequential-counter cardinality constraint
+    keeps at least m of them true; every minimal trace configuration
+    contributes a blocking clause.  Returns (variables, clauses).
+    """
+    t = search_module._t_of(t)
+    if n > CNF_CAP:
+        raise CapExceeded(f"CNF export handles n <= {CNF_CAP}, got n={n}")
+    total = len(all_triples(n))
+    clauses: list[list[int]] = []
+    num_vars = max(total, 1)
+
+    if m > total:
+        clauses.append([1])
+        clauses.append([-1])
+    elif m > 0:
+        k = total - m  # allowed number of excluded triples
+        if k == 0:
+            for v in range(1, total + 1):
+                clauses.append([v])
+        else:
+            # sequential counter bounding the excluded literals y_i = -x_i,
+            # so -y_i below denotes the positive edge variable i
+            def y(i: int) -> int:  # 1-based
+                return -i
+
+            s = {}
+            for i in range(1, total):
+                for j in range(1, k + 1):
+                    num_vars += 1
+                    s[i, j] = num_vars
+            clauses.append([-y(1), s[1, 1]])
+            for j in range(2, k + 1):
+                clauses.append([-s[1, j]])
+            for i in range(2, total):
+                clauses.append([-y(i), s[i, 1]])
+                clauses.append([-s[i - 1, 1], s[i, 1]])
+                for j in range(2, k + 1):
+                    clauses.append([-y(i), -s[i - 1, j - 1], s[i, j]])
+                    clauses.append([-s[i - 1, j], s[i, j]])
+                clauses.append([-y(i), -s[i - 1, k]])
+            clauses.append([-y(total), -s[total - 1, k]])
+
+    for tmpl in trace_templates(n, t):
+        clauses.append([-(idx + 1) for idx in sorted(tmpl)])
+
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"c trace-free existence: n={n} m={m} t={t}\n")
+        fh.write(f"p cnf {num_vars} {len(clauses)}\n")
+        for cl in clauses:
+            fh.write(" ".join(map(str, cl)) + " 0\n")
+    return num_vars, len(clauses)
 
 
 def parse_dimacs(path: str) -> tuple[int, list[list[int]]]:

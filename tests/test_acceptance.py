@@ -17,7 +17,6 @@ from trace_turan import (
     dominated_pair_min1,
     derivation_check,
     epsilon,
-    export_cnf,
     lemma_status_report,
     lift_to_trace_free,
     log_grid,
@@ -31,6 +30,7 @@ from trace_turan.lemma_checks import CERTIFIED
 from helpers import (
     dpll_satisfiable,
     epsilon_interval,
+    export_cnf,
     four_subset_has_c4,
     is_dominated,
     max_dominated_subset,

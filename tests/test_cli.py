@@ -367,19 +367,48 @@ def test_bounds_refuses_a_range_without_an_integer(capsys):
          "refused: vertex count must be nonnegative"),
         (("search", "--n", "13", "--t", "2"), 2, "refused: search capped at n <= 12,"),
         (("search", "--n", "7", "--t", "2", "--oracle"), 2, "refused: oracle handles n <= 6,"),
+        # the output path is checked before a search that would run for minutes
+        (("search", "--n", "12", "--t", "2", "--output", "{nowhere}"), 3, "file error: "),
     ],
 )
 def test_bad_input_exits_with_one_line(tmp_path, capsys, argv, code, prefix):
     missing = str(tmp_path / "missing.hg")
     present = str(tmp_path / "present.hg")
+    nowhere = str(tmp_path / "missing-dir" / "out.txt")
     write_hypergraph(Hypergraph3(5, [(0, 1, 2)]), present)
     start = time.perf_counter()
-    got, out, err = run(capsys, *(a.format(missing=missing, present=present) for a in argv))
+    argv = [a.format(missing=missing, present=present, nowhere=nowhere) for a in argv]
+    got, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 2
     assert got == code
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("search", "--n", "5", "--t", "1"), 2),
+        (("search", "--n", "13", "--t", "2"), 2),
+        (("check", "--file", "{missing}", "--t", "2"), 3),
+        (("verify", "--file", "{malformed}", "--t", "2"), 3),
+        (("bounds", "--t-range", "100:14"), 2),
+    ],
+)
+def test_a_failing_command_leaves_no_output_file(tmp_path, capsys, argv, code):
+    # the writability check removes what it opened, so a refusal or a bad
+    # input after it creates no file, and one already there keeps its text
+    paths = {"missing": str(tmp_path / "missing.hg"), "malformed": str(tmp_path / "bad.hg")}
+    (tmp_path / "bad.hg").write_text("not a hypergraph\n", encoding="ascii")
+    argv = [a.format(**paths) for a in argv]
+    fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+    kept.write_text("earlier output\n", encoding="ascii")
+    for target in (fresh, kept):
+        got, out, err = run(capsys, *argv, "--output", str(target))
+        assert (got, out) == (code, "") and err.count("\n") == 1
+    assert not fresh.exists()
+    assert kept.read_text(encoding="ascii") == "earlier output\n"
 
 
 # four edges through the fifth vertex 4 form a K_{2,2} trace on {0, 1 | 2, 3}

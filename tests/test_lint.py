@@ -181,7 +181,7 @@ def test_only_hypergraph_reads_the_private_indexes(path):
 
 
 # exports that only users call: no library module or bench file reads them
-PUBLIC_EXPORTS = {"export_cnf", "ratio_table"}
+PUBLIC_EXPORTS = {"ratio_table"}
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LIBRARY_AND_BENCH_READS = set().union(
     *(read_names(p.read_text(encoding="utf-8")) for p in [*MODULES, *BENCH.glob("*.py")])
@@ -301,5 +301,5 @@ def test_cap_finder_sees_leftovers():
 def test_every_size_cap_is_named_in_the_readme():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     caps = [cap for p in MODULES for cap in guarding_caps(p.read_text(encoding="utf-8"))]
-    assert "POINTS_CAP" in caps and "CNF_CAP" in caps
+    assert "POINTS_CAP" in caps and "SEARCH_CAP" in caps
     assert unnamed_caps(caps, readme) == []

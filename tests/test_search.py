@@ -15,7 +15,6 @@ from trace_turan import (
     canonical_form,
     contains_trace,
     contains_trace_naive,
-    export_cnf,
     incremental_trace_check,
     trace_templates,
     turan_oracle,
@@ -25,11 +24,13 @@ from trace_turan import (
 from trace_turan import search as search_module
 from trace_turan import traces as traces_module
 from trace_turan.canon import _twin_classes, is_canonical_labeling
-from trace_turan.indexing import all_triples, triple_index
+from trace_turan.indexing import all_triples, edge_indices, triple_index
+from trace_turan.traces import _trace_through_edge
 
 from helpers import (
     brute_force_ex_c4,
     dpll_satisfiable,
+    export_cnf,
     incremental_certificate,
     parse_dimacs,
     random_hypergraph,
@@ -295,7 +296,15 @@ def test_search_answers_a_t_with_no_room_at_once():
     assert [w.edges for w in result.witnesses] == [tuple(itertools.combinations(range(12), 3))]
     assert result.nodes_explored == 1
     assert result.stats == dict.fromkeys(
-        ("tried", "twin_skips", "automorphism_skips", "trace_rejects", "noncanon_rejects", "recursed"),
+        (
+            "tried",
+            "twin_skips",
+            "automorphism_skips",
+            "trace_rejects",
+            "noncanon_rejects",
+            "recursed",
+            "bound_cuts",
+        ),
         0,
     )
 
@@ -323,15 +332,15 @@ def test_search_deterministic(search_table):
 @pytest.mark.parametrize(
     "n, t, calls, accepts, nodes",
     [
-        pytest.param(7, 2, 631, 393, 394, id="7-2"),
-        pytest.param(6, 3, 229, 180, 181, id="6-3"),
+        pytest.param(7, 2, 476, 277, 278, id="7-2"),
+        pytest.param(6, 3, 188, 155, 156, id="6-3"),
     ],
 )
 def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
-    # every child that the twin and automorphism rules keep and that passes
-    # the trace check is tested once (770 and 257 calls without the
-    # automorphism rule, 1,257 and 359 without either), and each accept is
-    # one node below the empty root
+    # every child before the alive bound that is not dead and that the twin
+    # and automorphism rules keep is tested once (631 and 229 calls with the
+    # bound that counted every later triple, 770 and 257 with neither that
+    # nor the automorphism rule), and each accept is one node below the root
     counts = {"calls": 0, "accepts": 0}
 
     def counting(h, automorphisms=None, classes=None):
@@ -349,15 +358,16 @@ def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
 @pytest.mark.parametrize(
     "n, t, calls, expected",
     [
-        pytest.param(7, 2, 1787, (9, 394, 5, N7_T2_SHA256), id="7-2"),
-        pytest.param(6, 3, 266, (14, 181, 1, N6_T3_SHA256), id="6-3"),
+        pytest.param(7, 2, 1412, (9, 278, 5, N7_T2_SHA256), id="7-2"),
+        pytest.param(6, 3, 630, (14, 156, 1, N6_T3_SHA256), id="6-3"),
     ],
 )
-def test_search_skips_the_kernel_for_children_proved_trace_free(monkeypatch, n, t, calls, expected):
-    # 3,321 and 503 kernel calls when every child was tested, 2,812 and 350
-    # without the twin rule, 2,153 and 300 without the automorphism rule; a
-    # child edge trace-free over a sibling's larger hypergraph needs no
-    # second test, and a child either rule skips none
+def test_search_skips_the_kernel_for_triples_of_known_status(monkeypatch, n, t, calls, expected):
+    # each node's status pass checks only the triples past its last edge
+    # that no ancestor found dead and that have no colex-smaller image of
+    # known status (2,478 and 1,061 calls without the images); checking
+    # only the children that the bound counting every later triple let
+    # through took 1,787 and 266 calls, over 394 and 181 nodes
     count = 0
     kernel = search_module._trace_through_edge
 
@@ -406,23 +416,27 @@ def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t)
     result = turan_search(n, t)
     assert skipped > 0
     assert result.stats["twin_skips"] == skipped
-    assert result.nodes_explored == {(6, 2): 82, (6, 3): 181, (7, 2): 394}[n, t]
+    assert result.nodes_explored == {(6, 2): 69, (6, 3): 156, (7, 2): 278}[n, t]
 
 
 @pytest.mark.parametrize(
-    "n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips",
+    "n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips,"
+    " bound_cuts",
     [
-        pytest.param(7, 2, 1944, 1313, 238, 393, 958, 419, id="7-2"),
-        pytest.param(6, 3, 329, 100, 49, 180, 126, 48, id="6-3"),
+        pytest.param(7, 2, 1028, 552, 199, 277, 457, 101, 1962, id="7-2"),
+        pytest.param(6, 3, 246, 58, 33, 155, 96, 24, 741, id="6-3"),
     ],
 )
 def test_search_counts_its_children(
-    n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips
+    n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips,
+    bound_cuts,
 ):
-    # every child tried is rejected by the trace check, rejected as
-    # non-canonical or recursed into, and each recursion is a node below
-    # the root; the automorphism rule's skips are not tried (without it,
-    # (7, 2) tried 2,363 = 1,593 + 377 + 393 and (6, 3) 377 = 120 + 77 + 180)
+    # every child tried is dead (a trace reject, however its status was
+    # found), rejected as non-canonical or recursed into, and each recursion
+    # is a node below the root; neither rule's skips nor the child edges
+    # past the alive bound are tried (with the bound that counted every
+    # later triple, (7, 2) tried 1,944 = 1,313 + 238 + 393 and (6, 3)
+    # 329 = 100 + 49 + 180)
     result = turan_search(n, t)
     assert result.stats == {
         "tried": tried,
@@ -431,9 +445,62 @@ def test_search_counts_its_children(
         "trace_rejects": trace_rejects,
         "noncanon_rejects": noncanon_rejects,
         "recursed": recursed,
+        "bound_cuts": bound_cuts,
     }
     assert tried == trace_rejects + noncanon_rejects + recursed
     assert result.nodes_explored == recursed + 1
+
+
+@pytest.mark.parametrize("n, t, cap", [(6, 2, 100), (6, 3, 100), (7, 2, 100), (6, 2, 1), (7, 2, 3)])
+def test_status_pass_matches_the_kernel_and_the_bound_cuts_only_short_subtrees(
+    monkeypatch, n, t, cap
+):
+    # at every node, each triple past its last edge is dead iff the kernel
+    # finds a trace through it, whether the status was inherited, read from
+    # an image or checked; and every canonical child that is not dead and
+    # not recursed into was cut by the bound: the node's edges plus the
+    # alive triples from the child's on stay below the best, or tie it with
+    # WITNESS_CAP classes kept, when the node's loop ends
+    monkeypatch.setattr(search_module, "WITNESS_CAP", cap)
+    nodes = []  # (index sequence, last index, dead mask) in the order entered
+    dead_past = search_module._dead_past
+
+    def spy_dead_past(h, t, triples, last_idx, dead, below, automorphisms):
+        out = dead_past(h, t, triples, last_idx, dead, below, automorphisms)
+        assert out & dead == dead
+        for idx in range(last_idx + 1, len(triples)):
+            assert (out >> idx & 1) == (_trace_through_edge(h, triples[idx], t) is not None)
+        nodes.append((edge_indices(h.edges), last_idx, out))
+        return out
+
+    monkeypatch.setattr(search_module, "_dead_past", spy_dead_past)
+    result = turan_search(n, t)
+    assert len(nodes) == result.nodes_explored
+    triples = all_triples(n)
+    total = len(triples)
+    cuts = 0
+    for i, (seq, last_idx, dead) in enumerate(nodes):
+        # the subtree is the run of later nodes that extend seq; the loop
+        # ends before the first node after it
+        later = range(i + 1, len(nodes))
+        end = next((k for k in later if nodes[k][0][: len(seq)] != seq), len(nodes))
+        sizes = [len(nodes[k][0]) for k in range(end)]
+        best = max(sizes)
+        kept = min(sizes.count(best), cap)
+        recursed = {nodes[k][0][-1] for k in range(i + 1, end) if len(nodes[k][0]) == len(seq) + 1}
+        m = len(seq)
+        for idx in range(last_idx + 1, total):
+            if dead >> idx & 1 or idx in recursed:
+                continue
+            if not is_canonical_labeling(Hypergraph3(n, [*(triples[j] for j in seq), triples[idx]])):
+                continue
+            alive = sum(1 for j in range(idx, total) if not dead >> j & 1)
+            assert m + alive < best or (m + alive == best and kept == cap)
+            cuts += 1
+    assert cuts > 0
+    stats = result.stats
+    skipped = stats["twin_skips"] + stats["automorphism_skips"] + stats["bound_cuts"]
+    assert stats["tried"] + skipped == sum(total - 1 - last_idx for _, last_idx, _ in nodes)
 
 
 @pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
@@ -464,7 +531,7 @@ def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatc
     result = turan_search(n, t)
     assert skipped > 0
     assert result.stats["automorphism_skips"] == skipped
-    assert result.nodes_explored == {(6, 2): 82, (6, 3): 181, (7, 2): 394}[n, t]
+    assert result.nodes_explored == {(6, 2): 69, (6, 3): 156, (7, 2): 278}[n, t]
 
 
 def _smaller_twins_of(h):
@@ -508,7 +575,7 @@ def test_search_builds_no_certificates(monkeypatch):
         return builder(*args)
 
     monkeypatch.setattr(traces_module, "least_third_certificate", counting)
-    assert pin(turan_search(7, 2)) == (9, 394, 5, N7_T2_SHA256)
+    assert pin(turan_search(7, 2)) == (9, 278, 5, N7_T2_SHA256)
     assert calls == 0
 
 
@@ -519,7 +586,7 @@ N8_WITNESS_SHA256 = "0234bb256325c1ed90fc7ef10aae17cd4dbf8557ec4d415080d51a169c3
 
 def test_search_n8_regression():
     result = turan_search(8, 2)
-    assert (result.value, result.nodes_explored, len(result.witnesses)) == (11, 2604, 16)
+    assert (result.value, result.nodes_explored, len(result.witnesses)) == (11, 1558, 16)
     text = "\n".join(" ".join(f"{a},{b},{c}" for a, b, c in w.edges) for w in result.witnesses)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == N8_WITNESS_SHA256
     assert len({canonical_form(w) for w in result.witnesses}) == 16
