@@ -3,13 +3,11 @@ hypergraphs: detection with certificates, dominated-set algorithms, exact
 small-n extremal search, C4-free constructions, and bound evaluation."""
 
 from .bounds import (
-    C4_WINDOW,
     DerivationPoint,
     Interval,
     derivation_check,
     epsilon,
     log_grid,
-    ratio_table,
 )
 from .canon import canonical_form, canonical_index_sequence, is_canonical_labeling
 from .constructions import (

@@ -4,19 +4,16 @@ Every bound here is a leading term only: the suppressed lower-order
 contribution grows like o(n^{3/2}) with no explicit constant, so nothing in
 this module is ever asserted against finite-n exact values as an upper bound.
 
-Each bound expression -- g(t) = sqrt(t ln t)/7, the main term t^{3/2}/6,
-the single formula (t^{3/2} + 55 t sqrt(ln t))/6 and the three-term
-coefficients -- is written once, over outward-rounded intervals.  The
-derivation check certifies on those intervals that the three-term bound at
-g stays below the single formula across a log grid of t values: the
-inequality chain behind the headline constant.  The ratio table normalises
-exact or constructed values by n^{3/2} and by the main term.
+Each bound expression -- g(t) = sqrt(t ln t)/7, the single formula
+(t^{3/2} + 55 t sqrt(ln t))/6 and the three-term coefficients -- is
+written once, over outward-rounded intervals.  The derivation check
+certifies on those intervals that the three-term bound at g stays below
+the single formula across a log grid of t values: the inequality chain
+behind the headline constant.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -105,11 +102,6 @@ def _g(t: Interval) -> Interval:
     return (t * t.log()).sqrt() / Interval.point(7.0)
 
 
-def _main_term(t: Interval) -> Interval:
-    """t^{3/2}/6, the main term every bound is normalised by."""
-    return _SIXTH * t.pow32()
-
-
 def _single_formula(t: Interval) -> Interval:
     """(t^{3/2} + 55 t sqrt(ln t))/6."""
     log_term = Interval.point(55.0) * t * t.log().sqrt()
@@ -187,34 +179,3 @@ def derivation_check(t_values: Iterable[int]) -> list[DerivationPoint]:
         rhs = _single_formula(ti)
         out.append(DerivationPoint(t, lhs.hi, rhs.lo, lhs.hi <= rhs.lo))
     return out
-
-
-# -- ratio reporting --------------------------------------------------------
-
-C4_WINDOW = (0.5, 5.0 / 6.0)
-
-
-def _n32(n: float) -> float:
-    if not 0 < n < math.inf:
-        raise ValueError(f"n must be a finite number > 0, got {n!r}")
-    return n * math.sqrt(n)
-
-
-def ratio_table(rows: Iterable[tuple[int, int, int]]) -> str:
-    """CSV of exact/constructed values normalized by n^{3/2} scales.
-
-    Rows are (n, t, value) tuples.  For t = 2 the asymptotic window
-    [1/2, 5/6] is attached for reference only; finite-n values may
-    legitimately fall outside it.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["n", "t", "value", "value/n^1.5", "value/(t^1.5 n^1.5 / 6)", "window_lo", "window_hi"]
-    )
-    for n, t, value in rows:
-        r1 = value / _n32(n)
-        r2 = value / (_main_term(Interval.point(float(t))).hi * _n32(n))
-        window = C4_WINDOW if t == 2 else ("", "")
-        writer.writerow([n, t, value, f"{r1:.6f}", f"{r2:.6f}", window[0], window[1]])
-    return buf.getvalue()

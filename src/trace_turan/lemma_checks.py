@@ -221,21 +221,24 @@ def _core_codegree(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     return f"bound {bound:.4f}", _codegree_cap(h, core, t, k_ceiling, bound, simultaneous)
 
 
+def _expansion_hits(core: Hypergraph3, x: int, y: int) -> list[tuple[int, int]]:
+    """The pairs a < b in N1(x) with {y, a, b} an edge of core, read from
+    y's link row; x is not in N1(x), so no such edge holds x."""
+    n1x = core.shadow_neighbors(x)
+    row = core.link_index()[y]
+    return [(a, b) for a, thirds in row.items() if a in n1x for b in thirds if a < b and b in n1x]
+
+
 def _shell_expansion(h: Hypergraph3, core: Hypergraph3, t: int, delta: int):
     k = core.max_codegree()
     bound = k + 0.5 * k * 50 * t
     simultaneous = functools.partial(simultaneous_dominated_min_degree, delta=delta)
     found = []
     for x in core.support():
-        n1x = core.shadow_neighbors(x)
-        for y in sorted(n1x):
-            hits = [
-                e
-                for e in core.edges_at(y)
-                if x not in e and all(w in n1x for w in e if w != y)
-            ]
+        for y in sorted(core.shadow_neighbors(x)):
+            hits = _expansion_hits(core, x, y)
             if len(hits) >= bound:
-                s = frozenset(w for e in hits for w in e if w != y)
+                s = frozenset(w for pair in hits for w in pair)
                 cert = _cert_via_links(h, x, y, s, t, simultaneous)
                 found.append(((x, y), len(hits), bound, cert))
     return f"bound {bound:.1f}", found

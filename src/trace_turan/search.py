@@ -9,16 +9,15 @@ Two independent routes to the same number:
   the masks at the best in batches, so an interim best costs no test;
 * ``turan_search`` -- orderly generation (Read 1978): grow
   canonically-labeled trace-free hypergraphs one colex-larger edge at a
-  time, rejecting non-canonical children, capped at n <= 12.  Each node
-  first marks the later triples that close a trace (``_dead_past``, on the
-  incremental check ``_trace_through_edge`` of ``traces``), then stops its
-  children once its edges plus the alive triples left cannot reach the
-  best.  A child edge that an automorphism of the node maps to a
-  colex-smaller edge is skipped unadded: the child is isomorphic to one
-  with a smaller index sequence and is not canonical.  The automorphisms
-  read are the transpositions of twins and the ones the node's own
-  canonicity test found.  ``SearchResult.stats`` counts what became of
-  each child.
+  time, rejecting non-canonical children, capped at n <= 12.  One pass
+  per node (``_classify_past``) marks the later triples that close a trace
+  (on the incremental check ``_trace_through_edge`` of ``traces``) and
+  those that a known automorphism of the node maps to a colex-smaller
+  triple: twin swaps and the permutations the node's own canonicity test
+  found.  The children stop once the node's edges plus the alive triples
+  left cannot reach the best, and a marked child is skipped unadded: it is
+  isomorphic to one with a smaller index sequence, so not canonical.
+  ``SearchResult.stats`` counts what became of each child.
 """
 
 from __future__ import annotations
@@ -42,11 +41,11 @@ class SearchResult:
     witnesses: list[Hypergraph3]
     nodes_explored: int
     elapsed: float
-    # turan_search's run counts: child edges the twin and automorphism rules
-    # skip unadded (twin_skips, automorphism_skips), the children tried,
-    # each dead (trace_rejects), rejected as non-canonical or recursed into,
-    # and the child edges past a node's alive bound (bound_cuts); the
-    # oracle keeps none
+    # turan_search's run counts: child edges a known automorphism lowers,
+    # skipped unadded (symmetry_skips), the children tried, each dead
+    # (trace_rejects), rejected as non-canonical or recursed into, and the
+    # child edges past a node's alive bound (bound_cuts); the oracle keeps
+    # none
     stats: dict[str, int] = field(default_factory=dict)
 
 
@@ -186,24 +185,6 @@ def _smaller_twins(n: int, classes: list[list[int]]) -> list[int]:
     return below
 
 
-def _twin_lowers(below: list[int], e: Triple) -> bool:
-    """True when some vertex of e has a smaller twin outside e, so that
-    swapping the two maps e to a colex-smaller edge."""
-    a, b, c = e
-    return bool((below[a] | below[b] | below[c]) & ~(1 << a | 1 << b | 1 << c))
-
-
-def _automorphism_lowers(automorphisms: list[list[int]], e: Triple) -> bool:
-    """True when some permutation in automorphisms maps e to a colex-smaller
-    edge; triples compare in colex order as their (max, mid, min) lists."""
-    a, b, c = e
-    key = [c, b, a]
-    for p in automorphisms:
-        if sorted((p[a], p[b], p[c]), reverse=True) < key:
-            return True
-    return False
-
-
 def _lower_images(below: list[int], automorphisms: list[list[int]], e: Triple) -> Iterator[int]:
     """The indices of the colex-smaller triples that a twin swap, read from
     below, or a permutation in automorphisms maps e to."""
@@ -221,7 +202,7 @@ def _lower_images(below: list[int], automorphisms: list[list[int]], e: Triple) -
             yield triple_index(*image)
 
 
-def _dead_past(
+def _classify_past(
     h: Hypergraph3,
     t: int,
     triples: tuple[Triple, ...],
@@ -229,9 +210,11 @@ def _dead_past(
     dead: int,
     below: list[int],
     automorphisms: list[list[int]],
-) -> int:
-    """dead, a bitmask of triple indices, plus every triple past last_idx
-    that closes a trace when added to h.
+) -> tuple[int, int]:
+    """(dead, lowered), bitmasks of triple indices: the given dead plus every
+    triple past last_idx that closes a trace when added to h, and every
+    triple past last_idx, not dead on entry, with a colex-smaller image
+    under ``_lower_images``.
 
     dead holds triples that closed one added to a subgraph of h, so they
     still do: traces are monotone.  In ascending order, a triple e not in
@@ -241,10 +224,12 @@ def _dead_past(
     dead; the automorphism maps h + e onto h + e*.  Otherwise one trace
     check decides e.
     """
+    lowered = 0
     for idx in range(last_idx + 1, len(triples)):
         if dead >> idx & 1:
             continue
         for j in _lower_images(below, automorphisms, triples[idx]):
+            lowered |= 1 << idx
             if dead >> j & 1:
                 dead |= 1 << idx
                 break
@@ -253,7 +238,7 @@ def _dead_past(
         else:
             if _trace_through_edge(h, triples[idx], t) is not None:
                 dead |= 1 << idx
-    return dead
+    return dead, lowered
 
 
 def turan_search(n: int, t: int) -> SearchResult:
@@ -264,29 +249,25 @@ def turan_search(n: int, t: int) -> SearchResult:
     states by strictly larger edges and keeping only canonical children
     visits each isomorphism class exactly once.
 
-    Before a node h expands its children, ``_dead_past`` decides for every
-    triple e past h's last edge whether h + e has a trace ("dead").  Every
-    node below child e is h + e plus alive triples after e, so the children
-    stop, in index order, at the first whose alive triples from its own on
-    cannot bring h to the best (or only tie it with ``WITNESS_CAP`` classes
-    kept).  Such a subtree holds no node at the best, so the value and the
+    Before a node h expands its children, ``_classify_past`` decides for
+    every triple e past h's last edge whether h + e has a trace ("dead").
+    Every node below child e is h + e plus alive triples after e, so the
+    children stop, in index order, at the first whose alive triples from its
+    own on cannot bring h to the best (or only tie it with ``WITNESS_CAP``
+    classes kept).  Such a subtree holds no node at the best, so the value and the
     witnesses, in order, do not depend on the bound.
 
-    A child edge f that is not dead is skipped before it is added, with no
-    canonicity test, when some vertex v of f has a smaller twin w outside f
-    in h.  The swap (v w) is an automorphism of h, so it maps f to an edge
-    f* outside h with a smaller colex index, and h + f is isomorphic to
-    h + f*, whose sorted index sequence is smaller: h + f is not canonical.
-    Twin classes are computed once per node: a child's, before its
-    canonicity test, serve that test and, if it passes, the child's own
-    node.
-
-    The same holds for any automorphism of h that maps f to a colex-smaller
-    edge, and the canonicity test that accepted h found some: every leaf of
-    its decide-only walk is one.  The node keeps them and skips, after the
-    twin rule and again with no canonicity test, each child edge one of them
-    lowers.  Neither rule changes the children recursed into, so nodes and
-    witnesses do not change.
+    The same pass marks each triple f that a known automorphism of h maps
+    to a colex-smaller triple f* ("lowered"): the swap (v w) of a vertex v
+    of f with a smaller twin w outside f, or a permutation found by the
+    canonicity test that accepted h (every leaf of its decide-only walk is
+    one).  Such an f lies outside h, and h + f is isomorphic to h + f*,
+    whose sorted index sequence is smaller, so h + f is not canonical: a
+    lowered child that is not dead is skipped before it is added, with no
+    canonicity test.  No skipped child would have been recursed into, so
+    nodes and witnesses do not change.  Twin classes are computed once per node: a
+    child's, before its canonicity test, serve that test and, if it passes,
+    the child's own node.
 
     A dead child is never added.  The result's ``stats`` count each
     outcome; ``bound_cuts`` counts the child edges past a node's stop.
@@ -303,7 +284,7 @@ def turan_search(n: int, t: int) -> SearchResult:
     start = time.perf_counter()
     triples = all_triples(n)
     total = len(triples)
-    keys = "tried twin_skips automorphism_skips trace_rejects noncanon_rejects recursed bound_cuts"
+    keys = "tried symmetry_skips trace_rejects noncanon_rejects recursed bound_cuts"
     stats = dict.fromkeys(keys.split(), 0)
     if not _trace_fits(n, t):
         complete = Hypergraph3(n, triples)
@@ -325,7 +306,7 @@ def turan_search(n: int, t: int) -> SearchResult:
         elif m == best and len(witnesses) < WITNESS_CAP:
             witnesses.append(h.copy())
         below = _smaller_twins(n, classes)
-        dead = _dead_past(h, t, triples, last_idx, dead, below, automorphisms)
+        dead, lowered = _classify_past(h, t, triples, last_idx, dead, below, automorphisms)
         alive = total - 1 - last_idx - bin(dead >> (last_idx + 1)).count("1")
         for idx in range(last_idx + 1, total):
             # every node below child idx is h plus alive edges from idx on
@@ -336,13 +317,10 @@ def turan_search(n: int, t: int) -> SearchResult:
                 stats["trace_rejects"] += 1
                 continue
             alive -= 1
+            if lowered >> idx & 1:
+                stats["symmetry_skips"] += 1
+                continue
             e = triples[idx]
-            if _twin_lowers(below, e):
-                stats["twin_skips"] += 1
-                continue
-            if _automorphism_lowers(automorphisms, e):
-                stats["automorphism_skips"] += 1
-                continue
             h.add_edge(e)
             found: list[list[int]] = []
             twins = _twin_classes(h)

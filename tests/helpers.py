@@ -434,6 +434,17 @@ def reference_eu_vu(
     return eu, vu
 
 
+def reference_expansion_hits(core: Hypergraph3, x: int, y: int) -> list[Triple]:
+    """The edges the library's ``_shell_expansion`` counted for (x, y) as it
+    stood: every edge at y rebuilt, then kept if the rest lies in N1(x)."""
+    n1x = core.shadow_neighbors(x)
+    return [
+        e
+        for e in core.edges_at(y)
+        if x not in e and all(w in n1x for w in e if w != y)
+    ]
+
+
 # -- edge partition and link graph properties ----------------------------------
 
 

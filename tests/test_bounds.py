@@ -1,11 +1,11 @@
-"""Bound expression, interval derivation and ratio table tests."""
+"""Bound expression and interval derivation tests."""
 
 import math
 from decimal import Decimal, localcontext
 
 import pytest
 
-from trace_turan import Interval, derivation_check, epsilon, log_grid, ratio_table
+from trace_turan import Interval, derivation_check, epsilon, log_grid
 from trace_turan.bounds import _g, _single_formula, _three_term
 
 from helpers import epsilon_interval
@@ -34,21 +34,6 @@ def test_epsilon_interval_contains_float_value():
     iv = epsilon_interval(14)
     assert iv.lo <= epsilon(14) <= iv.hi
     assert iv.hi <= 0.25
-
-
-@pytest.mark.parametrize(
-    "evaluate",
-    [
-        lambda: ratio_table([(0, 2, 0)]),
-        lambda: ratio_table([(-5, 2, 0)]),
-        lambda: ratio_table([(float("nan"), 2, 0)]),
-        lambda: ratio_table([(float("inf"), 2, 0)]),
-    ],
-    ids=["ratio-table-0", "ratio-table-negative", "ratio-table-nan", "ratio-table-inf"],
-)
-def test_bound_evaluators_refuse_degenerate_n(evaluate):
-    with pytest.raises(ValueError, match="finite number > 0"):
-        evaluate()
 
 
 def test_float_evaluators_read_the_derivation_intervals():
@@ -142,26 +127,3 @@ def test_derivation_verdict_is_the_sign_of_the_inequality():
     points = derivation_check(ts)
     assert [p.certified for p in points] == [_decimal_slack(t) > 0 for t in ts]
     assert [p.certified for p in points] == [True, True, True, False, False, False]
-
-
-def test_ratio_table_rows():
-    table = ratio_table([(4, 2, 4), (5, 3, 10)])
-    lines = table.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("4,2,4,0.500000")
-    assert ",," not in lines[1]  # t = 2 rows carry the reference window
-    assert lines[2].split(",")[5] == ""  # t = 3 rows do not
-
-
-def test_ratio_table_polarity_lift_row():
-    from trace_turan import lift_to_trace_free, polarity_graph
-
-    h = lift_to_trace_free(polarity_graph(7))
-    line = ratio_table([(h.n, 2, h.edge_count)]).strip().splitlines()[1]
-    ratio = float(line.split(",")[3])
-    assert ratio == pytest.approx(0.507, abs=0.001)
-
-
-def test_ratio_table_empty_is_header_only():
-    assert len(ratio_table([]).strip().splitlines()) == 1
-

@@ -77,6 +77,12 @@ def test_lift_of_polarity_is_trace_free(q):
     assert contains_trace(h, 2) is None
 
 
+def test_polarity_lift_density_named_in_the_readme():
+    # "The q = 7 lift reaches e(H)/n^{3/2} ≈ 0.507"
+    h = lift_to_trace_free(polarity_graph(7))
+    assert h.edge_count / h.n**1.5 == pytest.approx(0.507, abs=0.001)
+
+
 @pytest.mark.parametrize(
     "g",
     [

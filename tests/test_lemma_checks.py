@@ -3,6 +3,7 @@ violations on purpose-built ones."""
 
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from trace_turan import (
     lemma_status_report,
     lift_to_trace_free,
     neighborhoods,
+    partition_edges,
     polarity_graph,
     verify_certificate,
     write_hypergraph,
@@ -22,6 +24,8 @@ from trace_turan import (
 from trace_turan import cli, hypergraph, lemma_checks
 from trace_turan.cli import main
 from trace_turan.lemma_checks import CERTIFIED
+
+from helpers import random_hypergraph, reference_expansion_hits
 
 GOLDEN_VERIFY = Path(__file__).with_name("verify_golden.txt")
 
@@ -188,6 +192,30 @@ def test_dense_complete_instance_all_violations_certified(detector_calls):
             assert v.note == CERTIFIED, (st.check, v.subject)
             assert verify_certificate(h, v.certificate)
     assert total > 0
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        Hypergraph3(17, itertools.combinations(range(17), 3)),
+        Hypergraph3(20, itertools.combinations(range(20), 3)),
+        random_hypergraph(24, 0.7, random.Random(37)),  # core: 624 of 1,446 edges
+    ],
+    ids=["K17", "K20", "random-24"],
+)
+def test_expansion_hits_read_from_the_link_row_match_the_edge_rebuild(h):
+    # for every (x, y) of the dense core, the pairs read from y's link row
+    # are the edges at y that avoid x and lie in N1(x) + y, less y
+    core = Hypergraph3(h.n, sorted(partition_edges(h, 14).C))
+    assert core.edge_count > 0
+    for x in core.support():
+        for y in core.shadow_neighbors(x):
+            expected = reference_expansion_hits(core, x, y)
+            hits = lemma_checks._expansion_hits(core, x, y)
+            assert len(hits) == len(expected)
+            assert sorted(hits) == sorted(tuple(w for w in e if w != y) for e in expected)
+            s = frozenset(w for e in expected for w in e if w != y)
+            assert frozenset(w for pair in hits for w in pair) == s
 
 
 def test_shells_compute_each_neighbourhood_once(monkeypatch):

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 import re
 from pathlib import Path
@@ -288,6 +289,13 @@ def test_t2_column_equals_the_cited_ex_c4(search_table):
         assert search_table[(n, 2)].value == KNOWN_VALUES[(n, 2)] == column[n]
 
 
+def test_readme_json_lines_example_has_the_searchs_stats_keys():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    pattern = r"`search --format json-lines` prints .*? for example\s*`(\{.*?\})`"
+    (example,) = re.findall(pattern, text, re.S)
+    assert json.loads(example)["stats"].keys() == turan_search(5, 2).stats.keys()
+
+
 def test_search_answers_a_t_with_no_room_at_once():
     # no trace fits unless n >= t + 3, so (12, 10) has the complete
     # hypergraph as its one witness, found with no walk
@@ -298,8 +306,7 @@ def test_search_answers_a_t_with_no_room_at_once():
     assert result.stats == dict.fromkeys(
         (
             "tried",
-            "twin_skips",
-            "automorphism_skips",
+            "symmetry_skips",
             "trace_rejects",
             "noncanon_rejects",
             "recursed",
@@ -337,8 +344,8 @@ def test_search_deterministic(search_table):
     ],
 )
 def test_search_canonicity_calls(monkeypatch, n, t, calls, accepts, nodes):
-    # every child before the alive bound that is not dead and that the twin
-    # and automorphism rules keep is tested once (631 and 229 calls with the
+    # every child before the alive bound that is neither dead nor marked
+    # lowered by the status pass is tested once (631 and 229 calls with the
     # bound that counted every later triple, 770 and 257 with neither that
     # nor the automorphism rule), and each accept is one node below the root
     counts = {"calls": 0, "accepts": 0}
@@ -381,67 +388,68 @@ def test_search_skips_the_kernel_for_triples_of_known_status(monkeypatch, n, t, 
     assert count == calls
 
 
-def _record_search_hypergraph(monkeypatch, live):
-    """Make live hold the hypergraph turan_search mutates in place: while a
-    node expands its children, it is that node."""
-
-    class Recorded(Hypergraph3):
-        def __init__(self, *args):
-            super().__init__(*args)
-            live[:] = [self]
-
-    monkeypatch.setattr(search_module, "Hypergraph3", Recorded)
-
-
 @pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
-def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t):
-    # every child the twin rule skips, taken at the node that skips it, is
-    # non-canonical by the reference minimizer, and the node counts hold
-    live = []
-    skipped = 0
-    twin_lowers = search_module._twin_lowers
+def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatch, n, t):
+    # one rule reads both kinds of known automorphism, twin swaps and the
+    # permutations the node's canonicity test found: every triple the status
+    # pass marks lowered, taken at its node, is not in it and closes a
+    # non-canonical child by the reference minimizer; every permutation the
+    # pass reads is an automorphism of the node; the marks equal a
+    # recomputation over the twin transpositions and the found permutations,
+    # written out as explicit permutations; the node counts hold
+    marked = 0
+    classify_past = search_module._classify_past
 
-    def spy_lowers(below, e):
-        nonlocal skipped
-        verdict = twin_lowers(below, e)
-        if verdict:
-            (h,) = live
-            assert e not in h
-            assert not reference_is_canonical(Hypergraph3(n, [*h.edges, e]))
-            skipped += 1
-        return verdict
+    def spy(h, t, triples, last_idx, dead, below, automorphisms):
+        nonlocal marked
+        out_dead, lowered = classify_past(h, t, triples, last_idx, dead, below, automorphisms)
+        edges = set(h.edges)
+        assert all({tuple(sorted(p[v] for v in f)) for f in edges} == edges for p in automorphisms)
+        perms = [*automorphisms]
+        for cls in _twin_classes(h):
+            for v, w in itertools.combinations(cls, 2):
+                swap = list(range(h.n))
+                swap[v], swap[w] = w, v
+                perms.append(swap)
+        expected = 0
+        for idx in range(last_idx + 1, len(triples)):
+            e = triples[idx]
+            if dead >> idx & 1 or all(triple_index(*sorted(p[v] for v in e)) >= idx for p in perms):
+                continue
+            expected |= 1 << idx
+            assert e not in edges
+            assert not reference_is_canonical(Hypergraph3(h.n, [*h.edges, e]))
+            marked += not out_dead >> idx & 1
+        assert lowered == expected
+        return out_dead, lowered
 
-    _record_search_hypergraph(monkeypatch, live)
-    monkeypatch.setattr(search_module, "_twin_lowers", spy_lowers)
+    monkeypatch.setattr(search_module, "_classify_past", spy)
     result = turan_search(n, t)
-    assert skipped > 0
-    assert result.stats["twin_skips"] == skipped
+    # a marked child that is alive is skipped unless the bound stops first
+    assert 0 < result.stats["symmetry_skips"] <= marked
     assert result.nodes_explored == {(6, 2): 69, (6, 3): 156, (7, 2): 278}[n, t]
 
 
 @pytest.mark.parametrize(
-    "n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips,"
-    " bound_cuts",
+    "n, t, tried, trace_rejects, noncanon_rejects, recursed, symmetry_skips, bound_cuts",
     [
-        pytest.param(7, 2, 1028, 552, 199, 277, 457, 101, 1962, id="7-2"),
-        pytest.param(6, 3, 246, 58, 33, 155, 96, 24, 741, id="6-3"),
+        pytest.param(7, 2, 1028, 552, 199, 277, 558, 1962, id="7-2"),
+        pytest.param(6, 3, 246, 58, 33, 155, 120, 741, id="6-3"),
     ],
 )
 def test_search_counts_its_children(
-    n, t, tried, trace_rejects, noncanon_rejects, recursed, twin_skips, automorphism_skips,
-    bound_cuts,
+    n, t, tried, trace_rejects, noncanon_rejects, recursed, symmetry_skips, bound_cuts
 ):
     # every child tried is dead (a trace reject, however its status was
     # found), rejected as non-canonical or recursed into, and each recursion
-    # is a node below the root; neither rule's skips nor the child edges
+    # is a node below the root; neither the symmetry skips nor the child edges
     # past the alive bound are tried (with the bound that counted every
     # later triple, (7, 2) tried 1,944 = 1,313 + 238 + 393 and (6, 3)
     # 329 = 100 + 49 + 180)
     result = turan_search(n, t)
     assert result.stats == {
         "tried": tried,
-        "twin_skips": twin_skips,
-        "automorphism_skips": automorphism_skips,
+        "symmetry_skips": symmetry_skips,
         "trace_rejects": trace_rejects,
         "noncanon_rejects": noncanon_rejects,
         "recursed": recursed,
@@ -463,17 +471,17 @@ def test_status_pass_matches_the_kernel_and_the_bound_cuts_only_short_subtrees(
     # WITNESS_CAP classes kept, when the node's loop ends
     monkeypatch.setattr(search_module, "WITNESS_CAP", cap)
     nodes = []  # (index sequence, last index, dead mask) in the order entered
-    dead_past = search_module._dead_past
+    classify_past = search_module._classify_past
 
-    def spy_dead_past(h, t, triples, last_idx, dead, below, automorphisms):
-        out = dead_past(h, t, triples, last_idx, dead, below, automorphisms)
+    def spy(h, t, triples, last_idx, dead, below, automorphisms):
+        out, lowered = classify_past(h, t, triples, last_idx, dead, below, automorphisms)
         assert out & dead == dead
         for idx in range(last_idx + 1, len(triples)):
             assert (out >> idx & 1) == (_trace_through_edge(h, triples[idx], t) is not None)
         nodes.append((edge_indices(h.edges), last_idx, out))
-        return out
+        return out, lowered
 
-    monkeypatch.setattr(search_module, "_dead_past", spy_dead_past)
+    monkeypatch.setattr(search_module, "_classify_past", spy)
     result = turan_search(n, t)
     assert len(nodes) == result.nodes_explored
     triples = all_triples(n)
@@ -499,39 +507,8 @@ def test_status_pass_matches_the_kernel_and_the_bound_cuts_only_short_subtrees(
             cuts += 1
     assert cuts > 0
     stats = result.stats
-    skipped = stats["twin_skips"] + stats["automorphism_skips"] + stats["bound_cuts"]
+    skipped = stats["symmetry_skips"] + stats["bound_cuts"]
     assert stats["tried"] + skipped == sum(total - 1 - last_idx for _, last_idx, _ in nodes)
-
-
-@pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
-def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatch, n, t):
-    # every child the automorphism rule skips, taken at the node that skips
-    # it, is non-canonical by the reference minimizer; every permutation
-    # the rule reads is an automorphism of that node, and the node counts hold
-    live = []
-    skipped = 0
-    automorphism_lowers = search_module._automorphism_lowers
-
-    def spy_lowers(automorphisms, e):
-        nonlocal skipped
-        verdict = automorphism_lowers(automorphisms, e)
-        if verdict:
-            (h,) = live
-            assert e not in h
-            assert all(
-                {tuple(sorted(p[v] for v in f)) for f in h.edges} == set(h.edges)
-                for p in automorphisms
-            )
-            assert not reference_is_canonical(Hypergraph3(n, [*h.edges, e]))
-            skipped += 1
-        return verdict
-
-    _record_search_hypergraph(monkeypatch, live)
-    monkeypatch.setattr(search_module, "_automorphism_lowers", spy_lowers)
-    result = turan_search(n, t)
-    assert skipped > 0
-    assert result.stats["automorphism_skips"] == skipped
-    assert result.nodes_explored == {(6, 2): 69, (6, 3): 156, (7, 2): 278}[n, t]
 
 
 def _smaller_twins_of(h):
@@ -542,15 +519,16 @@ def test_automorphism_rule_on_two_edges_through_a_vertex():
     # {0, 1, 2}, {0, 3, 4} on 5 vertices: the twin classes are {0}, {1, 2},
     # {3, 4} and the block swap (1 3)(2 4), no product of twin swaps, is an
     # automorphism; it maps the child edge {1, 3, 4} to the colex-smaller
-    # {1, 2, 3}, which the twin rule misses, and fixes {0, 1, 3}
+    # {1, 2, 3}, which no twin swap does, and nothing lowers {0, 1, 3}
     h = Hypergraph3(5, [(0, 1, 2), (0, 3, 4)])
     found = []
     assert is_canonical_labeling(h, found)
     assert sorted(found) == [[0, 1, 2, 3, 4], [0, 3, 4, 1, 2]]
-    assert search_module._automorphism_lowers(found, (1, 3, 4))
-    assert not search_module._twin_lowers(_smaller_twins_of(h), (1, 3, 4))
+    below = _smaller_twins_of(h)
+    assert list(search_module._lower_images(below, found, (1, 3, 4))) == [triple_index(1, 2, 3)]
+    assert list(search_module._lower_images(below, [], (1, 3, 4))) == []
     assert not reference_is_canonical(Hypergraph3(5, [*h.edges, (1, 3, 4)]))
-    assert not search_module._automorphism_lowers(found, (0, 1, 3))
+    assert list(search_module._lower_images(below, found, (0, 1, 3))) == []
 
 
 def test_twin_rule_on_one_edge():
@@ -558,8 +536,9 @@ def test_twin_rule_on_one_edge():
     h = Hypergraph3(6, [(0, 1, 2)])
     below = _smaller_twins_of(h)
     assert below == [0, 0b1, 0b11, 0, 0b1000, 0b11000]
-    assert search_module._twin_lowers(below, (0, 1, 4))  # 4 -> 3 gives {0, 1, 3}
-    assert not search_module._twin_lowers(below, (0, 1, 3))
+    # 4 -> 3 gives {0, 1, 3}
+    assert list(search_module._lower_images(below, [], (0, 1, 4))) == [triple_index(0, 1, 3)]
+    assert list(search_module._lower_images(below, [], (0, 1, 3))) == []
     assert reference_is_canonical(Hypergraph3(6, [(0, 1, 2), (0, 1, 3)]))
     assert not reference_is_canonical(Hypergraph3(6, [(0, 1, 2), (0, 1, 4)]))
 
