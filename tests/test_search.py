@@ -389,6 +389,46 @@ def test_search_skips_the_kernel_for_triples_of_known_status(monkeypatch, n, t, 
 
 
 @pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
+def test_search_skips_only_noncanonical_children_by_twin_rule(monkeypatch, n, t):
+    # every child a twin swap alone lowers, taken at its node, is not in it,
+    # is marked lowered by the status pass and closes a non-canonical child
+    # by the reference minimizer; each image is the child with one vertex
+    # moved to a smaller twin, a swap that is an automorphism of the node;
+    # the node counts hold
+    twin_lowered = 0
+    classify_past = search_module._classify_past
+
+    def spy(h, t, triples, last_idx, dead, below, automorphisms):
+        nonlocal twin_lowered
+        out_dead, lowered = classify_past(h, t, triples, last_idx, dead, below, automorphisms)
+        edges = set(h.edges)
+        for idx in range(last_idx + 1, len(triples)):
+            e = triples[idx]
+            images = list(search_module._lower_images(below, [], e))
+            if dead >> idx & 1 or not images:
+                continue
+            for j in images:
+                assert j < idx
+                (v,) = set(e) - set(triples[j])
+                (w,) = set(triples[j]) - set(e)
+                assert w < v and below[v] >> w & 1
+                swap = list(range(h.n))
+                swap[v], swap[w] = w, v
+                assert {tuple(sorted(swap[u] for u in f)) for f in edges} == edges
+            assert lowered >> idx & 1
+            assert e not in edges
+            assert not reference_is_canonical(Hypergraph3(h.n, [*h.edges, e]))
+            twin_lowered += 1
+        return out_dead, lowered
+
+    monkeypatch.setattr(search_module, "_classify_past", spy)
+    result = turan_search(n, t)
+    assert twin_lowered > 0
+    assert result.stats["symmetry_skips"] > 0
+    assert result.nodes_explored == {(6, 2): 69, (6, 3): 156, (7, 2): 278}[n, t]
+
+
+@pytest.mark.parametrize("n, t", [(6, 2), (6, 3), (7, 2)])
 def test_search_skips_only_noncanonical_children_by_automorphism_rule(monkeypatch, n, t):
     # one rule reads both kinds of known automorphism, twin swaps and the
     # permutations the node's canonicity test found: every triple the status
